@@ -17,6 +17,7 @@ from .accumulation import (
 )
 from .engine import (
     DEFAULTS,
+    FIELDS,
     METRICS,
     ConfigError,
     PathDetail,
@@ -26,6 +27,7 @@ from .engine import (
     SummaryStats,
     SweepVariant,
     baseline_scenario,
+    check_field,
     run_path,
     run_path_detail,
     run_scenario,
@@ -68,6 +70,7 @@ __all__ = [
     "CareerYear",
     "ConfigError",
     "DEFAULTS",
+    "FIELDS",
     "GbmParams",
     "InflationParams",
     "METRICS",
@@ -84,6 +87,7 @@ __all__ = [
     "annual_pension",
     "baseline_scenario",
     "career_csv",
+    "check_field",
     "cli_main",
     "dearness_allowance",
     "draw_standard_normal",

@@ -8,8 +8,9 @@ inflation values, then the n-1 log-returns, all from that one stream.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from .stochastic import GbmParams, InflationParams, RandomStream, gbm_log_return
 
 __all__ = [
     "DEFAULTS",
+    "FIELDS",
     "METRICS",
     "ConfigError",
+    "Field",
     "PathDetail",
     "PathOutcome",
     "Scenario",
@@ -36,6 +39,7 @@ __all__ = [
     "SummaryStats",
     "SweepVariant",
     "baseline_scenario",
+    "check_field",
     "run_path",
     "run_path_detail",
     "run_scenario",
@@ -51,26 +55,51 @@ class ConfigError(ValueError):
     """Bad scenario configuration: unknown key, unparseable value, or invariant violation."""
 
 
-# Baseline parameter values; also the complete set of accepted flat keys.
-DEFAULTS: dict[str, int | float] = {
-    "service_years": 30,
-    "retirement_years": 20,
-    "basic_start": 100.0,
-    "increment_rate": 0.03,
-    "employee_rate": 0.10,
-    "employer_rate": 0.14,
-    "inflation_mean_pct": 4.0,
-    "inflation_sd_pct": 1.0,
-    "gbm_mu": 0.09,
-    "gbm_sigma": 0.05,
-    "annuity_rate": 0.07,
-    "risk_free_rate": 0.07,
-    "guarantee_fraction": 0.5,
-    "num_paths": 1000,
-    "seed": 42,
+@dataclass(frozen=True)
+class Field:
+    """One flat scenario key: where it lives in Scenario, its type, default and range.
+
+    Bounds are inclusive, except that `low_open` excludes `low` itself. A
+    float field must also be finite.
+    """
+
+    key: str
+    path: str  # attribute path in Scenario
+    kind: type  # int or float
+    default: int | float
+    low: int | float | None = None
+    high: int | float | None = None
+    low_open: bool = False
+
+
+# The complete set of accepted flat keys, in canonical order.
+FIELDS = (
+    Field("service_years", "career.service_years", int, 30, low=1),
+    Field("retirement_years", "retirement.retirement_years", int, 20, low=1),
+    Field("basic_start", "career.basic_start", float, 100.0, low=0, low_open=True),
+    Field("increment_rate", "career.increment_rate", float, 0.03, low=0),
+    Field("employee_rate", "career.employee_rate", float, 0.10, low=0),
+    Field("employer_rate", "career.employer_rate", float, 0.14, low=0),
+    Field("inflation_mean_pct", "inflation.mean_pct", float, 4.0),
+    Field("inflation_sd_pct", "inflation.sd_pct", float, 1.0, low=0),
+    Field("gbm_mu", "gbm.mu", float, 0.09),
+    Field("gbm_sigma", "gbm.sigma", float, 0.05, low=0),
+    Field("annuity_rate", "retirement.annuity_rate", float, 0.07, low=0),
+    Field("risk_free_rate", "retirement.risk_free_rate", float, 0.07, low=0),
+    Field("guarantee_fraction", "retirement.guarantee_fraction", float, 0.5, low=0, high=1),
+    Field("num_paths", "num_paths", int, 1000, low=1),
+    Field("seed", "master_seed", int, 42, low=0, high=2**64 - 1),
+)
+_BY_KEY = {field.key: field for field in FIELDS}
+# the params dataclass behind each first component of a nested Field.path
+_PARAMS = {
+    "career": CareerParams,
+    "retirement": RetirementParams,
+    "gbm": GbmParams,
+    "inflation": InflationParams,
 }
 
-INT_KEYS = frozenset({"service_years", "retirement_years", "num_paths", "seed"})
+DEFAULTS: dict[str, int | float] = {field.key: field.default for field in FIELDS}
 
 METRICS = ("final_corpus", "shortfall_years", "pv_support")
 
@@ -95,16 +124,36 @@ class Scenario:
             )
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def check_field(key: str, value) -> int | float:
+    """Coerce one flat value to its field's type and check the field's range.
 
-
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    `value` is a number, or its text as read from a scenario file or the
+    command line. Every ConfigError names the key.
+    """
+    field = _BY_KEY.get(key)
+    if field is None:
+        raise ConfigError(f"unknown scenario field: {key!r}")
+    numeric = (int, np.integer) if field.kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, str):
+        try:
+            value = field.kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"cannot parse {value!r} as {field.kind.__name__} for {key}"
+            ) from None
+    elif isinstance(value, bool) or not isinstance(value, numeric):
+        noun = "an integer" if field.kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    value = field.kind(value)
+    if field.kind is float and not math.isfinite(value):
+        problem = "must be finite"
+    elif field.high is not None and not field.low <= value <= field.high:
+        problem = f"must be within [{field.low}, {field.high}]"
+    elif field.low is not None and (value <= field.low if field.low_open else value < field.low):
+        problem = f"must be {'>' if field.low_open else '>='} {field.low}"
+    else:
+        return value
+    raise ConfigError(f"{key} {problem}, got {value}")
 
 
 def scenario_from_values(values: dict[str, object]) -> Scenario:
@@ -112,38 +161,18 @@ def scenario_from_values(values: dict[str, object]) -> Scenario:
     unknown = sorted(set(values) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown scenario field(s): {', '.join(unknown)}")
-    v = dict(DEFAULTS)
-    v.update(values)
-    coerced: dict[str, int | float] = {
-        key: _as_int(key, v[key]) if key in INT_KEYS else _as_float(key, v[key])
-        for key in DEFAULTS
-    }
+    params: dict[str, dict[str, int | float]] = {group: {} for group in _PARAMS}
+    top: dict[str, int | float] = {}
+    for field in FIELDS:
+        group, _, attr = field.path.rpartition(".")
+        (params[group] if group else top)[attr] = check_field(
+            field.key, values.get(field.key, field.default)
+        )
     try:
         return Scenario(
-            career=CareerParams(
-                service_years=coerced["service_years"],
-                basic_start=coerced["basic_start"],
-                increment_rate=coerced["increment_rate"],
-                employee_rate=coerced["employee_rate"],
-                employer_rate=coerced["employer_rate"],
-            ),
-            retirement=RetirementParams(
-                retirement_years=coerced["retirement_years"],
-                annuity_rate=coerced["annuity_rate"],
-                guarantee_fraction=coerced["guarantee_fraction"],
-                risk_free_rate=coerced["risk_free_rate"],
-            ),
-            gbm=GbmParams(mu=coerced["gbm_mu"], sigma=coerced["gbm_sigma"]),
-            inflation=InflationParams(
-                mean_pct=coerced["inflation_mean_pct"],
-                sd_pct=coerced["inflation_sd_pct"],
-            ),
-            num_paths=coerced["num_paths"],
-            master_seed=coerced["seed"],
+            **{group: cls(**params[group]) for group, cls in _PARAMS.items()}, **top
         )
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
@@ -154,33 +183,12 @@ def baseline_scenario(**overrides) -> Scenario:
 
 def scenario_values(scenario: Scenario) -> dict[str, int | float]:
     """Flat key/value view of a Scenario, in canonical key order."""
-    career, retire = scenario.career, scenario.retirement
-    return {
-        "service_years": career.service_years,
-        "retirement_years": retire.retirement_years,
-        "basic_start": career.basic_start,
-        "increment_rate": career.increment_rate,
-        "employee_rate": career.employee_rate,
-        "employer_rate": career.employer_rate,
-        "inflation_mean_pct": scenario.inflation.mean_pct,
-        "inflation_sd_pct": scenario.inflation.sd_pct,
-        "gbm_mu": scenario.gbm.mu,
-        "gbm_sigma": scenario.gbm.sigma,
-        "annuity_rate": retire.annuity_rate,
-        "risk_free_rate": retire.risk_free_rate,
-        "guarantee_fraction": retire.guarantee_fraction,
-        "num_paths": scenario.num_paths,
-        "seed": scenario.master_seed,
-    }
+    return {field.key: attrgetter(field.path)(scenario) for field in FIELDS}
 
 
 def with_field(scenario: Scenario, key: str, value) -> Scenario:
     """Copy of `scenario` with one flat field replaced."""
-    if key not in DEFAULTS:
-        raise ConfigError(f"unknown scenario field: {key!r}")
-    values = scenario_values(scenario)
-    values[key] = value
-    return scenario_from_values(values)
+    return scenario_from_values({**scenario_values(scenario), key: value})
 
 
 @dataclass(frozen=True)
@@ -204,7 +212,7 @@ class PathDetail:
 
 
 def _simulate(scenario: Scenario, path_index: int):
-    """Draw one path's randomness and run the pipeline; returns the arrays."""
+    """Draw one path's randomness and run the pipeline; returns every array it built."""
     if not 0 <= path_index < scenario.num_paths:
         raise ConfigError(
             f"path_index must be in [0, {scenario.num_paths - 1}], got {path_index}"
@@ -229,7 +237,7 @@ def _simulate(scenario: Scenario, path_index: int):
         scenario.retirement.guarantee_fraction,
     )
     rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
-    return infl, rets, corpus, pension, rows
+    return infl, rets, basic, da, salary, contributions, corpus, pension, rows
 
 
 def _outcome(scenario: Scenario, path_index: int, corpus, pension, rows) -> PathOutcome:
@@ -246,18 +254,15 @@ def _outcome(scenario: Scenario, path_index: int, corpus, pension, rows) -> Path
 
 def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
     """Simulate one path; depends only on (master_seed, path_index) and parameters."""
-    _, _, corpus, pension, rows = _simulate(scenario, path_index)
+    *_, corpus, pension, rows = _simulate(scenario, path_index)
     return _outcome(scenario, path_index, corpus, pension, rows)
 
 
 def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
     """Like run_path but keeps the year-by-year career and retirement tables."""
-    infl, rets, corpus, pension, rows = _simulate(scenario, path_index)
-    n = scenario.career.service_years
-    basic = project_basic(scenario.career)
-    da = dearness_allowance(basic, infl[:n])
-    salary = basic + da
-    contributions = scenario.career.contribution_rate * salary
+    infl, rets, basic, da, salary, contributions, corpus, pension, rows = _simulate(
+        scenario, path_index
+    )
     career = tuple(
         CareerYear(
             year=t + 1,
@@ -269,7 +274,7 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
             log_return=float(rets[t - 1]) if t else 0.0,
             corpus=float(corpus[t]),
         )
-        for t in range(n)
+        for t in range(scenario.career.service_years)
     )
     return PathDetail(
         outcome=_outcome(scenario, path_index, corpus, pension, rows),
@@ -338,24 +343,24 @@ class ScenarioResult:
         return getattr(self, name)
 
 
-def run_scenario(scenario: Scenario, max_workers: int | None = None) -> ScenarioResult:
+def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run every path and aggregate in index order.
 
-    The result is independent of max_workers: paths own disjoint streams
-    and outcomes are collected by index, not completion order.
+    Raises ValueError naming the metric and the first path index when an
+    outcome is not finite (a numeric blow-up of the scenario's parameters).
     """
-    indices = range(scenario.num_paths)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = tuple(pool.map(lambda i: run_path(scenario, i), indices))
-    else:
-        outcomes = tuple(run_path(scenario, i) for i in indices)
+    outcomes = tuple(run_path(scenario, i) for i in range(scenario.num_paths))
+    columns = {
+        name: np.array([getattr(o, name) for o in outcomes], dtype=float) for name in METRICS
+    }
+    for name, column in columns.items():
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ValueError(f"{name} is not finite on path {bad[0]}: {column[bad[0]]}")
     return ScenarioResult(
         scenario=scenario,
         outcomes=outcomes,
-        final_corpus=summarize([o.final_corpus for o in outcomes]),
-        shortfall_years=summarize([o.shortfall_years for o in outcomes]),
-        pv_support=summarize([o.pv_support for o in outcomes]),
+        **{name: summarize(column) for name, column in columns.items()},
     )
 
 
@@ -368,11 +373,7 @@ class SweepVariant:
     result: ScenarioResult
 
 
-def sweep(
-    base: Scenario,
-    overrides,
-    max_workers: int | None = None,
-) -> list[SweepVariant]:
+def sweep(base: Scenario, overrides) -> list[SweepVariant]:
     """Run one variant per (field, value) pair, in the given order.
 
     Every variant keeps the base master_seed, so variants share random
@@ -386,7 +387,7 @@ def sweep(
             SweepVariant(
                 label=f"{key}={value}",
                 scenario=scenario,
-                result=run_scenario(scenario, max_workers=max_workers),
+                result=run_scenario(scenario),
             )
         )
     return variants

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -16,13 +15,13 @@ from pathlib import Path
 
 from .engine import (
     DEFAULTS,
-    INT_KEYS,
     METRICS,
     QUANTILE_LABELS,
     ConfigError,
     Scenario,
     ScenarioResult,
     SummaryStats,
+    check_field,
     run_path_detail,
     run_scenario,
     scenario_from_values,
@@ -56,46 +55,11 @@ CONVENTIONS = {
 }
 
 
-def _check_range(key: str, value) -> str | None:
-    """Range/finiteness check for one parsed value; returns an error message or None."""
-    if key in INT_KEYS:
-        if key in ("service_years", "retirement_years", "num_paths") and value < 1:
-            return "must be >= 1"
-        if key == "seed" and not 0 <= value < 2**64:
-            return "must be an unsigned 64-bit integer"
-        return None
-    if not math.isfinite(value):
-        return "must be finite"
-    if key == "basic_start" and not value > 0:
-        return "must be > 0"
-    if key == "guarantee_fraction" and not 0 <= value <= 1:
-        return "must be within [0, 1]"
-    nonnegative = (
-        "increment_rate",
-        "employee_rate",
-        "employer_rate",
-        "inflation_sd_pct",
-        "gbm_sigma",
-        "annuity_rate",
-        "risk_free_rate",
-    )
-    if key in nonnegative and value < 0:
-        return "must be >= 0"
-    return None
-
-
 def _parse_value(key: str, token: str, where: str) -> int | float:
-    kind = int if key in INT_KEYS else float
     try:
-        value = kind(token)
-    except ValueError:
-        raise ConfigError(
-            f"{where}: cannot parse {token!r} as {kind.__name__} for {key}"
-        ) from None
-    problem = _check_range(key, value)
-    if problem:
-        raise ConfigError(f"{where}: {key} {problem}, got {token}")
-    return value
+        return check_field(key, token)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -110,8 +74,6 @@ def parse_scenario(text: str) -> Scenario:
         token = token.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw.strip()!r}")
-        if key not in DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not token:
             raise ConfigError(f"line {lineno}: missing value for {key}")
         values[key] = _parse_value(key, token, f"line {lineno}")
@@ -267,18 +229,16 @@ def _load_scenario(args) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
-    result = run_scenario(scenario)
-    summary_path = args.out / "summary.json"
-    _write_atomic(summary_path, emit_summary(result))
-    print(f"wrote {summary_path}")
-    for index in args.detail:
-        detail = run_path_detail(scenario, index)
-        for name, text in (
-            (f"path_{index}_career.csv", career_csv(detail.career)),
-            (f"path_{index}_retirement.csv", retirement_csv(detail.retirement)),
-        ):
-            _write_atomic(args.out / name, text)
-            print(f"wrote {args.out / name}")
+    # every output is built before the first write, so a bad --detail index
+    # or a failed run leaves no partial output set
+    details = {index: run_path_detail(scenario, index) for index in args.detail}
+    files = {"summary.json": emit_summary(run_scenario(scenario))}
+    for index, detail in details.items():
+        files[f"path_{index}_career.csv"] = career_csv(detail.career)
+        files[f"path_{index}_retirement.csv"] = retirement_csv(detail.retirement)
+    for name, text in files.items():
+        _write_atomic(args.out / name, text)
+        print(f"wrote {args.out / name}")
     return 0
 
 

@@ -157,13 +157,18 @@ def test_run_scenario_keeps_index_order():
     assert result.final_corpus.count == 12
 
 
-def test_thread_count_cannot_change_results():
+def test_execution_order_cannot_change_results():
     scenario = baseline_scenario(num_paths=48, seed=3)
-    serial = run_scenario(scenario)
-    threaded = run_scenario(scenario, max_workers=8)
-    assert serial.outcomes == threaded.outcomes
-    assert serial.final_corpus == threaded.final_corpus
-    assert serial.pv_support == threaded.pv_support
+    backwards = [run_path(scenario, i) for i in reversed(range(scenario.num_paths))]
+    backwards.sort(key=lambda o: o.path_index)
+    assert tuple(backwards) == run_scenario(scenario).outcomes
+
+
+def test_non_finite_outcome_names_metric_and_path():
+    scenario = baseline_scenario(num_paths=5, inflation_sd_pct=1e200)
+    with pytest.raises(ValueError, match="pv_support is not finite on path 0") as info:
+        run_scenario(scenario)
+    assert not isinstance(info.value, ConfigError)
 
 
 def test_degenerate_randomness_collapses_paths():

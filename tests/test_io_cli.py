@@ -1,10 +1,21 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from pensionsim.engine import ConfigError, baseline_scenario, run_path_detail, run_scenario
+from pensionsim.engine import (
+    FIELDS,
+    ConfigError,
+    baseline_scenario,
+    run_path_detail,
+    run_scenario,
+    scenario_from_values,
+    scenario_values,
+)
 from pensionsim.io_cli import (
     CAREER_CSV_HEADER,
     RETIREMENT_CSV_HEADER,
@@ -51,6 +62,55 @@ def test_invariant_violation_rejected_with_line():
         parse_scenario("gbm_sigma = -0.1\n")
     with pytest.raises(ConfigError, match="guarantee_fraction"):
         parse_scenario("guarantee_fraction = 1.5\n")
+
+
+def _just_outside(field):
+    """Values just beyond each bound of a field; float fields also reject NaN and inf."""
+    values = [math.nan, math.inf] if field.kind is float else []
+    if field.low is not None:
+        if field.low_open:
+            values.append(field.low)
+        elif field.kind is int:
+            values.append(field.low - 1)
+        else:
+            values.append(math.nextafter(field.low, -math.inf))
+    if field.high is not None:
+        step = field.high + 1 if field.kind is int else math.nextafter(field.high, math.inf)
+        values.append(step)
+    return values
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(field.key, value) for field in FIELDS for value in _just_outside(field)],
+    ids=repr,
+)
+def test_every_field_rejects_values_just_outside_its_range(key, value):
+    with pytest.raises(ConfigError, match=f"^line 1: {key} "):
+        parse_scenario(f"{key} = {value!r}\n")
+    with pytest.raises(ConfigError, match=key):
+        scenario_from_values({key: value})
+
+
+def test_field_boundaries_are_accepted():
+    for key, value in (
+        ("guarantee_fraction", 0.0),
+        ("guarantee_fraction", 1.0),
+        ("seed", 2**64 - 1),
+        ("num_paths", 1),
+    ):
+        assert scenario_values(scenario_from_values({key: value}))[key] == value
+        assert scenario_values(parse_scenario(f"{key} = {value}\n"))[key] == value
+    with pytest.raises(ConfigError, match="^line 1: basic_start must be > 0"):
+        parse_scenario("basic_start = 0\n")
+
+
+def test_readme_scenario_table_lists_every_field_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)`\s*\| (\S+)\s*\|", readme, flags=re.MULTILINE)
+    assert [key for key, _ in rows] == [field.key for field in FIELDS]
+    for field, (_, default) in zip(FIELDS, rows):
+        assert field.kind(default) == field.default, field.key
 
 
 def test_cross_field_violation_rejected():
@@ -207,6 +267,15 @@ def test_cli_sweep_unknown_param_is_config_error(tmp_path):
     assert rc == 1
 
 
+def test_cli_sweep_bad_value_names_the_flag(tmp_path, capsys):
+    rc = cli_main(
+        ["sweep", "--param", "num_paths", "--values", "5,0", "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "--values: num_paths must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_path_prints_both_tables(capsys):
     rc = cli_main(["path", "--index", "3"])
     assert rc == 0
@@ -239,6 +308,23 @@ def test_cli_bad_config_content_is_config_error(tmp_path, capsys):
     config.write_text("gbm_sigma = -1\n")
     assert cli_main(["run", "--config", str(config)]) == 1
     assert "gbm_sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["10", "-1"])
+def test_cli_bad_detail_index_writes_nothing(tmp_path, capsys, index):
+    rc = cli_main(["run", "--paths", "10", "--out", str(tmp_path), "--detail", "0", index])
+    assert rc == 1
+    assert "path_index" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_paths = 5\ninflation_sd_pct = 1e200\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "pv_support is not finite on path 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unwritable_out_is_runtime_error(tmp_path, capsys):
