@@ -12,6 +12,7 @@ __all__ = [
     "CareerYear",
     "accumulate_corpus",
     "dearness_allowance",
+    "growth_factors",
     "project_basic",
     "yearly_contribution",
 ]
@@ -65,9 +66,16 @@ def project_basic(params: CareerParams) -> np.ndarray:
     """Basic pay for years 1..n: basic_start compounded at the fixed increment."""
     # scalar pow keeps values bit-identical to a plain reimplementation
     factor = 1.0 + params.increment_rate
-    return np.array(
-        [params.basic_start * factor**t for t in range(params.service_years)]
-    )
+    try:
+        return np.array(
+            [params.basic_start * factor**t for t in range(params.service_years)]
+        )
+    except OverflowError:
+        raise ValueError(
+            "basic pay overflows: (1 + increment_rate)**(service_years - 1) is out of "
+            f"range for service_years={params.service_years}, "
+            f"increment_rate={params.increment_rate}"
+        ) from None
 
 
 def dearness_allowance(basic, inflation_pct) -> np.ndarray:
@@ -92,6 +100,22 @@ def yearly_contribution(salary: float, params: CareerParams) -> float:
     return params.contribution_rate * salary
 
 
+def growth_factors(log_returns) -> np.ndarray:
+    """One-year growth factor exp(r) for each log-return, in the input's shape.
+
+    Scalar math.exp keeps the factors bit-identical to a plain spreadsheet-
+    style reimplementation; np.exp differs from it in the last bit on some
+    inputs.
+    """
+    r = np.asarray(log_returns, dtype=float)
+    try:
+        return np.fromiter(map(math.exp, r.ravel().tolist()), float, r.size).reshape(r.shape)
+    except OverflowError:
+        raise ValueError(
+            "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
+        ) from None
+
+
 def accumulate_corpus(contributions, log_returns) -> np.ndarray:
     """Corpus recursion with end-of-year contribution timing.
 
@@ -107,10 +131,9 @@ def accumulate_corpus(contributions, log_returns) -> np.ndarray:
             f"need {c.size - 1} log-returns for {c.size} contribution years, "
             f"got shape {r.shape}"
         )
+    growth = growth_factors(r)
     corpus = np.empty_like(c)
     corpus[0] = c[0]
     for t in range(1, c.size):
-        # scalar math.exp keeps the recursion bit-identical to a plain
-        # spreadsheet-style reimplementation
-        corpus[t] = corpus[t - 1] * math.exp(r[t - 1]) + c[t]
+        corpus[t] = corpus[t - 1] * growth[t - 1] + c[t]
     return corpus

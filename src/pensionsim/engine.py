@@ -4,6 +4,11 @@ Each path owns the stream whose id equals its index, so any path can be
 recomputed in isolation and results never depend on scheduling. The draw
 order within a path is part of the output contract: first the n+m annual
 inflation values, then the n-1 log-returns, all from that one stream.
+
+`run_path` and `run_path_detail` compute one path with the scalar layer
+functions; they are the reference. `run_scenario` computes blocks of paths
+as (paths, years) arrays with the same operations in the same order, so
+its outcomes equal `run_path`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from operator import attrgetter
 
 import numpy as np
 
-from .accumulation import CareerParams, CareerYear, accumulate_corpus, dearness_allowance, project_basic
+from .accumulation import (
+    CareerParams,
+    CareerYear,
+    accumulate_corpus,
+    dearness_allowance,
+    growth_factors,
+    project_basic,
+)
 from .retirement import (
     RetirementParams,
     RetirementYear,
@@ -24,7 +36,14 @@ from .retirement import (
     requirement_series,
     shortfall_years,
 )
-from .stochastic import GbmParams, InflationParams, RandomStream, gbm_log_returns, inflation_series
+from .stochastic import (
+    GbmParams,
+    InflationParams,
+    RandomStream,
+    gbm_log_returns,
+    inflation_series,
+    stream_normals,
+)
 
 __all__ = [
     "DEFAULTS",
@@ -283,6 +302,49 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
     )
 
 
+# uniforms drawn per block of paths in run_scenario; bounds the block's
+# arrays whatever service_years and retirement_years are
+_BLOCK_DRAWS = 2**15
+
+
+def _simulate_block(scenario: Scenario, first: int, count: int):
+    """Paths first..first+count-1 at once, each bit for bit as `run_path`.
+
+    Returns final_corpus, pension, shortfall_years and pv_support arrays,
+    in PathOutcome's field order, one entry per path.
+    """
+    career, retirement, gbm = scenario.career, scenario.retirement, scenario.gbm
+    n, m = career.service_years, retirement.retirement_years
+    z = stream_normals(scenario.master_seed, first, count, 2 * n + m - 1)
+    # inflation_series and gbm_log_returns, row-wise
+    infl = scenario.inflation.mean_pct + scenario.inflation.sd_pct * z[:, : n + m]
+    rets = (gbm.mu - 0.5 * gbm.sigma**2) + gbm.sigma * z[:, n + m :]
+
+    basic = project_basic(career)
+    da = np.zeros((count, n))
+    da[:, 1:] = basic[:-1] * infl[:, : n - 1] / 100.0
+    salary = basic + da
+    contributions = career.contribution_rate * salary
+    growth = growth_factors(rets)
+    corpus = contributions[:, 0]
+    for t in range(1, n):
+        corpus = corpus * growth[:, t - 1] + contributions[:, t]
+    pension = corpus * retirement.annuity_rate
+
+    req = retirement.guarantee_fraction * salary[:, -1] * (1.0 + infl[:, n - 1] / 100.0)
+    base = 1.0 + retirement.risk_free_rate
+    shortfall = np.zeros(count, dtype=np.int64)
+    pv = np.zeros(count)
+    for k in range(m):
+        if k:
+            req = req * (1.0 + infl[:, n + k - 1] / 100.0)
+        # written so that a NaN requirement or pension counts as a miss
+        miss = ~(pension >= req)
+        shortfall += miss
+        pv += np.where(miss, req - pension, 0.0) / base ** (n + k)
+    return corpus, pension, shortfall, pv
+
+
 QUANTILE_LABELS = ("p5", "p25", "p50", "p75", "p95")
 _QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 
@@ -301,19 +363,39 @@ class SummaryStats:
     bin_counts: tuple[int, ...]
 
 
+def _histogram_range(arr: np.ndarray, bin_count: int) -> tuple[float, float] | None:
+    """None where np.histogram's own range works; else a widened range.
+
+    np.histogram widens equal values by 0.5 itself, but raises when its
+    edges collapse: values apart by a few ulps, or equal values too large
+    for 0.5 to move.
+    """
+    lo, hi = float(arr.min()), float(arr.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, bin_count + 1)
+    if np.all(edges[:-1] < edges[1:]):
+        return None
+    pad = max(0.5, max(abs(lo), abs(hi)) * 2.0**-40)
+    return lo - pad, hi + pad
+
+
 def summarize(values, bin_count: int = 30) -> SummaryStats:
     """Moments, linear-interpolation quantiles, and an equal-width histogram.
 
     The sd uses the n-1 divisor and is 0.0 for a single value. Histogram
     bins span [min, max] and are right-open except the last, which is
-    closed so the maximum lands in the final bin.
+    closed so the maximum lands in the final bin. When [min, max] is too
+    narrow for bin_count distinct edges (equal values, or values apart by
+    rounding only), it is widened on both sides: by 0.5, as np.histogram
+    does for equal values, or by 2**-40 of the values' magnitude if larger.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("summarize needs at least one value")
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-    counts, edges = np.histogram(arr, bins=bin_count)
+    counts, edges = np.histogram(arr, bins=bin_count, range=_histogram_range(arr, bin_count))
     qs = np.quantile(arr, _QUANTILE_LEVELS)
     return SummaryStats(
         count=int(arr.size),
@@ -346,10 +428,20 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run every path and aggregate in index order.
 
-    Raises ValueError naming the metric and the first path index when an
-    outcome is not finite (a numeric blow-up of the scenario's parameters).
+    Paths run in blocks of at most _BLOCK_DRAWS draws; the outcomes equal
+    `run_path`'s bit for bit. Raises ValueError naming the metric and the
+    first path index when an outcome is not finite (a numeric blow-up of the
+    scenario's parameters).
     """
-    outcomes = tuple(run_path(scenario, i) for i in range(scenario.num_paths))
+    total = scenario.num_paths
+    draws = 2 * scenario.career.service_years + scenario.retirement.retirement_years - 1
+    per_block = max(1, _BLOCK_DRAWS // draws)
+    outcomes: list[PathOutcome] = []
+    with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
+        for first in range(0, total, per_block):
+            count = min(per_block, total - first)
+            block = (column.tolist() for column in _simulate_block(scenario, first, count))
+            outcomes += map(PathOutcome, range(first, first + count), *block)
     columns = {
         name: np.array([getattr(o, name) for o in outcomes], dtype=float) for name in METRICS
     }
@@ -359,7 +451,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             raise ValueError(f"{name} is not finite on path {bad[0]}: {column[bad[0]]}")
     return ScenarioResult(
         scenario=scenario,
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
         **{name: summarize(column) for name, column in columns.items()},
     )
 

@@ -250,6 +250,10 @@ def _cmd_sweep(args) -> int:
     if not tokens:
         raise ConfigError("--values must list at least one value")
     parsed = [_parse_value(args.param, token, "--values") for token in tokens]
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            # a repeat would run the same variant twice and overwrite its summary
+            raise ConfigError(f"--values: {tokens[i]!r} repeats {args.param} = {value}")
     variants = sweep(scenario, [(args.param, value) for value in parsed])
 
     lines = ["variant,metric,mean,sd,p5,p95"]

@@ -8,6 +8,13 @@ states, so distinct ids can never overlap. Normal variates come from the
 inverse CDF applied to 53-bit uniforms, exactly one uniform per variate,
 which keeps the stream position a pure function of how many variates
 have been requested.
+
+Philox is counter-based (Salmon et al., "Parallel Random Numbers: As Easy
+as 1, 2, 3", SC'11): the j-th block of four 64-bit words of stream k is a
+pure function of the key [master_seed, 0] and the counter [j, 0, k, 0].
+`stream_normals` evaluates that function for many streams at once and
+gives, row by row, exactly the draws `RandomStream` makes one stream at a
+time.
 """
 
 from __future__ import annotations
@@ -25,12 +32,21 @@ __all__ = [
     "draw_standard_normal",
     "gbm_log_returns",
     "inflation_series",
+    "philox_uniforms",
+    "stream_normals",
 ]
 
 _SEED_LIMIT = 2**64
 # smallest nonzero value Generator.random() can produce; exact zeros are
 # clamped to it so the inverse CDF stays finite
 _UNIFORM_FLOOR = 2.0**-53
+
+# Philox4x64-10 round multipliers and key increments
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
 
 
 class RandomStream:
@@ -45,9 +61,8 @@ class RandomStream:
             raise ValueError(f"stream_id must be >= 0, got {stream_id}")
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
-        bitgen = np.random.Philox(key=self.master_seed)
-        if self.stream_id:
-            bitgen = bitgen.jumped(self.stream_id)
+        # the counter of Philox(key=seed).jumped(k), set directly
+        bitgen = np.random.Philox(key=self.master_seed, counter=[0, 0, self.stream_id, 0])
         self._gen = np.random.Generator(bitgen)
 
     def __repr__(self) -> str:
@@ -57,8 +72,68 @@ class RandomStream:
         """Draw `count` N(0, 1) variates, consuming exactly one uniform each."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        u = self._gen.random(count)
-        return ndtri(np.maximum(u, _UNIFORM_FLOOR))
+        return _normals(self._gen.random(count))
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    return ndtri(np.maximum(u, _UNIFORM_FLOOR))
+
+
+def _mulhilo(x: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of x * multiplier, built from 32-bit halves.
+
+    No partial sum below can exceed 2**64 - 1; in-place steps keep the
+    temporaries few.
+    """
+    m_lo, m_hi = multiplier & _MASK32, multiplier >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    t = x_lo * m_lo
+    t >>= 32
+    t += x_hi * m_lo
+    x_lo *= m_hi
+    x_lo += t & _MASK32
+    x_hi *= m_hi
+    x_hi += t >> 32
+    x_hi += x_lo >> 32
+    return x_hi, x * multiplier  # uint64 products wrap: the low word
+
+
+def philox_uniforms(master_seed: int, first: int, count: int, size: int) -> np.ndarray:
+    """The first `size` uniforms of streams first..first+count-1, one row each.
+
+    Row i equals `size` draws of `RandomStream(master_seed, first + i)`, in
+    any split (numpy keeps the unused words of a block for the next call).
+    numpy's Philox increments the counter before it generates, so block j
+    of stream k, counting from 1, is computed from the counter [j, 0, k, 0].
+    """
+    blocks = -(-size // 4)
+    x0, x2 = np.meshgrid(
+        np.arange(1, blocks + 1, dtype=np.uint64),
+        np.arange(first, first + count, dtype=np.uint64),
+    )
+    x1 = x3 = 0
+    k0, k1 = master_seed, 0
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
+        hi1 ^= x1
+        hi1 ^= k0
+        hi0 ^= x3
+        hi0 ^= k1
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    words = np.empty((count, blocks, 4), dtype=np.uint64)
+    for i, x in enumerate((x0, x1, x2, x3)):
+        words[:, :, i] = x
+    words >>= 11  # Generator.random's 53-bit mapping
+    return words.reshape(count, 4 * blocks)[:, :size] * _UNIFORM_FLOOR
+
+
+def stream_normals(master_seed: int, first: int, count: int, size: int) -> np.ndarray:
+    """`RandomStream(master_seed, k).standard_normal(size)` for each stream k in
+    first..first+count-1, as one (count, size) array."""
+    return _normals(philox_uniforms(master_seed, first, count, size))
 
 
 def draw_standard_normal(stream: RandomStream) -> float:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pensionsim import engine
 from pensionsim.accumulation import accumulate_corpus, dearness_allowance, project_basic, yearly_contribution
 from pensionsim.engine import (
     DEFAULTS,
@@ -171,6 +176,85 @@ def test_non_finite_outcome_names_metric_and_path():
     assert not isinstance(info.value, ConfigError)
 
 
+@pytest.mark.parametrize(
+    "overrides, fields",
+    [
+        ({"service_years": 100000}, ("service_years", "increment_rate")),
+        ({"gbm_mu": 800.0}, ("gbm_mu", "gbm_sigma")),
+    ],
+)
+def test_overflow_names_the_fields_in_both_engines(overrides, fields):
+    scenario = baseline_scenario(num_paths=3, **overrides)
+    for run in (lambda: run_path(scenario, 0), lambda: run_scenario(scenario)):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert not isinstance(info.value, ConfigError)
+        assert all(field in str(info.value) for field in fields)
+
+
+def _bits(outcomes):
+    # repr tells -0.0 from 0.0 and compares NaNs, which == does not
+    return [repr(o) for o in outcomes]
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"annuity_rate": 0.05}, {"service_years": 25}, {"gbm_sigma": 0.0}]
+)
+def test_batch_engine_equals_run_path_bitwise(overrides):
+    scenario = baseline_scenario(**overrides)  # 1000 paths: three blocks
+    expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
+    assert _bits(run_scenario(scenario).outcomes) == _bits(expected)
+
+
+def test_batch_engine_keeps_the_scalar_nan_conventions():
+    # inflation this wide gives infinite and NaN requirements and top-ups;
+    # run_scenario rejects such outcomes, but each block must still agree
+    # with run_path field by field (a NaN requirement counts as a miss)
+    scenario = baseline_scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
+    with np.errstate(all="ignore"):
+        block = engine._simulate_block(scenario, 0, scenario.num_paths)
+        expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
+    columns = (column.tolist() for column in block)
+    outcomes = map(engine.PathOutcome, range(scenario.num_paths), *columns)
+    assert _bits(outcomes) == _bits(expected)
+
+
+def _scenarios():
+    ranges = {
+        "service_years": st.integers(1, 45),
+        "retirement_years": st.integers(1, 30),
+        "basic_start": st.floats(1.0, 1000.0),
+        "increment_rate": st.floats(0.0, 0.1),
+        "employee_rate": st.floats(0.0, 0.3),
+        "employer_rate": st.floats(0.0, 0.3),
+        "inflation_mean_pct": st.floats(-5.0, 15.0),
+        "inflation_sd_pct": st.floats(0.0, 5.0),
+        "gbm_mu": st.floats(-0.2, 0.3),
+        "gbm_sigma": st.floats(0.0, 0.5),
+        "annuity_rate": st.floats(0.0, 0.15),
+        "risk_free_rate": st.floats(0.0, 0.15),
+        "guarantee_fraction": st.floats(0.0, 1.0),
+        "num_paths": st.integers(1, 24),
+        "seed": st.integers(0, 2**64 - 1),
+    }
+    return st.fixed_dictionaries(ranges).map(lambda values: baseline_scenario(**values))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scenario=_scenarios(), block_paths=st.integers(1, 9))
+def test_batch_engine_properties(scenario, block_paths):
+    n = scenario.career.service_years
+    m = scenario.retirement.retirement_years
+    # small blocks put block boundaries inside the run
+    with mock.patch.object(engine, "_BLOCK_DRAWS", block_paths * (2 * n + m - 1)):
+        outcomes = run_scenario(scenario).outcomes
+    assert _bits(outcomes) == _bits(run_path(scenario, i) for i in range(scenario.num_paths))
+    for outcome in outcomes:
+        assert 0 <= outcome.shortfall_years <= m
+        assert outcome.pv_support >= 0.0
+        assert (outcome.shortfall_years == 0) == (outcome.pv_support == 0.0)
+
+
 def test_degenerate_randomness_collapses_paths():
     scenario = baseline_scenario(num_paths=6, gbm_sigma=0.0, inflation_sd_pct=0.0)
     result = run_scenario(scenario)
@@ -253,6 +337,18 @@ def test_summarize_respects_bin_count():
     stats = summarize([1.0, 2.0, 3.0], bin_count=5)
     assert len(stats.bin_counts) == 5
     assert sum(stats.bin_counts) == 3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, 1.0 + 2**-52], [1e17] * 3, [1e150, 1e150 * (1 + 2**-52)], [-5.0, -5.0 + 2**-50]],
+)
+def test_summarize_histogram_of_values_apart_by_rounding(values):
+    # np.histogram alone raises "Too many bins" on these
+    stats = summarize(values)
+    assert sum(stats.bin_counts) == len(values)
+    assert all(a < b for a, b in zip(stats.bin_edges, stats.bin_edges[1:]))
+    assert stats.bin_edges[0] <= min(values) and max(values) <= stats.bin_edges[-1]
 
 
 def test_summarize_rejects_bad_input():

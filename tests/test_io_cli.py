@@ -276,6 +276,15 @@ def test_cli_sweep_bad_value_names_the_flag(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_sweep_repeated_value_is_config_error(tmp_path, capsys):
+    rc = cli_main(
+        ["sweep", "--param", "annuity_rate", "--values", "0.05,0.07,0.050", "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "--values: '0.050' repeats annuity_rate = 0.05" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_path_prints_both_tables(capsys):
     rc = cli_main(["path", "--index", "3"])
     assert rc == 0
@@ -333,3 +342,25 @@ def test_cli_unwritable_out_is_runtime_error(tmp_path, capsys):
     rc = cli_main(["run", "--paths", "5", "--out", str(blocker)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, fields",
+    [
+        ("service_years = 100000\n", ("service_years", "increment_rate")),
+        ("gbm_mu = 800\n", ("gbm_mu", "gbm_sigma")),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "path"])
+def test_cli_overflow_names_the_fields(tmp_path, capsys, config, fields, command):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("num_paths = 5\n" + config)
+    out = tmp_path / "out"
+    argv = ["--config", str(scenario)]
+    argv += ["--out", str(out)] if command == "run" else ["--index", "0"]
+    assert cli_main([command] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and all(field in err for field in fields)
+    assert not out.exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from pensionsim.stochastic import (
     GbmParams,
@@ -10,6 +11,8 @@ from pensionsim.stochastic import (
     draw_standard_normal,
     gbm_log_returns,
     inflation_series,
+    philox_uniforms,
+    stream_normals,
 )
 
 BASE_GBM = GbmParams(mu=0.09, sigma=0.05)
@@ -51,6 +54,31 @@ def test_first_draws_frozen():
     np.testing.assert_allclose(
         RandomStream(42, 1).standard_normal(2), expected_s1, rtol=1e-13
     )
+
+
+@pytest.mark.parametrize("stream_id", [0, 1, 7, 12345, 2**40])
+def test_streams_match_jumped_philox(stream_id):
+    # the reference is numpy's own jump, not the counter both streams set
+    seed = 2**64 - 1
+    reference = np.random.Generator(np.random.Philox(key=seed).jumped(stream_id))
+    # split as a path draws them: n+m inflations, then n-1 log-returns
+    uniforms = np.concatenate([reference.random(50), reference.random(29)])
+    assert np.array_equal(philox_uniforms(seed, stream_id, 1, 79)[0], uniforms)
+    normals = ndtri(np.maximum(uniforms, 2.0**-53))
+    assert np.array_equal(stream_normals(seed, stream_id, 1, 79)[0], normals)
+    stream = RandomStream(seed, stream_id)
+    drawn = np.concatenate([stream.standard_normal(50), stream.standard_normal(29)])
+    assert np.array_equal(drawn, normals)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("size", [1, 4, 7, 79])
+def test_stream_block_rows_are_the_streams(seed, size):
+    first = 2**40 - 2
+    block = stream_normals(seed, first, 5, size)
+    assert block.shape == (5, size)
+    for row, stream_id in zip(block, range(first, first + 5)):
+        assert np.array_equal(row, RandomStream(seed, stream_id).standard_normal(size))
 
 
 def test_stream_position_depends_only_on_draw_count():
