@@ -8,7 +8,6 @@ cost is the discounted value of the top-ups needed to close any gap.
 """
 
 from .accumulation import (
-    CareerParams,
     CareerYear,
     accumulate_corpus,
     dearness_allowance,
@@ -46,7 +45,6 @@ from .io_cli import (
     scenario_text,
 )
 from .retirement import (
-    RetirementParams,
     RetirementYear,
     annual_pension,
     evaluate_retirement,
@@ -55,8 +53,6 @@ from .retirement import (
     shortfall_years,
 )
 from .stochastic import (
-    GbmParams,
-    InflationParams,
     RandomStream,
     draw_standard_normal,
     gbm_log_returns,
@@ -66,18 +62,14 @@ from .stochastic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CareerParams",
     "CareerYear",
     "ConfigError",
     "DEFAULTS",
     "FIELDS",
-    "GbmParams",
-    "InflationParams",
     "METRICS",
     "PathDetail",
     "PathOutcome",
     "RandomStream",
-    "RetirementParams",
     "RetirementYear",
     "Scenario",
     "ScenarioResult",

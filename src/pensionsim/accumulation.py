@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .engine import Scenario
+
 __all__ = [
-    "CareerParams",
     "CareerYear",
     "accumulate_corpus",
     "dearness_allowance",
@@ -16,36 +19,6 @@ __all__ = [
     "project_basic",
     "yearly_contribution",
 ]
-
-
-@dataclass(frozen=True)
-class CareerParams:
-    """Service-career inputs; rates are fractions (0.10 means 10%)."""
-
-    service_years: int
-    basic_start: float
-    increment_rate: float
-    employee_rate: float
-    employer_rate: float
-
-    def __post_init__(self) -> None:
-        if self.service_years < 1:
-            raise ValueError(f"service_years must be >= 1, got {self.service_years}")
-        if not (math.isfinite(self.basic_start) and self.basic_start > 0):
-            raise ValueError(f"basic_start must be > 0, got {self.basic_start}")
-        for name in ("increment_rate", "employee_rate", "employer_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.employee_rate + self.employer_rate > 1:
-            raise ValueError(
-                "employee_rate + employer_rate cannot exceed 1, got "
-                f"{self.employee_rate} + {self.employer_rate}"
-            )
-
-    @property
-    def contribution_rate(self) -> float:
-        return self.employee_rate + self.employer_rate
 
 
 @dataclass(frozen=True)
@@ -62,19 +35,19 @@ class CareerYear:
     corpus: float
 
 
-def project_basic(params: CareerParams) -> np.ndarray:
+def project_basic(scenario: Scenario) -> np.ndarray:
     """Basic pay for years 1..n: basic_start compounded at the fixed increment."""
     # scalar pow keeps values bit-identical to a plain reimplementation
-    factor = 1.0 + params.increment_rate
+    factor = 1.0 + scenario.increment_rate
     try:
         return np.array(
-            [params.basic_start * factor**t for t in range(params.service_years)]
+            [scenario.basic_start * factor**t for t in range(scenario.service_years)]
         )
     except OverflowError:
         raise ValueError(
             "basic pay overflows: (1 + increment_rate)**(service_years - 1) is out of "
-            f"range for service_years={params.service_years}, "
-            f"increment_rate={params.increment_rate}"
+            f"range for service_years={scenario.service_years}, "
+            f"increment_rate={scenario.increment_rate}"
         ) from None
 
 
@@ -95,9 +68,9 @@ def dearness_allowance(basic, inflation_pct) -> np.ndarray:
     return da
 
 
-def yearly_contribution(salary: float, params: CareerParams) -> float:
+def yearly_contribution(salary: float, scenario: Scenario) -> float:
     """Combined employee + employer contribution on one year's salary."""
-    return params.contribution_rate * salary
+    return scenario.contribution_rate * salary
 
 
 def growth_factors(log_returns) -> np.ndarray:

@@ -13,14 +13,14 @@ its outcomes equal `run_path`'s bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import get_type_hints
 
 import numpy as np
 
 from .accumulation import (
-    CareerParams,
     CareerYear,
     accumulate_corpus,
     dearness_allowance,
@@ -28,17 +28,15 @@ from .accumulation import (
     project_basic,
 )
 from .retirement import (
-    RetirementParams,
     RetirementYear,
     annual_pension,
+    discount_factors,
     evaluate_retirement,
     pv_support,
     requirement_series,
     shortfall_years,
 )
 from .stochastic import (
-    GbmParams,
-    InflationParams,
     RandomStream,
     gbm_log_returns,
     inflation_series,
@@ -74,16 +72,61 @@ class ConfigError(ValueError):
     """Bad scenario configuration: unknown key, unparseable value, or invariant violation."""
 
 
+def _field(default, low=None, high=None, low_open=False):
+    """A Scenario attribute with its default and its range (see Field)."""
+    return dataclasses.field(
+        default=default, metadata={"low": low, "high": high, "low_open": low_open}
+    )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Complete validated simulation configuration, one attribute per flat key.
+
+    Each attribute declares its key's type, default and range, in canonical
+    key order; FIELDS, DEFAULTS and every range check derive from it. Rates
+    are fractions (0.10 means 10%), inflation is in percent.
+    """
+
+    service_years: int = _field(30, low=1)
+    retirement_years: int = _field(20, low=1)
+    basic_start: float = _field(100.0, low=0, low_open=True)
+    increment_rate: float = _field(0.03, low=0)
+    employee_rate: float = _field(0.10, low=0)
+    employer_rate: float = _field(0.14, low=0)
+    inflation_mean_pct: float = _field(4.0)
+    inflation_sd_pct: float = _field(1.0, low=0)
+    gbm_mu: float = _field(0.09)
+    gbm_sigma: float = _field(0.05, low=0)
+    annuity_rate: float = _field(0.07, low=0)
+    risk_free_rate: float = _field(0.07, low=0)
+    guarantee_fraction: float = _field(0.5, low=0, high=1)
+    num_paths: int = _field(1000, low=1)
+    seed: int = _field(42, low=0, high=2**64 - 1)
+
+    def __post_init__(self) -> None:
+        for field in FIELDS:
+            _check_range(field, getattr(self, field.key))
+        if self.employee_rate + self.employer_rate > 1:
+            raise ConfigError(
+                "employee_rate + employer_rate cannot exceed 1, got "
+                f"{self.employee_rate} + {self.employer_rate}"
+            )
+
+    @property
+    def contribution_rate(self) -> float:
+        return self.employee_rate + self.employer_rate
+
+
 @dataclass(frozen=True)
 class Field:
-    """One flat scenario key: where it lives in Scenario, its type, default and range.
+    """One flat scenario key: its type, default and range, read from Scenario.
 
     Bounds are inclusive, except that `low_open` excludes `low` itself. A
     float field must also be finite.
     """
 
     key: str
-    path: str  # attribute path in Scenario
     kind: type  # int or float
     default: int | float
     low: int | float | None = None
@@ -91,56 +134,28 @@ class Field:
     low_open: bool = False
 
 
+_KINDS = get_type_hints(Scenario)
 # The complete set of accepted flat keys, in canonical order.
-FIELDS = (
-    Field("service_years", "career.service_years", int, 30, low=1),
-    Field("retirement_years", "retirement.retirement_years", int, 20, low=1),
-    Field("basic_start", "career.basic_start", float, 100.0, low=0, low_open=True),
-    Field("increment_rate", "career.increment_rate", float, 0.03, low=0),
-    Field("employee_rate", "career.employee_rate", float, 0.10, low=0),
-    Field("employer_rate", "career.employer_rate", float, 0.14, low=0),
-    Field("inflation_mean_pct", "inflation.mean_pct", float, 4.0),
-    Field("inflation_sd_pct", "inflation.sd_pct", float, 1.0, low=0),
-    Field("gbm_mu", "gbm.mu", float, 0.09),
-    Field("gbm_sigma", "gbm.sigma", float, 0.05, low=0),
-    Field("annuity_rate", "retirement.annuity_rate", float, 0.07, low=0),
-    Field("risk_free_rate", "retirement.risk_free_rate", float, 0.07, low=0),
-    Field("guarantee_fraction", "retirement.guarantee_fraction", float, 0.5, low=0, high=1),
-    Field("num_paths", "num_paths", int, 1000, low=1),
-    Field("seed", "master_seed", int, 42, low=0, high=2**64 - 1),
+FIELDS = tuple(
+    Field(f.name, _KINDS[f.name], f.default, **f.metadata) for f in dataclasses.fields(Scenario)
 )
 _BY_KEY = {field.key: field for field in FIELDS}
-# the params dataclass behind each first component of a nested Field.path
-_PARAMS = {
-    "career": CareerParams,
-    "retirement": RetirementParams,
-    "gbm": GbmParams,
-    "inflation": InflationParams,
-}
 
 DEFAULTS: dict[str, int | float] = {field.key: field.default for field in FIELDS}
 
 METRICS = ("final_corpus", "shortfall_years", "pv_support")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Complete validated simulation configuration."""
-
-    career: CareerParams
-    retirement: RetirementParams
-    gbm: GbmParams
-    inflation: InflationParams
-    num_paths: int = 1000
-    master_seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.num_paths < 1:
-            raise ValueError(f"num_paths must be >= 1, got {self.num_paths}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(
-                f"seed must be an unsigned 64-bit integer, got {self.master_seed}"
-            )
+def _check_range(field: Field, value: int | float) -> None:
+    if field.kind is float and not math.isfinite(value):
+        problem = "must be finite"
+    elif field.high is not None and not field.low <= value <= field.high:
+        problem = f"must be within [{field.low}, {field.high}]"
+    elif field.low is not None and (value <= field.low if field.low_open else value < field.low):
+        problem = f"must be {'>' if field.low_open else '>='} {field.low}"
+    else:
+        return
+    raise ConfigError(f"{field.key} {problem}, got {value}")
 
 
 def check_field(key: str, value) -> int | float:
@@ -164,35 +179,13 @@ def check_field(key: str, value) -> int | float:
         noun = "an integer" if field.kind is int else "a number"
         raise ConfigError(f"{key} must be {noun}, got {value!r}")
     value = field.kind(value)
-    if field.kind is float and not math.isfinite(value):
-        problem = "must be finite"
-    elif field.high is not None and not field.low <= value <= field.high:
-        problem = f"must be within [{field.low}, {field.high}]"
-    elif field.low is not None and (value <= field.low if field.low_open else value < field.low):
-        problem = f"must be {'>' if field.low_open else '>='} {field.low}"
-    else:
-        return value
-    raise ConfigError(f"{key} {problem}, got {value}")
+    _check_range(field, value)
+    return value
 
 
 def scenario_from_values(values: dict[str, object]) -> Scenario:
     """Build a validated Scenario from flat key/value overrides of the defaults."""
-    unknown = sorted(set(values) - set(DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown scenario field(s): {', '.join(unknown)}")
-    params: dict[str, dict[str, int | float]] = {group: {} for group in _PARAMS}
-    top: dict[str, int | float] = {}
-    for field in FIELDS:
-        group, _, attr = field.path.rpartition(".")
-        (params[group] if group else top)[attr] = check_field(
-            field.key, values.get(field.key, field.default)
-        )
-    try:
-        return Scenario(
-            **{group: cls(**params[group]) for group, cls in _PARAMS.items()}, **top
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Scenario(**{key: check_field(key, value) for key, value in values.items()})
 
 
 def baseline_scenario(**overrides) -> Scenario:
@@ -202,12 +195,12 @@ def baseline_scenario(**overrides) -> Scenario:
 
 def scenario_values(scenario: Scenario) -> dict[str, int | float]:
     """Flat key/value view of a Scenario, in canonical key order."""
-    return {field.key: attrgetter(field.path)(scenario) for field in FIELDS}
+    return {field.key: getattr(scenario, field.key) for field in FIELDS}
 
 
 def with_field(scenario: Scenario, key: str, value) -> Scenario:
     """Copy of `scenario` with one flat field replaced."""
-    return scenario_from_values({**scenario_values(scenario), key: value})
+    return dataclasses.replace(scenario, **{key: check_field(key, value)})
 
 
 @dataclass(frozen=True)
@@ -230,30 +223,31 @@ class PathDetail:
     retirement: tuple[RetirementYear, ...]
 
 
+@np.errstate(all="ignore")  # as in run_scenario: a blow-up shows in the outcome
 def _simulate(scenario: Scenario, path_index: int):
     """Draw one path's randomness and run the pipeline; returns every array it built."""
     if not 0 <= path_index < scenario.num_paths:
         raise ConfigError(
             f"path_index must be in [0, {scenario.num_paths - 1}], got {path_index}"
         )
-    n = scenario.career.service_years
-    m = scenario.retirement.retirement_years
-    stream = RandomStream(scenario.master_seed, path_index)
+    n = scenario.service_years
+    m = scenario.retirement_years
+    stream = RandomStream(scenario.seed, path_index)
     # normative draw order: n+m inflations, then n-1 log-returns
-    infl = inflation_series(stream, scenario.inflation, n + m)
-    rets = gbm_log_returns(stream, scenario.gbm, n - 1)
+    infl = inflation_series(stream, scenario, n + m)
+    rets = gbm_log_returns(stream, scenario, n - 1)
 
-    basic = project_basic(scenario.career)
+    basic = project_basic(scenario)
     da = dearness_allowance(basic, infl[:n])
     salary = basic + da
-    contributions = scenario.career.contribution_rate * salary
+    contributions = scenario.contribution_rate * salary
     corpus = accumulate_corpus(contributions, rets)
-    pension = annual_pension(float(corpus[-1]), scenario.retirement.annuity_rate)
+    pension = annual_pension(float(corpus[-1]), scenario.annuity_rate)
     reqs = requirement_series(
         float(salary[-1]),
         float(infl[n - 1]),
         infl[n:],
-        scenario.retirement.guarantee_fraction,
+        scenario.guarantee_fraction,
     )
     rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
     return infl, rets, basic, da, salary, contributions, corpus, pension, rows
@@ -265,14 +259,12 @@ def _outcome(scenario: Scenario, path_index: int, corpus, pension, rows) -> Path
         final_corpus=float(corpus[-1]),
         pension=pension,
         shortfall_years=shortfall_years(rows),
-        pv_support=pv_support(
-            rows, scenario.retirement.risk_free_rate, scenario.career.service_years
-        ),
+        pv_support=pv_support(rows, scenario.risk_free_rate, scenario.service_years),
     )
 
 
 def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
-    """Simulate one path; depends only on (master_seed, path_index) and parameters."""
+    """Simulate one path; depends only on (seed, path_index) and parameters."""
     *_, corpus, pension, rows = _simulate(scenario, path_index)
     return _outcome(scenario, path_index, corpus, pension, rows)
 
@@ -293,7 +285,7 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
             log_return=float(rets[t - 1]) if t else 0.0,
             corpus=float(corpus[t]),
         )
-        for t in range(scenario.career.service_years)
+        for t in range(scenario.service_years)
     )
     return PathDetail(
         outcome=_outcome(scenario, path_index, corpus, pension, rows),
@@ -313,26 +305,26 @@ def _simulate_block(scenario: Scenario, first: int, count: int):
     Returns final_corpus, pension, shortfall_years and pv_support arrays,
     in PathOutcome's field order, one entry per path.
     """
-    career, retirement, gbm = scenario.career, scenario.retirement, scenario.gbm
-    n, m = career.service_years, retirement.retirement_years
-    z = stream_normals(scenario.master_seed, first, count, 2 * n + m - 1)
+    n, m = scenario.service_years, scenario.retirement_years
+    z = stream_normals(scenario.seed, first, count, 2 * n + m - 1)
     # inflation_series and gbm_log_returns, row-wise
-    infl = scenario.inflation.mean_pct + scenario.inflation.sd_pct * z[:, : n + m]
-    rets = (gbm.mu - 0.5 * gbm.sigma**2) + gbm.sigma * z[:, n + m :]
+    infl = scenario.inflation_mean_pct + scenario.inflation_sd_pct * z[:, : n + m]
+    mu, sigma = scenario.gbm_mu, scenario.gbm_sigma
+    rets = (mu - 0.5 * sigma**2) + sigma * z[:, n + m :]
 
-    basic = project_basic(career)
+    basic = project_basic(scenario)
     da = np.zeros((count, n))
     da[:, 1:] = basic[:-1] * infl[:, : n - 1] / 100.0
     salary = basic + da
-    contributions = career.contribution_rate * salary
+    contributions = scenario.contribution_rate * salary
     growth = growth_factors(rets)
     corpus = contributions[:, 0]
     for t in range(1, n):
         corpus = corpus * growth[:, t - 1] + contributions[:, t]
-    pension = corpus * retirement.annuity_rate
+    pension = corpus * scenario.annuity_rate
 
-    req = retirement.guarantee_fraction * salary[:, -1] * (1.0 + infl[:, n - 1] / 100.0)
-    base = 1.0 + retirement.risk_free_rate
+    discount = discount_factors(scenario.risk_free_rate, n, m)
+    req = scenario.guarantee_fraction * salary[:, -1] * (1.0 + infl[:, n - 1] / 100.0)
     shortfall = np.zeros(count, dtype=np.int64)
     pv = np.zeros(count)
     for k in range(m):
@@ -341,7 +333,7 @@ def _simulate_block(scenario: Scenario, first: int, count: int):
         # written so that a NaN requirement or pension counts as a miss
         miss = ~(pension >= req)
         shortfall += miss
-        pv += np.where(miss, req - pension, 0.0) / base ** (n + k)
+        pv += np.where(miss, req - pension, 0.0) / discount[k]
     return corpus, pension, shortfall, pv
 
 
@@ -434,7 +426,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     scenario's parameters).
     """
     total = scenario.num_paths
-    draws = 2 * scenario.career.service_years + scenario.retirement.retirement_years - 1
+    draws = 2 * scenario.service_years + scenario.retirement_years - 1
     per_block = max(1, _BLOCK_DRAWS // draws)
     outcomes: list[PathOutcome] = []
     with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
@@ -468,7 +460,7 @@ class SweepVariant:
 def sweep(base: Scenario, overrides) -> list[SweepVariant]:
     """Run one variant per (field, value) pair, in the given order.
 
-    Every variant keeps the base master_seed, so variants share random
+    Every variant keeps the base seed, so variants share random
     streams path-by-path (common random numbers) and differences reflect
     the parameter change alone.
     """

@@ -257,9 +257,8 @@ def _cmd_sweep(args) -> int:
     variants = sweep(scenario, [(args.param, value) for value in parsed])
 
     lines = ["variant,metric,mean,sd,p5,p95"]
-    for variant in variants:
-        value_token = variant.label.split("=", 1)[1]
-        summary_path = args.out / f"summary_{args.param}_{value_token}.json"
+    for value, variant in zip(parsed, variants):
+        summary_path = args.out / f"summary_{args.param}_{value}.json"
         _write_atomic(summary_path, emit_summary(variant.result))
         print(f"wrote {summary_path}")
         for metric in METRICS:

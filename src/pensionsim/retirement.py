@@ -2,45 +2,20 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "RetirementParams",
     "RetirementYear",
     "annual_pension",
+    "discount_factors",
     "evaluate_retirement",
     "pv_support",
     "requirement_series",
     "shortfall_years",
 ]
-
-
-@dataclass(frozen=True)
-class RetirementParams:
-    """Payout-phase inputs; rates are fractions, fraction is the salary share guaranteed."""
-
-    retirement_years: int
-    annuity_rate: float
-    guarantee_fraction: float
-    risk_free_rate: float
-
-    def __post_init__(self) -> None:
-        if self.retirement_years < 1:
-            raise ValueError(f"retirement_years must be >= 1, got {self.retirement_years}")
-        if not (math.isfinite(self.annuity_rate) and self.annuity_rate >= 0):
-            raise ValueError(f"annuity_rate must be finite and >= 0, got {self.annuity_rate}")
-        if not 0 <= self.guarantee_fraction <= 1:
-            raise ValueError(
-                f"guarantee_fraction must be within [0, 1], got {self.guarantee_fraction}"
-            )
-        if not (math.isfinite(self.risk_free_rate) and self.risk_free_rate >= 0):
-            raise ValueError(
-                f"risk_free_rate must be finite and >= 0, got {self.risk_free_rate}"
-            )
 
 
 @dataclass(frozen=True)
@@ -117,6 +92,23 @@ def shortfall_years(rows: Sequence[RetirementYear]) -> int:
     return sum(1 for row in rows if not row.sufficient)
 
 
+def discount_factors(risk_free_rate: float, service_years: int, count: int) -> list[float]:
+    """(1 + risk_free_rate)**(service_years + k) for k in 0..count-1.
+
+    Entry k discounts the top-up of retirement row k, counting from 0, to
+    year 1 (see pv_support). Scalar float pow keeps the factors bit-identical
+    in both engines.
+    """
+    base = 1.0 + risk_free_rate
+    try:
+        return [base ** (service_years + k) for k in range(count)]
+    except OverflowError:
+        raise ValueError(
+            "guarantee discount (1 + risk_free_rate)**year overflows for "
+            f"risk_free_rate={risk_free_rate}, service_years={service_years}"
+        ) from None
+
+
 def pv_support(
     rows: Sequence[RetirementYear],
     risk_free_rate: float,
@@ -128,8 +120,8 @@ def pv_support(
     end and discounted by (1 + risk_free_rate)^(service_years + k - 1), so a
     payment at the end of year 1 would be undiscounted.
     """
-    base = 1.0 + risk_free_rate
+    discount = discount_factors(risk_free_rate, service_years, len(rows))
     total = 0.0
-    for k, row in enumerate(rows, start=1):
-        total += row.top_up / base ** (service_years + k - 1)
+    for row, factor in zip(rows, discount):
+        total += row.top_up / factor
     return total

@@ -19,15 +19,15 @@ time.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtri
 
+if TYPE_CHECKING:
+    from .engine import Scenario
+
 __all__ = [
-    "GbmParams",
-    "InflationParams",
     "RandomStream",
     "draw_standard_normal",
     "gbm_log_returns",
@@ -141,50 +141,22 @@ def draw_standard_normal(stream: RandomStream) -> float:
     return float(stream.standard_normal(1)[0])
 
 
-@dataclass(frozen=True)
-class GbmParams:
-    """Geometric Brownian motion with annual steps: drift mu, volatility sigma."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class InflationParams:
-    """Gaussian annual inflation in percent (mean_pct, sd_pct)."""
-
-    mean_pct: float
-    sd_pct: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean_pct):
-            raise ValueError(f"mean_pct must be finite, got {self.mean_pct}")
-        if not (math.isfinite(self.sd_pct) and self.sd_pct >= 0):
-            raise ValueError(f"sd_pct must be finite and >= 0, got {self.sd_pct}")
-
-
-def gbm_log_returns(stream: RandomStream, params: GbmParams, count: int) -> np.ndarray:
-    """Annual log-returns r = (mu - sigma^2/2) + sigma * z with z ~ N(0, 1).
+def gbm_log_returns(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:
+    """Annual log-returns r = (gbm_mu - gbm_sigma^2/2) + gbm_sigma * z, z ~ N(0, 1).
 
     The one-year growth factor is exp(r). The stream advances by `count`
-    draws even when sigma == 0, so downstream draws stay aligned across
+    draws even when gbm_sigma == 0, so downstream draws stay aligned across
     parameter variants.
     """
     z = stream.standard_normal(count)
-    return (params.mu - 0.5 * params.sigma**2) + params.sigma * z
+    return (scenario.gbm_mu - 0.5 * scenario.gbm_sigma**2) + scenario.gbm_sigma * z
 
 
-def inflation_series(stream: RandomStream, params: InflationParams, count: int) -> np.ndarray:
-    """Annual inflation percentages, mean_pct + sd_pct * z; not truncated.
+def inflation_series(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:
+    """Annual inflation percent, inflation_mean_pct + inflation_sd_pct * z; not truncated.
 
     Negative values are possible and deliberate: the model treats deflation
     years as valid draws.
     """
     z = stream.standard_normal(count)
-    return params.mean_pct + params.sd_pct * z
+    return scenario.inflation_mean_pct + scenario.inflation_sd_pct * z

@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from pensionsim.accumulation import dearness_allowance, project_basic, yearly_contribution
-from pensionsim.engine import baseline_scenario, run_path, run_scenario, sweep
+from pensionsim.engine import Scenario, baseline_scenario, run_path, run_scenario, sweep
 from pensionsim.io_cli import emit_summary
 from pensionsim.retirement import annual_pension, requirement_series
-from pensionsim.stochastic import GbmParams, InflationParams, RandomStream, gbm_log_returns, inflation_series
+from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_series
 
 _RESULTS: dict[tuple, object] = {}
 
@@ -34,7 +34,7 @@ def _report(number: int, name: str) -> None:
 
 
 def test_criterion_1_salary_table_replay():
-    params = baseline_scenario().career
+    params = baseline_scenario()
     inflations = [1.97, 2.92, 3.61, 4.69]
     basic = project_basic(params)
     da = dearness_allowance(basic[:4], inflations)
@@ -172,11 +172,11 @@ def test_criterion_6_ordering_properties():
 
 def test_criterion_7_stochastic_statistics():
     draws = 1_000_000
-    rets = gbm_log_returns(RandomStream(42, 0), GbmParams(mu=0.09, sigma=0.05), draws)
+    rets = gbm_log_returns(RandomStream(42, 0), Scenario(gbm_mu=0.09, gbm_sigma=0.05), draws)
     half_var_drift = 0.09 - 0.5 * 0.05**2
     assert abs(rets.mean() - half_var_drift) <= 3 * 0.05 / math.sqrt(draws)
 
-    infl = inflation_series(RandomStream(42, 1), InflationParams(4.0, 1.0), draws)
+    infl = inflation_series(RandomStream(42, 1), Scenario(inflation_mean_pct=4.0, inflation_sd_pct=1.0), draws)
     mass = np.mean((infl >= 2.0) & (infl <= 6.0))
     assert abs(mass - 0.9545) <= 0.001, mass
     _report(7, "stochastic statistics")

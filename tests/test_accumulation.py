@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from pensionsim.accumulation import (
-    CareerParams,
     accumulate_corpus,
     dearness_allowance,
     project_basic,
     yearly_contribution,
 )
+from pensionsim.engine import Scenario
 
-BASE = CareerParams(
+BASE = Scenario(
     service_years=30,
     basic_start=100.0,
     increment_rate=0.03,
@@ -36,7 +36,7 @@ def test_basic_pay_compounds_at_fixed_increment():
 
 
 def test_basic_pay_flat_when_increment_is_zero():
-    params = CareerParams(5, 100.0, 0.0, 0.10, 0.14)
+    params = Scenario(service_years=5, basic_start=100.0, increment_rate=0.0)
     assert np.all(project_basic(params) == 100.0)
 
 
@@ -132,11 +132,11 @@ def test_corpus_shape_errors_rejected():
 
 def test_career_params_validation():
     with pytest.raises(ValueError):
-        CareerParams(0, 100.0, 0.03, 0.10, 0.14)
+        Scenario(service_years=0)
     with pytest.raises(ValueError):
-        CareerParams(30, 0.0, 0.03, 0.10, 0.14)
+        Scenario(basic_start=0.0)
     with pytest.raises(ValueError):
-        CareerParams(30, 100.0, -0.01, 0.10, 0.14)
+        Scenario(increment_rate=-0.01)
     with pytest.raises(ValueError):
-        CareerParams(30, 100.0, 0.03, 0.60, 0.60)
-    assert CareerParams(30, 100.0, 0.03, 0.10, 0.14).contribution_rate == pytest.approx(0.24)
+        Scenario(employee_rate=0.60, employer_rate=0.60)
+    assert Scenario(employee_rate=0.10, employer_rate=0.14).contribution_rate == pytest.approx(0.24)

@@ -35,21 +35,21 @@ from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_serie
 
 def test_baseline_scenario_carries_the_documented_defaults():
     scenario = baseline_scenario()
-    assert scenario.career.service_years == 30
-    assert scenario.retirement.retirement_years == 20
-    assert scenario.career.basic_start == 100.0
-    assert scenario.career.increment_rate == 0.03
-    assert scenario.career.employee_rate == 0.10
-    assert scenario.career.employer_rate == 0.14
-    assert scenario.inflation.mean_pct == 4.0
-    assert scenario.inflation.sd_pct == 1.0
-    assert scenario.gbm.mu == 0.09
-    assert scenario.gbm.sigma == 0.05
-    assert scenario.retirement.annuity_rate == 0.07
-    assert scenario.retirement.risk_free_rate == 0.07
-    assert scenario.retirement.guarantee_fraction == 0.5
+    assert scenario.service_years == 30
+    assert scenario.retirement_years == 20
+    assert scenario.basic_start == 100.0
+    assert scenario.increment_rate == 0.03
+    assert scenario.employee_rate == 0.10
+    assert scenario.employer_rate == 0.14
+    assert scenario.inflation_mean_pct == 4.0
+    assert scenario.inflation_sd_pct == 1.0
+    assert scenario.gbm_mu == 0.09
+    assert scenario.gbm_sigma == 0.05
+    assert scenario.annuity_rate == 0.07
+    assert scenario.risk_free_rate == 0.07
+    assert scenario.guarantee_fraction == 0.5
     assert scenario.num_paths == 1000
-    assert scenario.master_seed == 42
+    assert scenario.seed == 42
 
 
 def test_scenario_values_round_trips():
@@ -82,7 +82,7 @@ def test_invariant_violations_surface_as_config_errors():
 def test_with_field_changes_exactly_one_field():
     base = baseline_scenario()
     varied = with_field(base, "annuity_rate", 0.05)
-    assert varied.retirement.annuity_rate == 0.05
+    assert varied.annuity_rate == 0.05
     expected = dict(scenario_values(base), annuity_rate=0.05)
     assert scenario_values(varied) == expected
 
@@ -104,20 +104,20 @@ def test_run_path_replays_the_published_draw_order():
     # the contract: n+m inflations first, then n-1 log-returns, one stream
     # per path keyed by (seed, path_index); anything else is a break
     scenario = baseline_scenario(num_paths=8, seed=11)
-    n = scenario.career.service_years
-    m = scenario.retirement.retirement_years
+    n = scenario.service_years
+    m = scenario.retirement_years
     stream = RandomStream(11, 3)
-    infl = inflation_series(stream, scenario.inflation, n + m)
-    rets = gbm_log_returns(stream, scenario.gbm, n - 1)
+    infl = inflation_series(stream, scenario, n + m)
+    rets = gbm_log_returns(stream, scenario, n - 1)
 
-    basic = project_basic(scenario.career)
+    basic = project_basic(scenario)
     da = dearness_allowance(basic, infl[:n])
     salary = basic + da
-    contributions = [yearly_contribution(float(s), scenario.career) for s in salary]
+    contributions = [yearly_contribution(float(s), scenario) for s in salary]
     corpus = accumulate_corpus(contributions, rets)
-    pension = annual_pension(float(corpus[-1]), scenario.retirement.annuity_rate)
+    pension = annual_pension(float(corpus[-1]), scenario.annuity_rate)
     reqs = requirement_series(
-        float(salary[-1]), float(infl[n - 1]), infl[n:], scenario.retirement.guarantee_fraction
+        float(salary[-1]), float(infl[n - 1]), infl[n:], scenario.guarantee_fraction
     )
     rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
 
@@ -126,7 +126,7 @@ def test_run_path_replays_the_published_draw_order():
     assert outcome.pension == pension
     assert outcome.shortfall_years == shortfall_years(rows)
     assert outcome.pv_support == pv_support(
-        rows, scenario.retirement.risk_free_rate, scenario.career.service_years
+        rows, scenario.risk_free_rate, scenario.service_years
     )
 
 
@@ -181,6 +181,8 @@ def test_non_finite_outcome_names_metric_and_path():
     [
         ({"service_years": 100000}, ("service_years", "increment_rate")),
         ({"gbm_mu": 800.0}, ("gbm_mu", "gbm_sigma")),
+        ({"risk_free_rate": 1e10}, ("risk_free_rate", "service_years")),
+        ({"service_years": 20000}, ("risk_free_rate", "service_years")),
     ],
 )
 def test_overflow_names_the_fields_in_both_engines(overrides, fields):
@@ -219,7 +221,7 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     assert _bits(outcomes) == _bits(expected)
 
 
-def _scenarios():
+def _scenarios(**overrides):
     ranges = {
         "service_years": st.integers(1, 45),
         "retirement_years": st.integers(1, 30),
@@ -236,6 +238,7 @@ def _scenarios():
         "guarantee_fraction": st.floats(0.0, 1.0),
         "num_paths": st.integers(1, 24),
         "seed": st.integers(0, 2**64 - 1),
+        **overrides,
     }
     return st.fixed_dictionaries(ranges).map(lambda values: baseline_scenario(**values))
 
@@ -243,8 +246,8 @@ def _scenarios():
 @settings(max_examples=60, deadline=None, database=None)
 @given(scenario=_scenarios(), block_paths=st.integers(1, 9))
 def test_batch_engine_properties(scenario, block_paths):
-    n = scenario.career.service_years
-    m = scenario.retirement.retirement_years
+    n = scenario.service_years
+    m = scenario.retirement_years
     # small blocks put block boundaries inside the run
     with mock.patch.object(engine, "_BLOCK_DRAWS", block_paths * (2 * n + m - 1)):
         outcomes = run_scenario(scenario).outcomes
@@ -253,6 +256,24 @@ def test_batch_engine_properties(scenario, block_paths):
         assert 0 <= outcome.shortfall_years <= m
         assert outcome.pv_support >= 0.0
         assert (outcome.shortfall_years == 0) == (outcome.pv_support == 0.0)
+
+
+# Every normal lies within +-8.21 (uniforms are at least 2**-53), so above
+# this line every inflation draw is above -100% and salaries stay positive.
+_WIDE_INFLATION = _scenarios(
+    inflation_mean_pct=st.floats(-60.0, 20.0), inflation_sd_pct=st.floats(0.0, 8.0)
+).filter(lambda s: s.inflation_mean_pct - 8.21 * s.inflation_sd_pct > -100)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scenario=_WIDE_INFLATION, raise_by=st.floats(0.0, 0.3))
+def test_raising_gbm_mu_never_hurts_a_path(scenario, raise_by):
+    # common random numbers: both runs share every draw, path by path
+    richer = with_field(scenario, "gbm_mu", scenario.gbm_mu + raise_by)
+    for low, high in zip(run_scenario(scenario).outcomes, run_scenario(richer).outcomes):
+        assert high.final_corpus >= low.final_corpus
+        assert high.shortfall_years <= low.shortfall_years
+        assert high.pv_support <= low.pv_support
 
 
 def test_degenerate_randomness_collapses_paths():
@@ -269,8 +290,8 @@ def test_common_random_numbers_couple_variants_per_path():
     base = baseline_scenario(num_paths=300)
     variants = sweep(base, [("annuity_rate", 0.07), ("annuity_rate", 0.05)])
     seven, five = variants[0].result, variants[1].result
-    assert variants[0].scenario.master_seed == base.master_seed
-    assert variants[1].scenario.master_seed == base.master_seed
+    assert variants[0].scenario.seed == base.seed
+    assert variants[1].scenario.seed == base.seed
     for a, b in zip(seven.outcomes, five.outcomes):
         assert a.final_corpus == b.final_corpus  # same draws, same corpus
         assert a.shortfall_years <= b.shortfall_years
@@ -281,7 +302,7 @@ def test_sweep_preserves_order_and_labels():
     base = baseline_scenario(num_paths=20)
     variants = sweep(base, [("gbm_mu", 0.07), ("gbm_mu", 0.09), ("gbm_mu", 0.11)])
     assert [v.label for v in variants] == ["gbm_mu=0.07", "gbm_mu=0.09", "gbm_mu=0.11"]
-    assert [v.scenario.gbm.mu for v in variants] == [0.07, 0.09, 0.11]
+    assert [v.scenario.gbm_mu for v in variants] == [0.07, 0.09, 0.11]
 
 
 def test_sweep_unknown_field_rejected():

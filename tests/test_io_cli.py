@@ -40,9 +40,9 @@ def test_comments_blanks_and_overrides():
     num_paths = 250   # keep it quick
     """
     scenario = parse_scenario(text)
-    assert scenario.retirement.annuity_rate == 0.05
+    assert scenario.annuity_rate == 0.05
     assert scenario.num_paths == 250
-    assert scenario.career.service_years == 30  # untouched default
+    assert scenario.service_years == 30  # untouched default
 
 
 def test_unknown_key_error_names_the_line():
@@ -349,6 +349,8 @@ def test_cli_unwritable_out_is_runtime_error(tmp_path, capsys):
     [
         ("service_years = 100000\n", ("service_years", "increment_rate")),
         ("gbm_mu = 800\n", ("gbm_mu", "gbm_sigma")),
+        ("risk_free_rate = 1e10\n", ("risk_free_rate", "service_years")),
+        ("service_years = 20000\n", ("risk_free_rate", "service_years")),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "path"])

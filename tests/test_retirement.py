@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pensionsim.engine import Scenario
 from pensionsim.retirement import (
-    RetirementParams,
     annual_pension,
     evaluate_retirement,
     pv_support,
@@ -116,10 +116,10 @@ def test_higher_annuity_weakly_improves_adequacy():
 
 def test_retirement_params_validation():
     with pytest.raises(ValueError):
-        RetirementParams(0, 0.07, 0.5, 0.07)
+        Scenario(retirement_years=0)
     with pytest.raises(ValueError):
-        RetirementParams(20, -0.01, 0.5, 0.07)
+        Scenario(annuity_rate=-0.01)
     with pytest.raises(ValueError):
-        RetirementParams(20, 0.07, 1.5, 0.07)
+        Scenario(guarantee_fraction=1.5)
     with pytest.raises(ValueError):
-        RetirementParams(20, 0.07, 0.5, -0.07)
+        Scenario(risk_free_rate=-0.07)

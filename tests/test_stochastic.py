@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from pensionsim.engine import Scenario
 from pensionsim.stochastic import (
-    GbmParams,
-    InflationParams,
     RandomStream,
     draw_standard_normal,
     gbm_log_returns,
@@ -15,8 +14,8 @@ from pensionsim.stochastic import (
     stream_normals,
 )
 
-BASE_GBM = GbmParams(mu=0.09, sigma=0.05)
-BASE_INFL = InflationParams(mean_pct=4.0, sd_pct=1.0)
+BASE_GBM = Scenario(gbm_mu=0.09, gbm_sigma=0.05)
+BASE_INFL = Scenario(inflation_mean_pct=4.0, inflation_sd_pct=1.0)
 
 
 def test_same_stream_identity_reproduces_exactly():
@@ -84,7 +83,7 @@ def test_stream_block_rows_are_the_streams(seed, size):
 def test_stream_position_depends_only_on_draw_count():
     # five zero-sigma log-returns must consume exactly five draws
     consumed = RandomStream(7, 0)
-    gbm_log_returns(consumed, GbmParams(mu=0.09, sigma=0.0), 5)
+    gbm_log_returns(consumed, Scenario(gbm_mu=0.09, gbm_sigma=0.0), 5)
     after_gbm = draw_standard_normal(consumed)
 
     plain = RandomStream(7, 0)
@@ -107,19 +106,19 @@ def test_draw_standard_normal_advances_one():
 def test_gbm_is_affine_in_the_normals():
     z = RandomStream(9, 3).standard_normal(7)
     rets = gbm_log_returns(RandomStream(9, 3), BASE_GBM, 7)
-    expected = (BASE_GBM.mu - 0.5 * BASE_GBM.sigma**2) + BASE_GBM.sigma * z
+    expected = (BASE_GBM.gbm_mu - 0.5 * BASE_GBM.gbm_sigma**2) + BASE_GBM.gbm_sigma * z
     assert np.array_equal(rets, expected)
 
 
 def test_gbm_zero_sigma_is_exact_drift():
-    rets = gbm_log_returns(RandomStream(1, 0), GbmParams(mu=0.09, sigma=0.0), 3)
+    rets = gbm_log_returns(RandomStream(1, 0), Scenario(gbm_mu=0.09, gbm_sigma=0.0), 3)
     assert np.all(rets == 0.09)
-    rets = gbm_log_returns(RandomStream(1, 0), GbmParams(mu=0.0, sigma=0.0), 3)
+    rets = gbm_log_returns(RandomStream(1, 0), Scenario(gbm_mu=0.0, gbm_sigma=0.0), 3)
     assert np.all(rets == 0.0)
 
 
 def test_inflation_zero_sd_is_exact_mean():
-    infl = inflation_series(RandomStream(1, 0), InflationParams(4.0, 0.0), 5)
+    infl = inflation_series(RandomStream(1, 0), Scenario(inflation_mean_pct=4.0, inflation_sd_pct=0.0), 5)
     assert np.all(infl == 4.0)
 
 
@@ -138,7 +137,7 @@ def test_normal_moments_at_a_million_draws():
 def test_gbm_moments_at_a_million_draws():
     rets = gbm_log_returns(RandomStream(42, 1), BASE_GBM, 1_000_000)
     assert abs(rets.mean() - 0.08875) <= 0.00015  # 3 sigma / sqrt(N)
-    assert abs(rets.var(ddof=1) / BASE_GBM.sigma**2 - 1.0) <= 0.01
+    assert abs(rets.var(ddof=1) / BASE_GBM.gbm_sigma**2 - 1.0) <= 0.01
 
 
 def test_inflation_moments_at_a_million_draws():
@@ -165,10 +164,10 @@ def test_negative_count_rejected():
 
 def test_bad_params_rejected():
     with pytest.raises(ValueError):
-        GbmParams(mu=0.09, sigma=-0.01)
+        Scenario(gbm_mu=0.09, gbm_sigma=-0.01)
     with pytest.raises(ValueError):
-        GbmParams(mu=float("nan"), sigma=0.05)
+        Scenario(gbm_mu=float("nan"), gbm_sigma=0.05)
     with pytest.raises(ValueError):
-        InflationParams(mean_pct=4.0, sd_pct=-1.0)
+        Scenario(inflation_mean_pct=4.0, inflation_sd_pct=-1.0)
     with pytest.raises(ValueError):
-        InflationParams(mean_pct=float("inf"), sd_pct=1.0)
+        Scenario(inflation_mean_pct=float("inf"), inflation_sd_pct=1.0)
