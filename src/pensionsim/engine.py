@@ -84,8 +84,10 @@ class Scenario:
     """Complete validated simulation configuration, one attribute per flat key.
 
     Each attribute declares its key's type, default and range, in canonical
-    key order; FIELDS, DEFAULTS and every range check derive from it. Rates
-    are fractions (0.10 means 10%), inflation is in percent.
+    key order; FIELDS, DEFAULTS and every range check derive from it. Each
+    value is checked as check_field checks it when the Scenario is built,
+    and stored coerced, so numbers as text and numpy scalars are accepted.
+    Rates are fractions (0.10 means 10%), inflation is in percent.
     """
 
     service_years: int = _field(30, low=1)
@@ -106,7 +108,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for field in FIELDS:
-            _check_range(field, getattr(self, field.key))
+            object.__setattr__(self, field.key, _coerce(field, getattr(self, field.key)))
         if self.employee_rate + self.employer_rate > 1:
             raise ConfigError(
                 "employee_rate + employer_rate cannot exceed 1, got "
@@ -146,7 +148,22 @@ DEFAULTS: dict[str, int | float] = {field.key: field.default for field in FIELDS
 METRICS = ("final_corpus", "shortfall_years", "pv_support")
 
 
-def _check_range(field: Field, value: int | float) -> None:
+def _coerce(field: Field, value) -> int | float:
+    """`value` as field.kind, checked against the field's range."""
+    key = field.key
+    if type(value) is not field.kind:  # values of the exact type need no coercion
+        numeric = (int, np.integer) if field.kind is int else (int, float, np.integer, np.floating)
+        if isinstance(value, str):
+            try:
+                value = field.kind(value)
+            except ValueError:
+                raise ConfigError(
+                    f"cannot parse {value!r} as {field.kind.__name__} for {key}"
+                ) from None
+        elif isinstance(value, bool) or not isinstance(value, numeric):
+            noun = "an integer" if field.kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}")
+        value = field.kind(value)
     if field.kind is float and not math.isfinite(value):
         problem = "must be finite"
     elif field.high is not None and not field.low <= value <= field.high:
@@ -154,8 +171,14 @@ def _check_range(field: Field, value: int | float) -> None:
     elif field.low is not None and (value <= field.low if field.low_open else value < field.low):
         problem = f"must be {'>' if field.low_open else '>='} {field.low}"
     else:
-        return
-    raise ConfigError(f"{field.key} {problem}, got {value}")
+        return value
+    raise ConfigError(f"{key} {problem}, got {value}")
+
+
+def _check_keys(keys) -> None:
+    for key in keys:
+        if key not in _BY_KEY:
+            raise ConfigError(f"unknown scenario field: {key!r}")
 
 
 def check_field(key: str, value) -> int | float:
@@ -164,28 +187,14 @@ def check_field(key: str, value) -> int | float:
     `value` is a number, or its text as read from a scenario file or the
     command line. Every ConfigError names the key.
     """
-    field = _BY_KEY.get(key)
-    if field is None:
-        raise ConfigError(f"unknown scenario field: {key!r}")
-    numeric = (int, np.integer) if field.kind is int else (int, float, np.integer, np.floating)
-    if isinstance(value, str):
-        try:
-            value = field.kind(value)
-        except ValueError:
-            raise ConfigError(
-                f"cannot parse {value!r} as {field.kind.__name__} for {key}"
-            ) from None
-    elif isinstance(value, bool) or not isinstance(value, numeric):
-        noun = "an integer" if field.kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
-    value = field.kind(value)
-    _check_range(field, value)
-    return value
+    _check_keys((key,))
+    return _coerce(_BY_KEY[key], value)
 
 
 def scenario_from_values(values: dict[str, object]) -> Scenario:
     """Build a validated Scenario from flat key/value overrides of the defaults."""
-    return Scenario(**{key: check_field(key, value) for key, value in values.items()})
+    _check_keys(values)
+    return Scenario(**values)
 
 
 def baseline_scenario(**overrides) -> Scenario:
@@ -200,7 +209,8 @@ def scenario_values(scenario: Scenario) -> dict[str, int | float]:
 
 def with_field(scenario: Scenario, key: str, value) -> Scenario:
     """Copy of `scenario` with one flat field replaced."""
-    return dataclasses.replace(scenario, **{key: check_field(key, value)})
+    _check_keys((key,))
+    return dataclasses.replace(scenario, **{key: value})
 
 
 @dataclass(frozen=True)
@@ -428,23 +438,23 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     total = scenario.num_paths
     draws = 2 * scenario.service_years + scenario.retirement_years - 1
     per_block = max(1, _BLOCK_DRAWS // draws)
-    outcomes: list[PathOutcome] = []
     with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
-        for first in range(0, total, per_block):
-            count = min(per_block, total - first)
-            block = (column.tolist() for column in _simulate_block(scenario, first, count))
-            outcomes += map(PathOutcome, range(first, first + count), *block)
-    columns = {
-        name: np.array([getattr(o, name) for o in outcomes], dtype=float) for name in METRICS
-    }
-    for name, column in columns.items():
+        blocks = [
+            _simulate_block(scenario, first, min(per_block, total - first))
+            for first in range(0, total, per_block)
+        ]
+    corpus, pension, shortfall, pv = (np.concatenate(column) for column in zip(*blocks))
+    metrics = dict(zip(METRICS, (corpus, shortfall, pv)))
+    for name, column in metrics.items():
         bad = np.flatnonzero(~np.isfinite(column))
         if bad.size:
             raise ValueError(f"{name} is not finite on path {bad[0]}: {column[bad[0]]}")
     return ScenarioResult(
         scenario=scenario,
-        outcomes=tuple(outcomes),
-        **{name: summarize(column) for name, column in columns.items()},
+        outcomes=tuple(
+            map(PathOutcome, range(total), *(c.tolist() for c in (corpus, pension, shortfall, pv)))
+        ),
+        **{name: summarize(column) for name, column in metrics.items()},
     )
 
 

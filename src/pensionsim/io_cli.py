@@ -1,18 +1,21 @@
 """Scenario files, CSV/JSON emission, and the command-line interface.
 
 Output is byte-deterministic: fixed key order, shortest round-trip float
-formatting, and atomic whole-file writes.
+formatting, and each command's files written all together or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-import tempfile
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
+from .accumulation import CareerYear
 from .engine import (
     DEFAULTS,
     METRICS,
@@ -29,6 +32,7 @@ from .engine import (
     sweep,
     with_field,
 )
+from .retirement import RetirementYear
 
 __all__ = [
     "CAREER_CSV_HEADER",
@@ -41,9 +45,6 @@ __all__ = [
     "retirement_csv",
     "scenario_text",
 ]
-
-CAREER_CSV_HEADER = "year,inflation_pct,basic,da,salary,contribution,log_return,corpus"
-RETIREMENT_CSV_HEADER = "year,inflation_pct,requirement,pension,sufficient,top_up"
 
 # Conventions echoed into every summary so a report is self-describing.
 CONVENTIONS = {
@@ -90,44 +91,46 @@ def scenario_text(scenario: Scenario) -> str:
     return "".join(f"{key} = {_fmt(value)}\n" for key, value in scenario_values(scenario).items())
 
 
+# cell text by column type, converting a whole column at once: ints as
+# is, floats (numpy scalars too) as the shortest round-trip decimal, bools
+# as true/false. Columns are read straight from the rows, with no tuple per
+# row, because every live tuple counts towards the next garbage-collector
+# pass, and the extra passes cost about 1% of a `path` request.
+_CELLS = {
+    int: lambda column: map(str, column),
+    float: lambda column: map(repr, map(float, column)),
+    bool: lambda column: map({True: "true", False: "false"}.__getitem__, map(bool, column)),
+}
+
+
+def _table(row_type) -> tuple[str, tuple]:
+    """CSV header and (field getter, column converter) pairs of a year-row dataclass."""
+    names = [field.name for field in dataclasses.fields(row_type)]
+    kinds = get_type_hints(row_type)
+    return ",".join(names), tuple((attrgetter(name), _CELLS[kinds[name]]) for name in names)
+
+
+_TABLES = {row_type: _table(row_type) for row_type in (CareerYear, RetirementYear)}
+CAREER_CSV_HEADER = _TABLES[CareerYear][0]
+RETIREMENT_CSV_HEADER = _TABLES[RetirementYear][0]
+
+
+def _csv(row_type, rows) -> str:
+    """One line per row, one column per field of `row_type`, full precision."""
+    header, fields = _TABLES[row_type]
+    rows = tuple(rows)
+    columns = [cell(map(value, rows)) for value, cell in fields]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
 def career_csv(rows) -> str:
-    """Accumulation-phase table, one line per service year, full precision."""
-    lines = [CAREER_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.year),
-                    _fmt(row.inflation_pct),
-                    _fmt(row.basic),
-                    _fmt(row.da),
-                    _fmt(row.salary),
-                    _fmt(row.contribution),
-                    _fmt(row.log_return),
-                    _fmt(row.corpus),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Accumulation-phase table, one line per service year (CareerYear fields)."""
+    return _csv(CareerYear, rows)
 
 
 def retirement_csv(rows) -> str:
-    """Payout-phase table, one line per retirement year, full precision."""
-    lines = [RETIREMENT_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.year),
-                    _fmt(row.inflation_pct),
-                    _fmt(row.requirement),
-                    _fmt(row.pension),
-                    "true" if row.sufficient else "false",
-                    _fmt(row.top_up),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Payout-phase table, one line per retirement year (RetirementYear fields)."""
+    return _csv(RetirementYear, rows)
 
 
 def _stats_block(stats: SummaryStats) -> dict:
@@ -157,19 +160,31 @@ def emit_summary(result: ScenarioResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Write a command's whole output set into `out`: every file or none.
+
+    Every target is checked first, then every file is written to a temporary
+    name beside it, and only then are all renamed into place. Files are
+    created as open(path, "w") creates them, so the umask sets their mode.
+    """
+    targets = [out / name for name in files]
+    for path in targets:
+        if path.exists() and not path.is_file():
+            raise FileExistsError(f"cannot write {path}: it exists and is not a regular file")
+    out.mkdir(parents=True, exist_ok=True)
+    temps: list[Path] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        for path, text in zip(targets, files.values()):
+            tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="") as handle:
+                temps.append(tmp)
+                handle.write(text)
+        for tmp, path in zip(temps, targets):
+            os.replace(tmp, path)
+            print(f"wrote {path}")
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,9 +251,7 @@ def _cmd_run(args) -> int:
     for index, detail in details.items():
         files[f"path_{index}_career.csv"] = career_csv(detail.career)
         files[f"path_{index}_retirement.csv"] = retirement_csv(detail.retirement)
-    for name, text in files.items():
-        _write_atomic(args.out / name, text)
-        print(f"wrote {args.out / name}")
+    _write_files(args.out, files)
     return 0
 
 
@@ -256,28 +269,16 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--values: {tokens[i]!r} repeats {args.param} = {value}")
     variants = sweep(scenario, [(args.param, value) for value in parsed])
 
+    files = {}
     lines = ["variant,metric,mean,sd,p5,p95"]
     for value, variant in zip(parsed, variants):
-        summary_path = args.out / f"summary_{args.param}_{value}.json"
-        _write_atomic(summary_path, emit_summary(variant.result))
-        print(f"wrote {summary_path}")
+        files[f"summary_{args.param}_{value}.json"] = emit_summary(variant.result)
         for metric in METRICS:
             stats = variant.result.metric(metric)
-            lines.append(
-                ",".join(
-                    (
-                        variant.label,
-                        metric,
-                        _fmt(stats.mean),
-                        _fmt(stats.sd),
-                        _fmt(stats.quantiles["p5"]),
-                        _fmt(stats.quantiles["p95"]),
-                    )
-                )
-            )
-    table_path = args.out / "sweep.csv"
-    _write_atomic(table_path, "\n".join(lines) + "\n")
-    print(f"wrote {table_path}")
+            cells = (stats.mean, stats.sd, stats.quantiles["p5"], stats.quantiles["p95"])
+            lines.append(",".join((variant.label, metric, *map(_fmt, cells))))
+    files["sweep.csv"] = "\n".join(lines) + "\n"
+    _write_files(args.out, files)
     return 0
 
 

@@ -13,6 +13,7 @@ from pensionsim.engine import (
     DEFAULTS,
     METRICS,
     ConfigError,
+    Scenario,
     baseline_scenario,
     run_path,
     run_path_detail,
@@ -77,6 +78,31 @@ def test_invariant_violations_surface_as_config_errors():
         scenario_from_values({"service_years": 25.5})
     with pytest.raises(ConfigError):
         scenario_from_values({"seed": -1})
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"service_years": 2.5, "num_paths": 3}, "service_years"),
+        ({"seed": True}, "seed"),
+        ({"num_paths": "x"}, "num_paths"),
+    ],
+    ids=["non-integer", "bool", "unparseable-text"],
+)
+def test_scenario_rejects_what_baseline_scenario_rejects(values, key):
+    for build in (Scenario, baseline_scenario):
+        with pytest.raises(ConfigError, match=f"\\b{key}\\b"):
+            build(**values)
+
+
+def test_scenario_stores_coerced_values():
+    scenario = Scenario(basic_start=100, num_paths="5", gbm_mu=np.float32(0.5), seed=np.uint64(7))
+    assert scenario.basic_start == 100.0 and type(scenario.basic_start) is float
+    assert scenario.num_paths == 5 and type(scenario.num_paths) is int
+    assert scenario.gbm_mu == 0.5 and type(scenario.gbm_mu) is float
+    assert scenario.seed == 7 and type(scenario.seed) is int
+    assert scenario == baseline_scenario(basic_start=100, num_paths="5", gbm_mu=0.5, seed=7)
+    assert with_field(scenario, "service_years", "25").service_years == 25
 
 
 def test_with_field_changes_exactly_one_field():

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+import errno
 import json
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pensionsim import io_cli
 from pensionsim.engine import (
     FIELDS,
     ConfigError,
@@ -155,6 +161,27 @@ def test_retirement_csv_layout_and_booleans():
     assert "false" in tokens  # a 1% annuity cannot cover the benchmark
     years = [int(line.split(",")[0]) for line in lines[1:]]
     assert years == list(range(31, 51))
+
+
+def _numpy_scalars(row):
+    # np.float32, not np.float64: np.float64 is a float subclass and prints as one
+    kinds = {int: np.int64, float: np.float32, bool: np.bool_}
+    return dataclasses.replace(row, **{k: kinds[type(v)](v) for k, v in vars(row).items()})
+
+
+def test_csv_renders_numpy_scalar_fields_as_plain_numbers():
+    detail = run_path_detail(baseline_scenario(num_paths=2, annuity_rate=0.04), 1)
+    for render, rows in ((career_csv, detail.career), (retirement_csv, detail.retirement)):
+        numpy_rows = [_numpy_scalars(row) for row in rows]
+        plain_rows = [
+            dataclasses.replace(row, **{k: v.item() for k, v in vars(row).items()})
+            for row in numpy_rows
+        ]
+        text = render(numpy_rows)
+        assert text == render(plain_rows) == render(iter(plain_rows))
+        assert "np." not in text
+    cells = {line.split(",")[4] for line in text.splitlines()[1:]}
+    assert cells == {"true", "false"}
 
 
 def test_emit_summary_shape_and_key_order():
@@ -366,3 +393,76 @@ def test_cli_overflow_names_the_fields(tmp_path, capsys, config, fields, command
     err = captured.err
     assert err.startswith("error: ") and all(field in err for field in fields)
     assert not out.exists()
+
+
+def _tree(directory):
+    """Every entry under `directory`: file bytes, or None for a directory."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes() if path.is_file() else None
+        for path in sorted(directory.rglob("*"))
+    }
+
+
+# (argv without --out, an output name of that command, an earlier output it would replace)
+OUTPUT_SETS = [
+    (
+        ["sweep", "--param", "annuity_rate", "--values", "0.05,0.07"],
+        "sweep.csv",
+        "summary_annuity_rate_0.05.json",
+    ),
+    (["run", "--paths", "5", "--detail", "3"], "path_3_retirement.csv", "summary.json"),
+]
+
+
+@pytest.mark.parametrize("argv, occupied, earlier", OUTPUT_SETS, ids=["sweep", "run"])
+def test_cli_occupied_output_name_writes_nothing(tmp_path, capsys, argv, occupied, earlier):
+    (tmp_path / occupied).mkdir()
+    (tmp_path / earlier).write_text("earlier output\n")
+    (tmp_path / "notes.txt").write_text("not ours\n")
+    before = _tree(tmp_path)
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path / occupied) in captured.err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, occupied, earlier", OUTPUT_SETS, ids=["sweep", "run"])
+def test_cli_failed_write_leaves_the_output_directory_as_it_was(
+    tmp_path, capsys, monkeypatch, argv, occupied, earlier
+):
+    (tmp_path / earlier).write_text("earlier output\n")
+    before = _tree(tmp_path)
+    opened = []
+
+    def open_failing_second_write(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        opened.append(path)
+        if len(opened) == 2:
+            def no_space(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            handle.write = no_space
+        return handle
+
+    monkeypatch.setattr(io_cli, "open", open_failing_second_write, raising=False)
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert len(opened) == 2
+    assert captured.out == ""
+    assert os.strerror(errno.ENOSPC) in captured.err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_cli_files_take_their_mode_from_the_umask(tmp_path, capsys, umask):
+    previous = os.umask(umask)
+    try:
+        for argv, *_ in OUTPUT_SETS:
+            assert cli_main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.rglob("*.*")}
+    assert len(modes) == 3 + 3
+    assert set(modes.values()) == {0o666 & ~umask}
