@@ -54,7 +54,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SummaryStats",
-    "SweepVariant",
     "baseline_scenario",
     "check_field",
     "run_path",
@@ -233,56 +232,44 @@ class PathDetail:
     retirement: tuple[RetirementYear, ...]
 
 
-@np.errstate(all="ignore")  # as in run_scenario: a blow-up shows in the outcome
-def _simulate(scenario: Scenario, path_index: int):
-    """Draw one path's randomness and run the pipeline; returns every array it built."""
+def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
+    """Simulate one path; depends only on (seed, path_index) and parameters."""
+    return run_path_detail(scenario, path_index).outcome
+
+
+def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
+    """One path through the scalar layer functions, with its year-by-year tables."""
     if not 0 <= path_index < scenario.num_paths:
         raise ConfigError(
             f"path_index must be in [0, {scenario.num_paths - 1}], got {path_index}"
         )
     n = scenario.service_years
     m = scenario.retirement_years
-    stream = RandomStream(scenario.seed, path_index)
-    # normative draw order: n+m inflations, then n-1 log-returns
-    infl = inflation_series(stream, scenario, n + m)
-    rets = gbm_log_returns(stream, scenario, n - 1)
+    with np.errstate(all="ignore"):  # as in run_scenario: a blow-up shows in the outcome
+        stream = RandomStream(scenario.seed, path_index)
+        # normative draw order: n+m inflations, then n-1 log-returns
+        infl = inflation_series(stream, scenario, n + m)
+        rets = gbm_log_returns(stream, scenario, n - 1)
 
-    basic = project_basic(scenario)
-    da = dearness_allowance(basic, infl[:n])
-    salary = basic + da
-    contributions = scenario.contribution_rate * salary
-    corpus = accumulate_corpus(contributions, rets)
-    pension = annual_pension(float(corpus[-1]), scenario.annuity_rate)
-    reqs = requirement_series(
-        float(salary[-1]),
-        float(infl[n - 1]),
-        infl[n:],
-        scenario.guarantee_fraction,
-    )
-    rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
-    return infl, rets, basic, da, salary, contributions, corpus, pension, rows
-
-
-def _outcome(scenario: Scenario, path_index: int, corpus, pension, rows) -> PathOutcome:
-    return PathOutcome(
+        basic = project_basic(scenario)
+        da = dearness_allowance(basic, infl[:n])
+        salary = basic + da
+        contributions = scenario.contribution_rate * salary
+        corpus = accumulate_corpus(contributions, rets)
+        pension = annual_pension(float(corpus[-1]), scenario.annuity_rate)
+        reqs = requirement_series(
+            float(salary[-1]),
+            float(infl[n - 1]),
+            infl[n:],
+            scenario.guarantee_fraction,
+        )
+        rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
+    outcome = PathOutcome(
         path_index=path_index,
         final_corpus=float(corpus[-1]),
         pension=pension,
         shortfall_years=shortfall_years(rows),
-        pv_support=pv_support(rows, scenario.risk_free_rate, scenario.service_years),
-    )
-
-
-def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
-    """Simulate one path; depends only on (seed, path_index) and parameters."""
-    *_, corpus, pension, rows = _simulate(scenario, path_index)
-    return _outcome(scenario, path_index, corpus, pension, rows)
-
-
-def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
-    """Like run_path but keeps the year-by-year career and retirement tables."""
-    infl, rets, basic, da, salary, contributions, corpus, pension, rows = _simulate(
-        scenario, path_index
+        pv_support=pv_support(rows, scenario.risk_free_rate, n),
     )
     career = tuple(
         CareerYear(
@@ -295,18 +282,17 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
             log_return=float(rets[t - 1]) if t else 0.0,
             corpus=float(corpus[t]),
         )
-        for t in range(scenario.service_years)
+        for t in range(n)
     )
-    return PathDetail(
-        outcome=_outcome(scenario, path_index, corpus, pension, rows),
-        career=career,
-        retirement=tuple(rows),
-    )
+    return PathDetail(outcome=outcome, career=career, retirement=tuple(rows))
 
 
 # uniforms drawn per block of paths in run_scenario; bounds the block's
-# arrays whatever service_years and retirement_years are
+# arrays whatever service_years and retirement_years are, except that a
+# block holds at least _MIN_BLOCK_PATHS paths, since the column loops cost
+# more per path than the scalar pipeline when a block holds only one
 _BLOCK_DRAWS = 2**15
+_MIN_BLOCK_PATHS = 8
 
 
 def _simulate_block(scenario: Scenario, first: int, count: int):
@@ -430,14 +416,15 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run every path and aggregate in index order.
 
-    Paths run in blocks of at most _BLOCK_DRAWS draws; the outcomes equal
+    Paths run in blocks of at most _BLOCK_DRAWS draws, or of
+    _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
     `run_path`'s bit for bit. Raises ValueError naming the metric and the
     first path index when an outcome is not finite (a numeric blow-up of the
     scenario's parameters).
     """
     total = scenario.num_paths
     draws = 2 * scenario.service_years + scenario.retirement_years - 1
-    per_block = max(1, _BLOCK_DRAWS // draws)
+    per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // draws)
     with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
         blocks = [
             _simulate_block(scenario, first, min(per_block, total - first))
@@ -458,30 +445,11 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     )
 
 
-@dataclass(frozen=True)
-class SweepVariant:
-    """One sweep cell: the override label, its scenario, and its result."""
-
-    label: str
-    scenario: Scenario
-    result: ScenarioResult
-
-
-def sweep(base: Scenario, overrides) -> list[SweepVariant]:
-    """Run one variant per (field, value) pair, in the given order.
+def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
+    """Run one variant per (field, value) pair; results in the given order.
 
     Every variant keeps the base seed, so variants share random
     streams path-by-path (common random numbers) and differences reflect
     the parameter change alone.
     """
-    variants = []
-    for key, value in overrides:
-        scenario = with_field(base, key, value)
-        variants.append(
-            SweepVariant(
-                label=f"{key}={value}",
-                scenario=scenario,
-                result=run_scenario(scenario),
-            )
-        )
-    return variants
+    return [run_scenario(with_field(base, key, value)) for key, value in overrides]

@@ -7,7 +7,9 @@ formatting, and each command's files written all together or not at all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -166,14 +168,17 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
     Every target is checked first, then every file is written to a temporary
     name beside it, and only then are all renamed into place. Files are
     created as open(path, "w") creates them, so the umask sets their mode.
+    On failure the temporary files go, and so do the directories of `out`
+    that this call created.
     """
     targets = [out / name for name in files]
     for path in targets:
         if path.exists() and not path.is_file():
             raise FileExistsError(f"cannot write {path}: it exists and is not a regular file")
-    out.mkdir(parents=True, exist_ok=True)
+    created = [directory for directory in (out, *out.parents) if not directory.exists()]
     temps: list[Path] = []
     try:
+        out.mkdir(parents=True, exist_ok=True)
         for path, text in zip(targets, files.values()):
             tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
             with open(tmp, "x", encoding="utf-8", newline="") as handle:
@@ -182,9 +187,13 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
         for tmp, path in zip(temps, targets):
             os.replace(tmp, path)
             print(f"wrote {path}")
-    finally:
+    except BaseException:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
+        for directory in created:  # deepest first; one left non-empty stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,6 +202,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # once per process; so never mutate a default, such as --detail's list
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pensionsim",
@@ -213,16 +223,19 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH_INDEX",
         help="also write year-by-year CSVs for these path indices",
     )
+    run_cmd.set_defaults(handler=_cmd_run)
 
     sweep_cmd = commands.add_parser("sweep", help="rerun one scenario field over several values")
     sweep_cmd.add_argument("--config", type=Path)
     sweep_cmd.add_argument("--param", required=True, help="scenario field to vary")
     sweep_cmd.add_argument("--values", required=True, help="comma-separated values")
     sweep_cmd.add_argument("--out", type=Path, default=Path("."))
+    sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     path_cmd = commands.add_parser("path", help="print one path's detail CSVs to stdout")
     path_cmd.add_argument("--config", type=Path)
     path_cmd.add_argument("--index", type=int, required=True)
+    path_cmd.set_defaults(handler=_cmd_path)
     return parser
 
 
@@ -234,16 +247,16 @@ def _load_scenario(args) -> Scenario:
             text = args.config.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-    scenario = parse_scenario(text)
-    if getattr(args, "paths", None) is not None:
-        scenario = with_field(scenario, "num_paths", args.paths)
-    if getattr(args, "seed", None) is not None:
-        scenario = with_field(scenario, "seed", args.seed)
-    return scenario
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+    return parse_scenario(text)
 
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
+    for key, value in (("num_paths", args.paths), ("seed", args.seed)):
+        if value is not None:
+            scenario = with_field(scenario, key, value)
     # every output is built before the first write, so a bad --detail index
     # or a failed run leaves no partial output set
     details = {index: run_path_detail(scenario, index) for index in args.detail}
@@ -267,16 +280,16 @@ def _cmd_sweep(args) -> int:
         if value in parsed[:i]:
             # a repeat would run the same variant twice and overwrite its summary
             raise ConfigError(f"--values: {tokens[i]!r} repeats {args.param} = {value}")
-    variants = sweep(scenario, [(args.param, value) for value in parsed])
+    results = sweep(scenario, [(args.param, value) for value in parsed])
 
     files = {}
     lines = ["variant,metric,mean,sd,p5,p95"]
-    for value, variant in zip(parsed, variants):
-        files[f"summary_{args.param}_{value}.json"] = emit_summary(variant.result)
+    for value, result in zip(parsed, results):
+        files[f"summary_{args.param}_{value}.json"] = emit_summary(result)
         for metric in METRICS:
-            stats = variant.result.metric(metric)
+            stats = result.metric(metric)
             cells = (stats.mean, stats.sd, stats.quantiles["p5"], stats.quantiles["p95"])
-            lines.append(",".join((variant.label, metric, *map(_fmt, cells))))
+            lines.append(",".join((f"{args.param}={value}", metric, *map(_fmt, cells))))
     files["sweep.csv"] = "\n".join(lines) + "\n"
     _write_files(args.out, files)
     return 0
@@ -293,23 +306,14 @@ def _cmd_path(args) -> int:
 
 def cli_main(argv=None) -> int:
     """Entry point; returns 0 on success, 1 for config errors, 2 for runtime errors."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 0
-    try:
-        handler = {"run": _cmd_run, "sweep": _cmd_sweep, "path": _cmd_path}[args.command]
-        return handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 def main() -> None:

@@ -153,7 +153,7 @@ def test_criterion_6_ordering_properties():
         baseline_scenario(num_paths=2000),
         [("gbm_mu", 0.07), ("gbm_mu", 0.09), ("gbm_mu", 0.11)],
     )
-    means = [v.result.final_corpus.mean for v in variants]
+    means = [v.final_corpus.mean for v in variants]
     assert means[0] < means[1] < means[2], means
 
     five = _result(10_000, annuity_rate=0.05)

@@ -18,6 +18,9 @@ def test_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
+    # a traced name that already carries __wrapped__ (a decorator) would
+    # read as a wrapper left installed
+    assert tracing.installed_wrappers() == []
     tracer = tracing.Tracer()
     tracer.install()
     try:

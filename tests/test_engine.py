@@ -247,6 +247,26 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     assert _bits(outcomes) == _bits(expected)
 
 
+def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
+    # 2**15 draws hold no whole path of this career; 1-path blocks would
+    # cost more than the scalar loop, so blocks hold _MIN_BLOCK_PATHS = 8
+    scenario = baseline_scenario(
+        service_years=20_000, increment_rate=0, risk_free_rate=0, gbm_mu=0, num_paths=20
+    )
+    simulate_block = engine._simulate_block
+    blocks = []
+
+    def spy(scenario, first, count):
+        blocks.append((first, count))
+        return simulate_block(scenario, first, count)
+
+    monkeypatch.setattr(engine, "_simulate_block", spy)
+    outcomes = run_scenario(scenario).outcomes
+    assert blocks == [(0, 8), (8, 8), (16, 4)]
+    for i in (0, 11, 19):
+        assert repr(outcomes[i]) == repr(run_path(scenario, i))
+
+
 def _scenarios(**overrides):
     ranges = {
         "service_years": st.integers(1, 45),
@@ -275,7 +295,8 @@ def test_batch_engine_properties(scenario, block_paths):
     n = scenario.service_years
     m = scenario.retirement_years
     # small blocks put block boundaries inside the run
-    with mock.patch.object(engine, "_BLOCK_DRAWS", block_paths * (2 * n + m - 1)):
+    with mock.patch.object(engine, "_BLOCK_DRAWS", block_paths * (2 * n + m - 1)), \
+            mock.patch.object(engine, "_MIN_BLOCK_PATHS", 1):
         outcomes = run_scenario(scenario).outcomes
     assert _bits(outcomes) == _bits(run_path(scenario, i) for i in range(scenario.num_paths))
     for outcome in outcomes:
@@ -314,21 +335,19 @@ def test_degenerate_randomness_collapses_paths():
 
 def test_common_random_numbers_couple_variants_per_path():
     base = baseline_scenario(num_paths=300)
-    variants = sweep(base, [("annuity_rate", 0.07), ("annuity_rate", 0.05)])
-    seven, five = variants[0].result, variants[1].result
-    assert variants[0].scenario.seed == base.seed
-    assert variants[1].scenario.seed == base.seed
+    seven, five = sweep(base, [("annuity_rate", 0.07), ("annuity_rate", 0.05)])
+    assert seven.scenario.seed == base.seed
+    assert five.scenario.seed == base.seed
     for a, b in zip(seven.outcomes, five.outcomes):
         assert a.final_corpus == b.final_corpus  # same draws, same corpus
         assert a.shortfall_years <= b.shortfall_years
         assert a.pv_support <= b.pv_support
 
 
-def test_sweep_preserves_order_and_labels():
+def test_sweep_preserves_order():
     base = baseline_scenario(num_paths=20)
-    variants = sweep(base, [("gbm_mu", 0.07), ("gbm_mu", 0.09), ("gbm_mu", 0.11)])
-    assert [v.label for v in variants] == ["gbm_mu=0.07", "gbm_mu=0.09", "gbm_mu=0.11"]
-    assert [v.scenario.gbm_mu for v in variants] == [0.07, 0.09, 0.11]
+    results = sweep(base, [("gbm_mu", 0.07), ("gbm_mu", 0.09), ("gbm_mu", 0.11)])
+    assert [r.scenario.gbm_mu for r in results] == [0.07, 0.09, 0.11]
 
 
 def test_sweep_unknown_field_rejected():

@@ -333,6 +333,63 @@ def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"num_paths = 5 # \xff\n"), "can't decode byte 0xff"),
+    ],
+    ids=["directory", "not-utf8"],
+)
+def test_cli_unreadable_config_is_config_error_naming_the_file(tmp_path, capsys, make, reason):
+    config = tmp_path / "scenario.cfg"
+    make(config)
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {config}: ") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, raised, code",
+    [
+        (["--help"], None, 0),
+        (["run", "--help"], None, 0),
+        ([], None, 1),  # no subcommand
+        (["run", "--paths", "abc"], None, 1),
+        (["run", "--paths", "5"], ConfigError("bad scenario"), 1),
+        (["run", "--paths", "5"], RuntimeError("runtime failure"), 2),
+    ],
+    ids=["help", "run-help", "no-command", "bad-flag", "config-error", "runtime-error"],
+)
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch, argv, raised, code):
+    if raised is not None:
+        def fail(scenario):
+            raise raised
+
+        monkeypatch.setattr(io_cli, "run_scenario", fail)
+        argv = argv + ["--out", str(tmp_path)]
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") == (code != 0)
+    if raised is not None:
+        assert err == f"error: {raised}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys):
+    io_cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert cli_main(["run", "--paths", "3", "--out", str(tmp_path)]) == 0
+    assert io_cli._build_parser.cache_info().misses == 1
+
+
+def test_cli_run_after_a_detail_run_writes_no_detail(tmp_path, capsys):
+    assert cli_main(["run", "--paths", "5", "--detail", "3", "--out", str(tmp_path / "a")]) == 0
+    assert cli_main(["run", "--paths", "5", "--out", str(tmp_path / "b")]) == 0
+    assert [path.name for path in (tmp_path / "b").iterdir()] == ["summary.json"]
+
+
 def test_cli_bad_flag_value_is_config_error(capsys):
     assert cli_main(["run", "--paths", "abc"]) == 1
     assert cli_main(["run", "--paths", "0"]) == 1
@@ -427,12 +484,8 @@ def test_cli_occupied_output_name_writes_nothing(tmp_path, capsys, argv, occupie
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("argv, occupied, earlier", OUTPUT_SETS, ids=["sweep", "run"])
-def test_cli_failed_write_leaves_the_output_directory_as_it_was(
-    tmp_path, capsys, monkeypatch, argv, occupied, earlier
-):
-    (tmp_path / earlier).write_text("earlier output\n")
-    before = _tree(tmp_path)
+def _fail_second_write(monkeypatch):
+    """Make the second file io_cli opens fail on write; returns the paths opened."""
     opened = []
 
     def open_failing_second_write(path, *args, **kwargs):
@@ -446,12 +499,36 @@ def test_cli_failed_write_leaves_the_output_directory_as_it_was(
         return handle
 
     monkeypatch.setattr(io_cli, "open", open_failing_second_write, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("argv, occupied, earlier", OUTPUT_SETS, ids=["sweep", "run"])
+def test_cli_failed_write_leaves_the_output_directory_as_it_was(
+    tmp_path, capsys, monkeypatch, argv, occupied, earlier
+):
+    (tmp_path / earlier).write_text("earlier output\n")
+    before = _tree(tmp_path)
+    opened = _fail_second_write(monkeypatch)
     assert cli_main(argv + ["--out", str(tmp_path)]) == 2
     monkeypatch.undo()
     captured = capsys.readouterr()
     assert len(opened) == 2
     assert captured.out == ""
     assert os.strerror(errno.ENOSPC) in captured.err
+    assert _tree(tmp_path) == before
+
+
+def test_cli_failed_write_removes_the_directories_it_created(tmp_path, capsys, monkeypatch):
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "parent" / "notes.txt").write_text("not ours\n")
+    before = _tree(tmp_path)
+    out = tmp_path / "parent" / "new" / "deeper"
+    opened = _fail_second_write(monkeypatch)
+    assert cli_main(["run", "--paths", "5", "--detail", "0", "--out", str(out)]) == 2
+    monkeypatch.undo()
+    assert len(opened) == 2
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert not (tmp_path / "parent" / "new").exists()
     assert _tree(tmp_path) == before
 
 
