@@ -6,9 +6,10 @@ order within a path is part of the output contract: first the n+m annual
 inflation values, then the n-1 log-returns, all from that one stream.
 
 `run_path` and `run_path_detail` compute one path with the scalar layer
-functions; they are the reference. `run_scenario` computes blocks of paths
-as (paths, years) arrays with the same operations in the same order, so
-its outcomes equal `run_path`'s bit for bit.
+functions; they are the reference. `run_scenario` and `sweep` compute
+blocks of paths as (paths, years) arrays with the same operations in the
+same order, so their outcomes equal `run_path`'s bit for bit; `sweep`
+computes each stage of a block once for the variants that share it.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ class ConfigError(ValueError):
     """Bad scenario configuration: unknown key, unparseable value, or invariant violation."""
 
 
-def _field(default, low=None, high=None, low_open=False):
-    """A Scenario attribute with its default and its range (see Field)."""
+def _field(default, stage, low=None, high=None, low_open=False):
+    """A Scenario attribute with its default, its stage and its range (see Field)."""
     return dataclasses.field(
-        default=default, metadata={"low": low, "high": high, "low_open": low_open}
+        default=default,
+        metadata={"stage": stage, "low": low, "high": high, "low_open": low_open},
     )
 
 
@@ -82,28 +84,29 @@ def _field(default, low=None, high=None, low_open=False):
 class Scenario:
     """Complete validated simulation configuration, one attribute per flat key.
 
-    Each attribute declares its key's type, default and range, in canonical
-    key order; FIELDS, DEFAULTS and every range check derive from it. Each
-    value is checked as check_field checks it when the Scenario is built,
-    and stored coerced, so numbers as text and numpy scalars are accepted.
-    Rates are fractions (0.10 means 10%), inflation is in percent.
+    Each attribute declares its key's type, default, stage and range, in
+    canonical key order; FIELDS, DEFAULTS, every range check and the stages
+    sweep variants share derive from it. Each value is checked as
+    check_field checks it when the Scenario is built, and stored coerced, so
+    numbers as text and numpy scalars are accepted. Rates are fractions
+    (0.10 means 10%), inflation is in percent.
     """
 
-    service_years: int = _field(30, low=1)
-    retirement_years: int = _field(20, low=1)
-    basic_start: float = _field(100.0, low=0, low_open=True)
-    increment_rate: float = _field(0.03, low=0)
-    employee_rate: float = _field(0.10, low=0)
-    employer_rate: float = _field(0.14, low=0)
-    inflation_mean_pct: float = _field(4.0)
-    inflation_sd_pct: float = _field(1.0, low=0)
-    gbm_mu: float = _field(0.09)
-    gbm_sigma: float = _field(0.05, low=0)
-    annuity_rate: float = _field(0.07, low=0)
-    risk_free_rate: float = _field(0.07, low=0)
-    guarantee_fraction: float = _field(0.5, low=0, high=1)
-    num_paths: int = _field(1000, low=1)
-    seed: int = _field(42, low=0, high=2**64 - 1)
+    service_years: int = _field(30, "draws", low=1)
+    retirement_years: int = _field(20, "draws", low=1)
+    basic_start: float = _field(100.0, "career", low=0, low_open=True)
+    increment_rate: float = _field(0.03, "career", low=0)
+    employee_rate: float = _field(0.10, "career", low=0)
+    employer_rate: float = _field(0.14, "career", low=0)
+    inflation_mean_pct: float = _field(4.0, "career")
+    inflation_sd_pct: float = _field(1.0, "career", low=0)
+    gbm_mu: float = _field(0.09, "career")
+    gbm_sigma: float = _field(0.05, "career", low=0)
+    annuity_rate: float = _field(0.07, "retirement", low=0)
+    risk_free_rate: float = _field(0.07, "retirement", low=0)
+    guarantee_fraction: float = _field(0.5, "retirement", low=0, high=1)
+    num_paths: int = _field(1000, "draws", low=1)
+    seed: int = _field(42, "draws", low=0, high=2**64 - 1)
 
     def __post_init__(self) -> None:
         for field in FIELDS:
@@ -121,15 +124,17 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Field:
-    """One flat scenario key: its type, default and range, read from Scenario.
+    """One flat scenario key: its type, default, stage and range, read from Scenario.
 
-    Bounds are inclusive, except that `low_open` excludes `low` itself. A
-    float field must also be finite.
+    `stage` is the first stage of a block of paths that reads the field (see
+    _STAGES). Bounds are inclusive, except that `low_open` excludes `low`
+    itself. A float field must also be finite.
     """
 
     key: str
     kind: type  # int or float
     default: int | float
+    stage: str
     low: int | float | None = None
     high: int | float | None = None
     low_open: bool = False
@@ -141,6 +146,15 @@ FIELDS = tuple(
     Field(f.name, _KINDS[f.name], f.default, **f.metadata) for f in dataclasses.fields(Scenario)
 )
 _BY_KEY = {field.key: field for field in FIELDS}
+
+# The stages of a block of paths, in order: the standard normals, the career
+# they drive, and the retirement scored on that career. Each stage reads its
+# own fields and those of every stage before it.
+_STAGES = ("draws", "career", "retirement")
+_READS = {
+    stage: tuple(f.key for f in FIELDS if _STAGES.index(f.stage) <= _STAGES.index(stage))
+    for stage in _STAGES
+}
 
 DEFAULTS: dict[str, int | float] = {field.key: field.default for field in FIELDS}
 
@@ -295,21 +309,21 @@ _BLOCK_DRAWS = 2**15
 _MIN_BLOCK_PATHS = 8
 
 
-def _simulate_block(scenario: Scenario, first: int, count: int):
-    """Paths first..first+count-1 at once, each bit for bit as `run_path`.
+def _career(scenario: Scenario, z: np.ndarray):
+    """The career half of a block of paths, one row of normals `z` per path.
 
-    Returns final_corpus, pension, shortfall_years and pv_support arrays,
-    in PathOutcome's field order, one entry per path.
+    Row i of `z` holds path i's 2n+m-1 draws (see stream_normals). Returns
+    the final corpus, the final salary and the (paths, n+m) inflation
+    matrix, each as `run_path` computes them.
     """
     n, m = scenario.service_years, scenario.retirement_years
-    z = stream_normals(scenario.seed, first, count, 2 * n + m - 1)
     # inflation_series and gbm_log_returns, row-wise
     infl = scenario.inflation_mean_pct + scenario.inflation_sd_pct * z[:, : n + m]
     mu, sigma = scenario.gbm_mu, scenario.gbm_sigma
     rets = (mu - 0.5 * sigma**2) + sigma * z[:, n + m :]
 
     basic = project_basic(scenario)
-    da = np.zeros((count, n))
+    da = np.zeros((len(z), n))
     da[:, 1:] = basic[:-1] * infl[:, : n - 1] / 100.0
     salary = basic + da
     contributions = scenario.contribution_rate * salary
@@ -317,12 +331,21 @@ def _simulate_block(scenario: Scenario, first: int, count: int):
     corpus = contributions[:, 0]
     for t in range(1, n):
         corpus = corpus * growth[:, t - 1] + contributions[:, t]
-    pension = corpus * scenario.annuity_rate
+    return corpus, salary[:, -1], infl
 
+
+def _retirement(scenario: Scenario, corpus, salary, infl):
+    """The retirement half of a block: `scenario`'s terms on a `_career` result.
+
+    Returns final_corpus, pension, shortfall_years and pv_support arrays,
+    in PathOutcome's field order, one entry per path.
+    """
+    n, m = scenario.service_years, scenario.retirement_years
+    pension = corpus * scenario.annuity_rate
     discount = discount_factors(scenario.risk_free_rate, n, m)
-    req = scenario.guarantee_fraction * salary[:, -1] * (1.0 + infl[:, n - 1] / 100.0)
-    shortfall = np.zeros(count, dtype=np.int64)
-    pv = np.zeros(count)
+    req = scenario.guarantee_fraction * salary * (1.0 + infl[:, n - 1] / 100.0)
+    shortfall = np.zeros(len(corpus), dtype=np.int64)
+    pv = np.zeros(len(corpus))
     for k in range(m):
         if k:
             req = req * (1.0 + infl[:, n + k - 1] / 100.0)
@@ -331,6 +354,67 @@ def _simulate_block(scenario: Scenario, first: int, count: int):
         shortfall += miss
         pv += np.where(miss, req - pension, 0.0) / discount[k]
     return corpus, pension, shortfall, pv
+
+
+def _groups(scenarios: list[Scenario], indices, stage: str) -> list[list[int]]:
+    """`indices` grouped by the exact values of the fields `stage` reads.
+
+    Values compare by repr, which tells -0.0 from 0.0 where == does not.
+    """
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i in indices:
+        key = tuple(repr(getattr(scenarios[i], name)) for name in _READS[stage])
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _run(scenarios: list[Scenario]) -> list[ScenarioResult]:
+    """The results of `scenarios`, in order, computed one block of paths at a time.
+
+    In each block the normals are drawn once for the scenarios that share
+    the draws fields, the career is computed once for those that also share
+    the career fields, and each scenario's retirement is scored on it. A
+    scenario that fails is computed no further, and its error is raised only
+    after the scenarios before it are complete, so the error reported is that
+    of the first failing scenario, as if each ran alone.
+    """
+    blocks: list[list[tuple]] = [[] for _ in scenarios]
+    errors: list[Exception | None] = [None] * len(scenarios)
+    with np.errstate(all="ignore"):  # a blow-up is reported by _result, by metric and path
+        for draws in _groups(scenarios, range(len(scenarios)), "draws"):
+            careers = _groups(scenarios, draws, "career")
+            s = scenarios[draws[0]]
+            size = 2 * s.service_years + s.retirement_years - 1
+            per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
+            for first in range(0, s.num_paths, per_block):
+                if all(errors[i] is not None for i in draws):
+                    break
+                z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
+                for career in careers:
+                    live = [i for i in career if errors[i] is None]
+                    if not live:
+                        continue
+                    # an error that a scenario's values cause is held until
+                    # the scenarios before it are complete
+                    try:
+                        shared = _career(scenarios[live[0]], z)
+                    except (ValueError, ArithmeticError) as exc:
+                        for i in live:
+                            errors[i] = exc
+                        continue
+                    for i in live:
+                        try:
+                            blocks[i].append(_retirement(scenarios[i], *shared))
+                        except (ValueError, ArithmeticError) as exc:
+                            errors[i] = exc
+                    del shared  # so that one block's shared arrays are alive at a time
+                del z
+    results = []
+    for scenario, error, columns in zip(scenarios, errors, blocks):
+        if error is not None:
+            raise error
+        results.append(_result(scenario, columns))
+    return results
 
 
 QUANTILE_LABELS = ("p5", "p25", "p50", "p75", "p95")
@@ -413,23 +497,13 @@ class ScenarioResult:
         return getattr(self, name)
 
 
-def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Run every path and aggregate in index order.
+def _result(scenario: Scenario, blocks) -> ScenarioResult:
+    """Outcomes and summaries from `scenario`'s `_retirement` columns, block by block.
 
-    Paths run in blocks of at most _BLOCK_DRAWS draws, or of
-    _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
-    `run_path`'s bit for bit. Raises ValueError naming the metric and the
-    first path index when an outcome is not finite (a numeric blow-up of the
-    scenario's parameters).
+    Raises ValueError naming the metric and the first path index when an
+    outcome is not finite (a numeric blow-up of the scenario's parameters).
     """
     total = scenario.num_paths
-    draws = 2 * scenario.service_years + scenario.retirement_years - 1
-    per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // draws)
-    with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
-        blocks = [
-            _simulate_block(scenario, first, min(per_block, total - first))
-            for first in range(0, total, per_block)
-        ]
     corpus, pension, shortfall, pv = (np.concatenate(column) for column in zip(*blocks))
     metrics = dict(zip(METRICS, (corpus, shortfall, pv)))
     for name, column in metrics.items():
@@ -445,11 +519,30 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     )
 
 
+def run_scenario(scenario: Scenario) -> ScenarioResult:
+    """Run every path and aggregate in index order.
+
+    Paths run in blocks of at most _BLOCK_DRAWS draws, or of
+    _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
+    `run_path`'s bit for bit. Raises ValueError naming the metric and the
+    first path index when an outcome is not finite (a numeric blow-up of the
+    scenario's parameters). It runs sweep's block loop with one scenario.
+    """
+    return _run([scenario])[0]
+
+
 def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
     """Run one variant per (field, value) pair; results in the given order.
 
     Every variant keeps the base seed, so variants share random
     streams path-by-path (common random numbers) and differences reflect
-    the parameter change alone.
+    the parameter change alone. The variants run together, block by block,
+    and each stage runs once per block for all variants that agree on the
+    fields it reads (see Field.stage): variants of annuity_rate,
+    risk_free_rate or guarantee_fraction share the normals and the career,
+    variants of another career field share the normals, and variants of
+    seed, service_years, retirement_years or num_paths share nothing. The
+    results equal separate run_scenario calls bit for bit, and an error is
+    that of the first variant, in the given order, that fails.
     """
-    return [run_scenario(with_field(base, key, value)) for key, value in overrides]
+    return _run([with_field(base, key, value) for key, value in overrides])

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pensionsim import engine
@@ -24,6 +26,7 @@ from pensionsim.engine import (
     sweep,
     with_field,
 )
+from pensionsim.io_cli import emit_summary
 from pensionsim.retirement import (
     annual_pension,
     evaluate_retirement,
@@ -31,7 +34,7 @@ from pensionsim.retirement import (
     requirement_series,
     shortfall_years,
 )
-from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_series
+from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_series, stream_normals
 
 
 def test_baseline_scenario_carries_the_documented_defaults():
@@ -239,8 +242,10 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     # run_scenario rejects such outcomes, but each block must still agree
     # with run_path field by field (a NaN requirement counts as a miss)
     scenario = baseline_scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
+    size = 2 * scenario.service_years + scenario.retirement_years - 1
     with np.errstate(all="ignore"):
-        block = engine._simulate_block(scenario, 0, scenario.num_paths)
+        z = stream_normals(scenario.seed, 0, scenario.num_paths, size)
+        block = engine._retirement(scenario, *engine._career(scenario, z))
         expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
     columns = (column.tolist() for column in block)
     outcomes = map(engine.PathOutcome, range(scenario.num_paths), *columns)
@@ -253,56 +258,198 @@ def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
     scenario = baseline_scenario(
         service_years=20_000, increment_rate=0, risk_free_rate=0, gbm_mu=0, num_paths=20
     )
-    simulate_block = engine._simulate_block
+    career = engine._career
     blocks = []
 
-    def spy(scenario, first, count):
-        blocks.append((first, count))
-        return simulate_block(scenario, first, count)
+    def spy(scenario, z):
+        blocks.append(len(z))
+        return career(scenario, z)
 
-    monkeypatch.setattr(engine, "_simulate_block", spy)
+    monkeypatch.setattr(engine, "_career", spy)
     outcomes = run_scenario(scenario).outcomes
-    assert blocks == [(0, 8), (8, 8), (16, 4)]
+    assert blocks == [8, 8, 4]
     for i in (0, 11, 19):
         assert repr(outcomes[i]) == repr(run_path(scenario, i))
 
 
+_RANGES = {
+    "service_years": st.integers(1, 45),
+    "retirement_years": st.integers(1, 30),
+    "basic_start": st.floats(1.0, 1000.0),
+    "increment_rate": st.floats(0.0, 0.1),
+    "employee_rate": st.floats(0.0, 0.3),
+    "employer_rate": st.floats(0.0, 0.3),
+    "inflation_mean_pct": st.floats(-5.0, 15.0),
+    "inflation_sd_pct": st.floats(0.0, 5.0),
+    "gbm_mu": st.floats(-0.2, 0.3),
+    "gbm_sigma": st.floats(0.0, 0.5),
+    "annuity_rate": st.floats(0.0, 0.15),
+    "risk_free_rate": st.floats(0.0, 0.15),
+    "guarantee_fraction": st.floats(0.0, 1.0),
+    "num_paths": st.integers(1, 24),
+    "seed": st.integers(0, 2**64 - 1),
+}
+
+
 def _scenarios(**overrides):
-    ranges = {
-        "service_years": st.integers(1, 45),
-        "retirement_years": st.integers(1, 30),
-        "basic_start": st.floats(1.0, 1000.0),
-        "increment_rate": st.floats(0.0, 0.1),
-        "employee_rate": st.floats(0.0, 0.3),
-        "employer_rate": st.floats(0.0, 0.3),
-        "inflation_mean_pct": st.floats(-5.0, 15.0),
-        "inflation_sd_pct": st.floats(0.0, 5.0),
-        "gbm_mu": st.floats(-0.2, 0.3),
-        "gbm_sigma": st.floats(0.0, 0.5),
-        "annuity_rate": st.floats(0.0, 0.15),
-        "risk_free_rate": st.floats(0.0, 0.15),
-        "guarantee_fraction": st.floats(0.0, 1.0),
-        "num_paths": st.integers(1, 24),
-        "seed": st.integers(0, 2**64 - 1),
-        **overrides,
-    }
+    ranges = {**_RANGES, **overrides}
     return st.fixed_dictionaries(ranges).map(lambda values: baseline_scenario(**values))
+
+
+@contextlib.contextmanager
+def _small_blocks(scenario, block_paths):
+    # blocks of `scenario` hold `block_paths` paths, so that block
+    # boundaries fall inside even a short run
+    draws = 2 * scenario.service_years + scenario.retirement_years - 1
+    with mock.patch.object(engine, "_BLOCK_DRAWS", block_paths * draws), \
+            mock.patch.object(engine, "_MIN_BLOCK_PATHS", 1):
+        yield
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(scenario=_scenarios(), block_paths=st.integers(1, 9))
+@example(  # every year misses, but each discounted top-up is subnormal and rounds to 0
+    scenario=baseline_scenario(
+        num_paths=2, guarantee_fraction=5e-324, annuity_rate=0.0, risk_free_rate=0.15,
+        basic_start=1.0, service_years=45, retirement_years=30, increment_rate=0.0,
+    ),
+    block_paths=1,
+)
 def test_batch_engine_properties(scenario, block_paths):
-    n = scenario.service_years
-    m = scenario.retirement_years
-    # small blocks put block boundaries inside the run
-    with mock.patch.object(engine, "_BLOCK_DRAWS", block_paths * (2 * n + m - 1)), \
-            mock.patch.object(engine, "_MIN_BLOCK_PATHS", 1):
+    with _small_blocks(scenario, block_paths):
         outcomes = run_scenario(scenario).outcomes
     assert _bits(outcomes) == _bits(run_path(scenario, i) for i in range(scenario.num_paths))
     for outcome in outcomes:
-        assert 0 <= outcome.shortfall_years <= m
+        assert 0 <= outcome.shortfall_years <= scenario.retirement_years
         assert outcome.pv_support >= 0.0
-        assert (outcome.shortfall_years == 0) == (outcome.pv_support == 0.0)
+        if outcome.shortfall_years == 0:
+            assert outcome.pv_support == 0.0
+        if outcome.pv_support > 0:
+            assert outcome.shortfall_years > 0
+
+
+# float fields whose range holds zero, where a 0.0 and a -0.0 variant must
+# not share a stage
+_SIGNED_ZEROS = {key for key in _RANGES if isinstance(DEFAULTS[key], float)} - {"basic_start"}
+
+
+@st.composite
+def _sweeps(draw):
+    base = draw(_scenarios())
+    key = draw(st.sampled_from(sorted(_RANGES)))
+    values = _RANGES[key]
+    if key in _SIGNED_ZEROS:
+        values = st.one_of(st.sampled_from([0.0, -0.0]), values)
+    return base, key, draw(st.lists(values, min_size=2, max_size=3, unique_by=repr))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_sweeps(), block_paths=st.integers(1, 9))
+@example(  # -0.0 + -0.0 contributes -0.0 a year, so final_corpus is -0.0, not 0.0
+    case=(baseline_scenario(num_paths=3, employer_rate=-0.0), "employee_rate", [0.0, -0.0]),
+    block_paths=2,
+)
+def test_sweep_equals_separate_runs_bitwise(case, block_paths):
+    base, key, values = case
+    with _small_blocks(base, block_paths):
+        results = sweep(base, [(key, value) for value in values])
+        separate = [run_scenario(with_field(base, key, value)) for value in values]
+    assert len(results) == len(separate)
+    for got, want in zip(results, separate):
+        assert repr(got.scenario) == repr(want.scenario)
+        assert _bits(got.outcomes) == _bits(want.outcomes)
+        assert emit_summary(got) == emit_summary(want)
+
+
+@pytest.mark.parametrize("field", engine.FIELDS, ids=lambda field: field.key)
+def test_sweep_of_each_field_equals_separate_runs(field):
+    # a field tagged with too late a stage would share a stage it changes
+    base = baseline_scenario(num_paths=20)
+    other = field.default + 1 if field.kind is int else field.default / 2
+    overrides = [(field.key, getattr(base, field.key)), (field.key, other)]
+    with _small_blocks(base, 7):
+        results = sweep(base, overrides)
+        separate = [run_scenario(with_field(base, key, value)) for key, value in overrides]
+    assert [_bits(r.outcomes) for r in results] == [_bits(r.outcomes) for r in separate]
+
+
+@pytest.mark.parametrize(
+    "key, values, normals, careers",
+    [
+        ("annuity_rate", (0.05, 0.07, 0.09), 1, 1),
+        ("gbm_sigma", (0.0, 0.05, 0.1), 1, 3),
+        ("service_years", (25, 30, 35), 3, 3),
+    ],
+)
+def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, key, values, normals, careers):
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+
+    for name in ("stream_normals", "_career", "_retirement"):
+        spy(name)
+    # 1000 paths make 3 blocks at each of these service_years
+    sweep(baseline_scenario(num_paths=1000), [(key, value) for value in values])
+    blocks = 3
+    assert calls == {
+        "stream_normals": normals * blocks,
+        "_career": careers * blocks,
+        "_retirement": len(values) * blocks,
+    }
+
+
+def test_failing_scenario_draws_no_further_blocks(monkeypatch):
+    drawn = []
+    normals = engine.stream_normals
+
+    def spy(seed, first, count, size):
+        drawn.append(first)
+        return normals(seed, first, count, size)
+
+    monkeypatch.setattr(engine, "stream_normals", spy)
+    with pytest.raises(ValueError, match="growth factor"):
+        run_scenario(baseline_scenario(gbm_mu=800.0))  # 1000 paths: three blocks
+    assert drawn == [0]
+
+
+def _first_error(scenarios):
+    # the error a variant-by-variant sweep meets first
+    for scenario in scenarios:
+        try:
+            run_scenario(scenario)
+        except Exception as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "base, key, values",
+    [
+        # non-finite corpus first, the discount overflow in block 0 second
+        ({"inflation_sd_pct": 1e306}, "risk_free_rate", (0.07, 1e10)),
+        ({"inflation_sd_pct": 1e306}, "risk_free_rate", (1e10, 0.07)),
+        # a shared career whose growth overflows before either discount does
+        ({"gbm_mu": 800.0}, "risk_free_rate", (0.07, 1e10)),
+        # growth overflow in the second variant's career only
+        ({"inflation_sd_pct": 1e306}, "gbm_mu", (0.09, 800.0)),
+        # a raw OverflowError of gbm_sigma**2, not a ValueError
+        ({"inflation_sd_pct": 1e200}, "gbm_sigma", (0.05, 1e200)),
+        ({"inflation_sd_pct": 1e200}, "gbm_sigma", (1e200, 0.05)),
+    ],
+)
+def test_failing_sweep_raises_the_first_failing_variants_error(base, key, values):
+    base = baseline_scenario(num_paths=20, **base)
+    expected = _first_error(with_field(base, key, value) for value in values)
+    with pytest.raises(type(expected)) as info:
+        sweep(base, [(key, value) for value in values])
+    assert str(info.value) == str(expected)
 
 
 # Every normal lies within +-8.21 (uniforms are at least 2**-53), so above

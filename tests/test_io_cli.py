@@ -420,6 +420,21 @@ def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_failing_sweep_reports_the_first_failing_variant(tmp_path, capsys):
+    # the second variant's discount overflows in the first block of paths,
+    # but the first variant's corpus is what a variant-by-variant run fails on
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_paths = 64\ninflation_sd_pct = 1e306\n")
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(config), "--param", "risk_free_rate", "--out", str(out)]
+    assert cli_main([*argv, "--values", "0.07,1e10"]) == 2
+    assert capsys.readouterr().err == "error: final_corpus is not finite on path 0: nan\n"
+    assert not out.exists()
+    assert cli_main([*argv, "--values", "1e10,0.07"]) == 2
+    assert "guarantee discount (1 + risk_free_rate)**year overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unwritable_out_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory")
