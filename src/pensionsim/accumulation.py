@@ -17,7 +17,6 @@ __all__ = [
     "dearness_allowance",
     "growth_factors",
     "project_basic",
-    "yearly_contribution",
 ]
 
 
@@ -66,11 +65,6 @@ def dearness_allowance(basic, inflation_pct) -> np.ndarray:
     da[0] = 0.0
     da[1:] = basic[:-1] * infl[:-1] / 100.0
     return da
-
-
-def yearly_contribution(salary: float, scenario: Scenario) -> float:
-    """Combined employee + employer contribution on one year's salary."""
-    return scenario.contribution_rate * salary
 
 
 def growth_factors(log_returns) -> np.ndarray:

@@ -39,6 +39,7 @@ from .retirement import (
 )
 from .stochastic import (
     RandomStream,
+    gbm_drift,
     gbm_log_returns,
     inflation_series,
     stream_normals,
@@ -319,8 +320,7 @@ def _career(scenario: Scenario, z: np.ndarray):
     n, m = scenario.service_years, scenario.retirement_years
     # inflation_series and gbm_log_returns, row-wise
     infl = scenario.inflation_mean_pct + scenario.inflation_sd_pct * z[:, : n + m]
-    mu, sigma = scenario.gbm_mu, scenario.gbm_sigma
-    rets = (mu - 0.5 * sigma**2) + sigma * z[:, n + m :]
+    rets = gbm_drift(scenario) + scenario.gbm_sigma * z[:, n + m :]
 
     basic = project_basic(scenario)
     da = np.zeros((len(z), n))
@@ -343,16 +343,17 @@ def _retirement(scenario: Scenario, corpus, salary, infl):
     n, m = scenario.service_years, scenario.retirement_years
     pension = corpus * scenario.annuity_rate
     discount = discount_factors(scenario.risk_free_rate, n, m)
-    req = scenario.guarantee_fraction * salary * (1.0 + infl[:, n - 1] / 100.0)
-    shortfall = np.zeros(len(corpus), dtype=np.int64)
-    pv = np.zeros(len(corpus))
-    for k in range(m):
-        if k:
-            req = req * (1.0 + infl[:, n + k - 1] / 100.0)
-        # written so that a NaN requirement or pension counts as a miss
-        miss = ~(pension >= req)
-        shortfall += miss
-        pv += np.where(miss, req - pension, 0.0) / discount[k]
+    # requirement_series row-wise: both accumulates run year by year, as
+    # run_path does, so the bits match (np.sum would sum pairwise)
+    req = 1.0 + infl[:, n - 1 : n + m - 1] / 100.0
+    req[:, 0] *= scenario.guarantee_fraction * salary
+    np.multiply.accumulate(req, axis=1, out=req)
+    # written so that a NaN requirement or pension counts as a miss
+    miss = ~(pension[:, None] >= req)
+    top_ups = np.where(miss, req - pension[:, None], 0.0) / discount
+    # a copy, since a view would keep the block's whole matrix alive
+    pv = np.add.accumulate(top_ups, axis=1)[:, -1].copy()
+    shortfall = miss.sum(axis=1)
     return corpus, pension, shortfall, pv
 
 
@@ -373,52 +374,38 @@ def _run(scenarios: list[Scenario]) -> list[ScenarioResult]:
 
     In each block the normals are drawn once for the scenarios that share
     the draws fields, the career is computed once for those that also share
-    the career fields, and each scenario's retirement is scored on it. A
-    scenario that fails is computed no further, and its error is raised only
-    after the scenarios before it are complete, so the error reported is that
-    of the first failing scenario, as if each ran alone.
+    the career fields, and each scenario's retirement is scored on it. When
+    a block of several scenarios fails, each scenario is rerun alone, in
+    order, so the error raised is that of the first failing scenario, as if
+    each ran alone.
     """
     blocks: list[list[tuple]] = [[] for _ in scenarios]
-    errors: list[Exception | None] = [None] * len(scenarios)
-    with np.errstate(all="ignore"):  # a blow-up is reported by _result, by metric and path
-        for draws in _groups(scenarios, range(len(scenarios)), "draws"):
-            careers = _groups(scenarios, draws, "career")
-            s = scenarios[draws[0]]
-            size = 2 * s.service_years + s.retirement_years - 1
-            per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
-            for first in range(0, s.num_paths, per_block):
-                if all(errors[i] is not None for i in draws):
-                    break
-                z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
-                for career in careers:
-                    live = [i for i in career if errors[i] is None]
-                    if not live:
-                        continue
-                    # an error that a scenario's values cause is held until
-                    # the scenarios before it are complete
-                    try:
-                        shared = _career(scenarios[live[0]], z)
-                    except (ValueError, ArithmeticError) as exc:
-                        for i in live:
-                            errors[i] = exc
-                        continue
-                    for i in live:
-                        try:
+    try:
+        with np.errstate(all="ignore"):  # a blow-up is reported by _result, by metric and path
+            for draws in _groups(scenarios, range(len(scenarios)), "draws"):
+                careers = _groups(scenarios, draws, "career")
+                s = scenarios[draws[0]]
+                size = 2 * s.service_years + s.retirement_years - 1
+                per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
+                for first in range(0, s.num_paths, per_block):
+                    z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
+                    for career in careers:
+                        shared = _career(scenarios[career[0]], z)
+                        for i in career:
                             blocks[i].append(_retirement(scenarios[i], *shared))
-                        except (ValueError, ArithmeticError) as exc:
-                            errors[i] = exc
-                    del shared  # so that one block's shared arrays are alive at a time
-                del z
-    results = []
-    for scenario, error, columns in zip(scenarios, errors, blocks):
-        if error is not None:
-            raise error
-        results.append(_result(scenario, columns))
-    return results
+                        del shared  # so that one block's shared arrays are alive at a time
+                    del z
+    except (ValueError, ArithmeticError):
+        if len(scenarios) > 1:
+            for scenario in scenarios:
+                _run([scenario])
+        raise
+    return [_result(scenario, columns) for scenario, columns in zip(scenarios, blocks)]
 
 
 QUANTILE_LABELS = ("p5", "p25", "p50", "p75", "p95")
 _QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
+_BIN_COUNT = 30
 
 
 @dataclass(frozen=True)
@@ -435,7 +422,7 @@ class SummaryStats:
     bin_counts: tuple[int, ...]
 
 
-def _histogram_range(arr: np.ndarray, bin_count: int) -> tuple[float, float] | None:
+def _histogram_range(arr: np.ndarray) -> tuple[float, float] | None:
     """None where np.histogram's own range works; else a widened range.
 
     np.histogram widens equal values by 0.5 itself, but raises when its
@@ -445,29 +432,27 @@ def _histogram_range(arr: np.ndarray, bin_count: int) -> tuple[float, float] | N
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bin_count + 1)
+    edges = np.linspace(lo, hi, _BIN_COUNT + 1)
     if np.all(edges[:-1] < edges[1:]):
         return None
     pad = max(0.5, max(abs(lo), abs(hi)) * 2.0**-40)
     return lo - pad, hi + pad
 
 
-def summarize(values, bin_count: int = 30) -> SummaryStats:
-    """Moments, linear-interpolation quantiles, and an equal-width histogram.
+def summarize(values) -> SummaryStats:
+    """Moments, linear-interpolation quantiles, and a 30-bin equal-width histogram.
 
     The sd uses the n-1 divisor and is 0.0 for a single value. Histogram
     bins span [min, max] and are right-open except the last, which is
     closed so the maximum lands in the final bin. When [min, max] is too
-    narrow for bin_count distinct edges (equal values, or values apart by
+    narrow for distinct bin edges (equal values, or values apart by
     rounding only), it is widened on both sides: by 0.5, as np.histogram
     does for equal values, or by 2**-40 of the values' magnitude if larger.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("summarize needs at least one value")
-    if bin_count < 1:
-        raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-    counts, edges = np.histogram(arr, bins=bin_count, range=_histogram_range(arr, bin_count))
+    counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=_histogram_range(arr))
     qs = np.quantile(arr, _QUANTILE_LEVELS)
     return SummaryStats(
         count=int(arr.size),
@@ -526,7 +511,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
     `run_path`'s bit for bit. Raises ValueError naming the metric and the
     first path index when an outcome is not finite (a numeric blow-up of the
-    scenario's parameters). It runs sweep's block loop with one scenario.
+    scenario's parameters). It runs sweep's block loop with one scenario, so
+    an error in a block stops the run at that block.
     """
     return _run([scenario])[0]
 
@@ -542,7 +528,8 @@ def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
     risk_free_rate or guarantee_fraction share the normals and the career,
     variants of another career field share the normals, and variants of
     seed, service_years, retirement_years or num_paths share nothing. The
-    results equal separate run_scenario calls bit for bit, and an error is
-    that of the first variant, in the given order, that fails.
+    results equal separate run_scenario calls bit for bit. When a block
+    fails, the variants are rerun one by one, so the error raised is that
+    of the first variant, in the given order, that fails.
     """
     return _run([with_field(base, key, value) for key, value in overrides])

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RandomStream",
-    "draw_standard_normal",
+    "gbm_drift",
     "gbm_log_returns",
     "inflation_series",
     "philox_uniforms",
@@ -136,9 +136,15 @@ def stream_normals(master_seed: int, first: int, count: int, size: int) -> np.nd
     return _normals(philox_uniforms(master_seed, first, count, size))
 
 
-def draw_standard_normal(stream: RandomStream) -> float:
-    """One standard-normal variate; advances the stream by a single draw."""
-    return float(stream.standard_normal(1)[0])
+def gbm_drift(scenario: Scenario) -> float:
+    """The log-return drift gbm_mu - gbm_sigma^2/2 (see gbm_log_returns)."""
+    try:
+        return scenario.gbm_mu - 0.5 * scenario.gbm_sigma**2
+    except OverflowError:
+        raise ValueError(
+            "log-return drift overflows: gbm_sigma**2 is out of range for "
+            f"gbm_sigma={scenario.gbm_sigma}"
+        ) from None
 
 
 def gbm_log_returns(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:
@@ -149,7 +155,7 @@ def gbm_log_returns(stream: RandomStream, scenario: Scenario, count: int) -> np.
     parameter variants.
     """
     z = stream.standard_normal(count)
-    return (scenario.gbm_mu - 0.5 * scenario.gbm_sigma**2) + scenario.gbm_sigma * z
+    return gbm_drift(scenario) + scenario.gbm_sigma * z
 
 
 def inflation_series(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:

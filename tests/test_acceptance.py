@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from pensionsim.accumulation import dearness_allowance, project_basic, yearly_contribution
+from pensionsim.accumulation import dearness_allowance, project_basic
 from pensionsim.engine import Scenario, baseline_scenario, run_path, run_scenario, sweep
 from pensionsim.io_cli import emit_summary
 from pensionsim.retirement import annual_pension, requirement_series
@@ -39,7 +39,7 @@ def test_criterion_1_salary_table_replay():
     basic = project_basic(params)
     da = dearness_allowance(basic[:4], inflations)
     salary = basic[:4] + da
-    contribution = [yearly_contribution(float(s), params) for s in salary]
+    contribution = [params.contribution_rate * float(s) for s in salary]
 
     expected = [
         (100.00, 0.00, 100.00, 24.00),

@@ -9,7 +9,6 @@ from pensionsim.accumulation import (
     accumulate_corpus,
     dearness_allowance,
     project_basic,
-    yearly_contribution,
 )
 from pensionsim.engine import Scenario
 
@@ -66,16 +65,16 @@ def test_da_length_mismatch_rejected():
 
 
 def test_contribution_is_combined_rate_on_salary():
-    assert yearly_contribution(104.97, BASE) == pytest.approx(25.19, abs=0.005)
-    assert yearly_contribution(239.93, BASE) == pytest.approx(57.58, abs=0.005)
-    assert yearly_contribution(0.0, BASE) == 0.0
+    assert BASE.contribution_rate * 104.97 == pytest.approx(25.19, abs=0.005)
+    assert BASE.contribution_rate * 239.93 == pytest.approx(57.58, abs=0.005)
+    assert BASE.contribution_rate * 0.0 == 0.0
 
 
 def test_salary_table_replay_full_rows():
     basic = project_basic(BASE)[:4]
     da = dearness_allowance(basic, TABLE_INFLATION)
     salary = basic + da
-    contribution = [yearly_contribution(float(s), BASE) for s in salary]
+    contribution = [BASE.contribution_rate * float(s) for s in salary]
     expected = [
         (100.00, 0.00, 100.00, 24.00),
         (103.00, 1.97, 104.97, 25.19),

@@ -467,6 +467,29 @@ def test_cli_overflow_names_the_fields(tmp_path, capsys, config, fields, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["sweep", "--param", "annuity_rate", "--values", "0.05,0.07"],
+        ["path", "--index", "0"],
+    ],
+    ids=["run", "sweep", "path"],
+)
+def test_cli_drift_overflow_names_gbm_sigma(tmp_path, capsys, argv):
+    # gbm_sigma**2 is out of float range
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("num_paths = 4\ngbm_sigma = 1e200\n")
+    out = tmp_path / "out"
+    if argv[0] != "path":
+        argv = argv + ["--out", str(out)]
+    assert cli_main(argv + ["--config", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "gbm_sigma" in captured.err
+    assert not out.exists()
+
+
 def _tree(directory):
     """Every entry under `directory`: file bytes, or None for a directory."""
     return {

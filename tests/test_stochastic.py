@@ -7,7 +7,6 @@ from scipy.special import ndtri
 from pensionsim.engine import Scenario
 from pensionsim.stochastic import (
     RandomStream,
-    draw_standard_normal,
     gbm_log_returns,
     inflation_series,
     philox_uniforms,
@@ -84,20 +83,20 @@ def test_stream_position_depends_only_on_draw_count():
     # five zero-sigma log-returns must consume exactly five draws
     consumed = RandomStream(7, 0)
     gbm_log_returns(consumed, Scenario(gbm_mu=0.09, gbm_sigma=0.0), 5)
-    after_gbm = draw_standard_normal(consumed)
+    after_gbm = consumed.standard_normal(1)[0]
 
     plain = RandomStream(7, 0)
     plain.standard_normal(5)
-    after_plain = draw_standard_normal(plain)
+    after_plain = plain.standard_normal(1)[0]
 
     assert after_gbm == after_plain
     assert after_gbm == RandomStream(7, 0).standard_normal(6)[5]
 
 
-def test_draw_standard_normal_advances_one():
+def test_one_draw_advances_the_stream_by_one():
     stream = RandomStream(3, 2)
-    first = draw_standard_normal(stream)
-    second = draw_standard_normal(stream)
+    first = stream.standard_normal(1)[0]
+    second = stream.standard_normal(1)[0]
     fresh = RandomStream(3, 2).standard_normal(2)
     assert first == fresh[0]
     assert second == fresh[1]
