@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,8 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CareerYear:
+class CareerYear(NamedTuple):
     """One accumulation-phase year; log_return is 0.0 in year 1 (no prior year)."""
 
     year: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class Scenario:
     annuity_rate: float = _field(0.07, "retirement", low=0)
     risk_free_rate: float = _field(0.07, "retirement", low=0)
     guarantee_fraction: float = _field(0.5, "retirement", low=0, high=1)
-    num_paths: int = _field(1000, "draws", low=1)
+    num_paths: int = _field(1000, "draws", low=1, high=2**64)  # path k draws stream k < 2**64
     seed: int = _field(42, "draws", low=0, high=2**64 - 1)
 
     def __post_init__(self) -> None:
@@ -180,10 +180,10 @@ def _coerce(field: Field, value) -> int | float:
         value = field.kind(value)
     if field.kind is float and not math.isfinite(value):
         problem = "must be finite"
-    elif field.high is not None and not field.low <= value <= field.high:
-        problem = f"must be within [{field.low}, {field.high}]"
     elif field.low is not None and (value <= field.low if field.low_open else value < field.low):
         problem = f"must be {'>' if field.low_open else '>='} {field.low}"
+    elif field.high is not None and value > field.high:
+        problem = f"must be <= {field.high}"
     else:
         return value
     raise ConfigError(f"{key} {problem}, got {value}")
@@ -227,8 +227,7 @@ def with_field(scenario: Scenario, key: str, value) -> Scenario:
     return dataclasses.replace(scenario, **{key: value})
 
 
-@dataclass(frozen=True)
-class PathOutcome:
+class PathOutcome(NamedTuple):
     """Per-path results; pension is final_corpus * annuity_rate by construction."""
 
     path_index: int
@@ -286,19 +285,8 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
         shortfall_years=shortfall_years(rows),
         pv_support=pv_support(rows, scenario.risk_free_rate, n),
     )
-    career = tuple(
-        CareerYear(
-            year=t + 1,
-            inflation_pct=float(infl[t]),
-            basic=float(basic[t]),
-            da=float(da[t]),
-            salary=float(salary[t]),
-            contribution=float(contributions[t]),
-            log_return=float(rets[t - 1]) if t else 0.0,
-            corpus=float(corpus[t]),
-        )
-        for t in range(n)
-    )
+    columns = (infl[:n], basic, da, salary, contributions, np.concatenate(([0.0], rets)), corpus)
+    career = tuple(map(CareerYear, range(1, n + 1), *(column.tolist() for column in columns)))
     return PathDetail(outcome=outcome, career=career, retirement=tuple(rows))
 
 

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
 import sys
-from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -68,6 +66,7 @@ def _parse_value(key: str, token: str, where: str) -> int | float:
 def parse_scenario(text: str) -> Scenario:
     """Parse `key = value` lines into a Scenario; omitted keys take the defaults."""
     values: dict[str, int | float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +78,9 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw.strip()!r}")
         if not token:
             raise ConfigError(f"line {lineno}: missing value for {key}")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         values[key] = _parse_value(key, token, f"line {lineno}")
     return scenario_from_values(values)
 
@@ -95,9 +97,7 @@ def scenario_text(scenario: Scenario) -> str:
 
 # cell text by column type, converting a whole column at once: ints as
 # is, floats (numpy scalars too) as the shortest round-trip decimal, bools
-# as true/false. Columns are read straight from the rows, with no tuple per
-# row, because every live tuple counts towards the next garbage-collector
-# pass, and the extra passes cost about 1% of a `path` request.
+# as true/false
 _CELLS = {
     int: lambda column: map(str, column),
     float: lambda column: map(repr, map(float, column)),
@@ -106,10 +106,9 @@ _CELLS = {
 
 
 def _table(row_type) -> tuple[str, tuple]:
-    """CSV header and (field getter, column converter) pairs of a year-row dataclass."""
-    names = [field.name for field in dataclasses.fields(row_type)]
+    """CSV header and column converters of a year-row named tuple."""
     kinds = get_type_hints(row_type)
-    return ",".join(names), tuple((attrgetter(name), _CELLS[kinds[name]]) for name in names)
+    return ",".join(row_type._fields), tuple(_CELLS[kinds[name]] for name in row_type._fields)
 
 
 _TABLES = {row_type: _table(row_type) for row_type in (CareerYear, RetirementYear)}
@@ -119,9 +118,9 @@ RETIREMENT_CSV_HEADER = _TABLES[RetirementYear][0]
 
 def _csv(row_type, rows) -> str:
     """One line per row, one column per field of `row_type`, full precision."""
-    header, fields = _TABLES[row_type]
-    rows = tuple(rows)
-    columns = [cell(map(value, rows)) for value, cell in fields]
+    header, cells = _TABLES[row_type]
+    # each row is a tuple of row_type's fields, so zip(*rows) gives the columns
+    columns = [cell(column) for cell, column in zip(cells, zip(*rows))]
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 

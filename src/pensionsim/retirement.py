@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,8 +17,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RetirementYear:
+class RetirementYear(NamedTuple):
     """One payout year: the benchmark, the fixed pension, and any guarantee top-up."""
 
     year: int
@@ -70,20 +68,11 @@ def evaluate_retirement(
         raise ValueError(
             f"requirements and inflation lengths differ: {req.shape} vs {infl.shape}"
         )
+    pension = float(pension)
     rows = []
-    for k in range(req.shape[0]):
-        need = float(req[k])
+    for year, (rate, need) in enumerate(zip(infl.tolist(), req.tolist()), start_year):
         ok = pension >= need
-        rows.append(
-            RetirementYear(
-                year=start_year + k,
-                inflation_pct=float(infl[k]),
-                requirement=need,
-                pension=float(pension),
-                sufficient=bool(ok),
-                top_up=0.0 if ok else need - pension,
-            )
-        )
+        rows.append(RetirementYear(year, rate, need, pension, ok, 0.0 if ok else need - pension))
     return rows
 
 

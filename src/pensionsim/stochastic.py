@@ -61,8 +61,9 @@ class RandomStream:
             raise ValueError(f"stream_id must be >= 0, got {stream_id}")
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
-        # the counter of Philox(key=seed).jumped(k), set directly
-        bitgen = np.random.Philox(key=self.master_seed, counter=[0, 0, self.stream_id, 0])
+        # the counter of Philox(key=seed).jumped(k), set directly: k in the
+        # third 64-bit word (a list would pass k through float64)
+        bitgen = np.random.Philox(key=self.master_seed, counter=self.stream_id << 128)
         self._gen = np.random.Generator(bitgen)
 
     def __repr__(self) -> str:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import errno
 import json
 import math
@@ -119,9 +118,23 @@ def test_readme_scenario_table_lists_every_field_and_default():
         assert field.kind(default) == field.default, field.key
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[1:]] == ["0.05", "0.07"]
+
+
 def test_cross_field_violation_rejected():
     with pytest.raises(ConfigError, match="employ"):
         parse_scenario("employee_rate = 0.6\nemployer_rate = 0.6\n")
+
+
+def test_key_set_twice_rejected():
+    with pytest.raises(ConfigError, match="^line 3: annuity_rate is already set on line 1$"):
+        parse_scenario("annuity_rate = 0.05\n# the same value again\nannuity_rate = 0.05\n")
 
 
 def test_missing_separator_rejected():
@@ -166,7 +179,7 @@ def test_retirement_csv_layout_and_booleans():
 def _numpy_scalars(row):
     # np.float32, not np.float64: np.float64 is a float subclass and prints as one
     kinds = {int: np.int64, float: np.float32, bool: np.bool_}
-    return dataclasses.replace(row, **{k: kinds[type(v)](v) for k, v in vars(row).items()})
+    return row._replace(**{k: kinds[type(v)](v) for k, v in row._asdict().items()})
 
 
 def test_csv_renders_numpy_scalar_fields_as_plain_numbers():
@@ -174,7 +187,7 @@ def test_csv_renders_numpy_scalar_fields_as_plain_numbers():
     for render, rows in ((career_csv, detail.career), (retirement_csv, detail.retirement)):
         numpy_rows = [_numpy_scalars(row) for row in rows]
         plain_rows = [
-            dataclasses.replace(row, **{k: v.item() for k, v in vars(row).items()})
+            row._replace(**{k: v.item() for k, v in row._asdict().items()})
             for row in numpy_rows
         ]
         text = render(numpy_rows)
@@ -409,6 +422,17 @@ def test_cli_bad_detail_index_writes_nothing(tmp_path, capsys, index):
     assert rc == 1
     assert "path_index" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_num_paths_beyond_the_stream_ids_is_config_error(tmp_path, capsys):
+    # path k draws stream k, and stream ids are one 64-bit counter word;
+    # `path` computes only path 0, so without the bound it would succeed
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"num_paths = {2**64 + 1}\n")
+    assert cli_main(["path", "--config", str(config), "--index", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1: num_paths must be <= {2**64}, got {2**64 + 1}\n"
 
 
 def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys):

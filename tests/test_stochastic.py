@@ -54,7 +54,7 @@ def test_first_draws_frozen():
     )
 
 
-@pytest.mark.parametrize("stream_id", [0, 1, 7, 12345, 2**40])
+@pytest.mark.parametrize("stream_id", [0, 1, 7, 12345, 2**40, 2**63 + 1, 2**64 - 1])
 def test_streams_match_jumped_philox(stream_id):
     # the reference is numpy's own jump, not the counter both streams set
     seed = 2**64 - 1
