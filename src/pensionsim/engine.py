@@ -38,6 +38,7 @@ from .retirement import (
     shortfall_years,
 )
 from .stochastic import (
+    _WORD,
     RandomStream,
     gbm_drift,
     gbm_log_returns,
@@ -56,13 +57,11 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SummaryStats",
-    "baseline_scenario",
     "check_field",
     "run_path",
     "run_path_detail",
     "run_scenario",
     "scenario_from_values",
-    "scenario_values",
     "summarize",
     "sweep",
     "with_field",
@@ -106,8 +105,8 @@ class Scenario:
     annuity_rate: float = _field(0.07, "retirement", low=0)
     risk_free_rate: float = _field(0.07, "retirement", low=0)
     guarantee_fraction: float = _field(0.5, "retirement", low=0, high=1)
-    num_paths: int = _field(1000, "draws", low=1, high=2**64)  # path k draws stream k < 2**64
-    seed: int = _field(42, "draws", low=0, high=2**64 - 1)
+    num_paths: int = _field(1000, "draws", low=1, high=_WORD)  # path k draws stream k
+    seed: int = _field(42, "draws", low=0, high=_WORD - 1)
 
     def __post_init__(self) -> None:
         for field in FIELDS:
@@ -209,16 +208,6 @@ def scenario_from_values(values: dict[str, object]) -> Scenario:
     """Build a validated Scenario from flat key/value overrides of the defaults."""
     _check_keys(values)
     return Scenario(**values)
-
-
-def baseline_scenario(**overrides) -> Scenario:
-    """The default configuration, optionally overridden by flat keys."""
-    return scenario_from_values(overrides)
-
-
-def scenario_values(scenario: Scenario) -> dict[str, int | float]:
-    """Flat key/value view of a Scenario, in canonical key order."""
-    return {field.key: getattr(scenario, field.key) for field in FIELDS}
 
 
 def with_field(scenario: Scenario, key: str, value) -> Scenario:

@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import get_type_hints
 
@@ -28,7 +29,6 @@ from .engine import (
     run_path_detail,
     run_scenario,
     scenario_from_values,
-    scenario_values,
     sweep,
     with_field,
 )
@@ -92,7 +92,7 @@ def _fmt(value) -> str:
 
 def scenario_text(scenario: Scenario) -> str:
     """Render a Scenario as a file parse_scenario reads back identically."""
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in scenario_values(scenario).items())
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in asdict(scenario).items())
 
 
 # cell text by column type, converting a whole column at once: ints as
@@ -153,7 +153,7 @@ def emit_summary(result: ScenarioResult) -> str:
     """Deterministic JSON report: resolved scenario echo plus per-metric summaries."""
     doc = {
         "scenario": {
-            **scenario_values(result.scenario),
+            **asdict(result.scenario),
             "conventions": dict(CONVENTIONS),
         },
         "metrics": {name: _stats_block(result.metric(name)) for name in METRICS},
@@ -243,7 +243,7 @@ def _load_scenario(args) -> Scenario:
         text = ""
     else:
         try:
-            text = args.config.read_text(encoding="utf-8")
+            text = args.config.read_text(encoding="utf-8-sig")  # a BOM is skipped
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
         except (OSError, UnicodeDecodeError) as exc:

@@ -19,6 +19,7 @@ time.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +37,8 @@ __all__ = [
     "stream_normals",
 ]
 
-_SEED_LIMIT = 2**64
+# a seed and a stream id are one 64-bit Philox word each
+_WORD = 2**64
 # smallest nonzero value Generator.random() can produce; exact zeros are
 # clamped to it so the inverse CDF stays finite
 _UNIFORM_FLOOR = 2.0**-53
@@ -46,28 +48,32 @@ _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 2**64 - 1
+_MASK64 = _WORD - 1
+
+
+def _check_streams(master_seed, first, count) -> tuple[int, int, int]:
+    """Seed, first id and count as ints (a float is a TypeError), each id in 64 bits."""
+    master_seed, first, count = map(operator.index, (master_seed, first, count))
+    if not 0 <= master_seed < _WORD:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= first < _WORD:
+        raise ValueError(f"stream id must be in [0, 2**64), got {first}")
+    if first + count > _WORD:
+        raise ValueError(f"first + count must be <= 2**64, got {first} + {count}")
+    return master_seed, first, count
 
 
 class RandomStream:
     """A single-owner draw sequence identified by (master_seed, stream_id)."""
 
     def __init__(self, master_seed: int, stream_id: int) -> None:
-        if not 0 <= master_seed < _SEED_LIMIT:
-            raise ValueError(
-                f"master_seed must be an unsigned 64-bit integer, got {master_seed}"
-            )
-        if stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {stream_id}")
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
+        master_seed, stream_id, _ = _check_streams(master_seed, stream_id, 1)
         # the counter of Philox(key=seed).jumped(k), set directly: k in the
         # third 64-bit word (a list would pass k through float64)
-        bitgen = np.random.Philox(key=self.master_seed, counter=self.stream_id << 128)
+        bitgen = np.random.Philox(key=master_seed, counter=stream_id << 128)
         self._gen = np.random.Generator(bitgen)
-
-    def __repr__(self) -> str:
-        return f"RandomStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
     def standard_normal(self, count: int) -> np.ndarray:
         """Draw `count` N(0, 1) variates, consuming exactly one uniform each."""
@@ -107,6 +113,9 @@ def philox_uniforms(master_seed: int, first: int, count: int, size: int) -> np.n
     numpy's Philox increments the counter before it generates, so block j
     of stream k, counting from 1, is computed from the counter [j, 0, k, 0].
     """
+    master_seed, first, count = _check_streams(master_seed, first, count)
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     blocks = -(-size // 4)
     x0, x2 = np.meshgrid(
         np.arange(1, blocks + 1, dtype=np.uint64),

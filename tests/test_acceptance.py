@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from pensionsim.accumulation import dearness_allowance, project_basic
-from pensionsim.engine import Scenario, baseline_scenario, run_path, run_scenario, sweep
+from pensionsim.engine import Scenario, run_path, run_scenario, sweep
 from pensionsim.io_cli import emit_summary
 from pensionsim.retirement import annual_pension, requirement_series
 from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_series
@@ -25,7 +25,7 @@ def _result(paths: int, **overrides):
     """Memoized run so several criteria can share the heavy 10k-path runs."""
     key = (paths, tuple(sorted(overrides.items())))
     if key not in _RESULTS:
-        _RESULTS[key] = run_scenario(baseline_scenario(num_paths=paths, **overrides))
+        _RESULTS[key] = run_scenario(Scenario(num_paths=paths, **overrides))
     return _RESULTS[key]
 
 
@@ -34,7 +34,7 @@ def _report(number: int, name: str) -> None:
 
 
 def test_criterion_1_salary_table_replay():
-    params = baseline_scenario()
+    params = Scenario()
     inflations = [1.97, 2.92, 3.61, 4.69]
     basic = project_basic(params)
     da = dearness_allowance(basic[:4], inflations)
@@ -150,7 +150,7 @@ def test_criterion_5_guarantee_cost():
 
 def test_criterion_6_ordering_properties():
     variants = sweep(
-        baseline_scenario(num_paths=2000),
+        Scenario(num_paths=2000),
         [("gbm_mu", 0.07), ("gbm_mu", 0.09), ("gbm_mu", 0.11)],
     )
     means = [v.final_corpus.mean for v in variants]
@@ -183,7 +183,7 @@ def test_criterion_7_stochastic_statistics():
 
 
 def test_criterion_8_byte_determinism():
-    scenario = baseline_scenario(num_paths=400)
+    scenario = Scenario(num_paths=400)
     result = run_scenario(scenario)
     first = emit_summary(result)
     second = emit_summary(run_scenario(scenario))

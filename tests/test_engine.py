@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from collections import Counter
 from unittest import mock
 
@@ -16,12 +17,10 @@ from pensionsim.engine import (
     METRICS,
     ConfigError,
     Scenario,
-    baseline_scenario,
     run_path,
     run_path_detail,
     run_scenario,
     scenario_from_values,
-    scenario_values,
     summarize,
     sweep,
     with_field,
@@ -38,7 +37,7 @@ from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_serie
 
 
 def test_baseline_scenario_carries_the_documented_defaults():
-    scenario = baseline_scenario()
+    scenario = Scenario()
     assert scenario.service_years == 30
     assert scenario.retirement_years == 20
     assert scenario.basic_start == 100.0
@@ -57,8 +56,8 @@ def test_baseline_scenario_carries_the_documented_defaults():
 
 
 def test_scenario_values_round_trips():
-    scenario = baseline_scenario(gbm_mu=0.11, num_paths=64)
-    values = scenario_values(scenario)
+    scenario = Scenario(gbm_mu=0.11, num_paths=64)
+    values = dataclasses.asdict(scenario)
     assert list(values) == list(DEFAULTS)
     assert scenario_from_values(values) == scenario
 
@@ -67,7 +66,7 @@ def test_unknown_field_rejected():
     with pytest.raises(ConfigError):
         scenario_from_values({"gbm_nu": 0.1})
     with pytest.raises(ConfigError):
-        with_field(baseline_scenario(), "volatility", 0.2)
+        with_field(Scenario(), "volatility", 0.2)
 
 
 def test_invariant_violations_surface_as_config_errors():
@@ -92,10 +91,10 @@ def test_invariant_violations_surface_as_config_errors():
     ],
     ids=["non-integer", "bool", "unparseable-text"],
 )
-def test_scenario_rejects_what_baseline_scenario_rejects(values, key):
-    for build in (Scenario, baseline_scenario):
+def test_scenario_rejects_what_scenario_from_values_rejects(values, key):
+    for build in (lambda: Scenario(**values), lambda: scenario_from_values(values)):
         with pytest.raises(ConfigError, match=f"\\b{key}\\b"):
-            build(**values)
+            build()
 
 
 def test_scenario_stores_coerced_values():
@@ -104,25 +103,25 @@ def test_scenario_stores_coerced_values():
     assert scenario.num_paths == 5 and type(scenario.num_paths) is int
     assert scenario.gbm_mu == 0.5 and type(scenario.gbm_mu) is float
     assert scenario.seed == 7 and type(scenario.seed) is int
-    assert scenario == baseline_scenario(basic_start=100, num_paths="5", gbm_mu=0.5, seed=7)
+    assert scenario == scenario_from_values(dict(basic_start=100, num_paths="5", gbm_mu=0.5, seed=7))
     assert with_field(scenario, "service_years", "25").service_years == 25
 
 
 def test_with_field_changes_exactly_one_field():
-    base = baseline_scenario()
+    base = Scenario()
     varied = with_field(base, "annuity_rate", 0.05)
     assert varied.annuity_rate == 0.05
-    expected = dict(scenario_values(base), annuity_rate=0.05)
-    assert scenario_values(varied) == expected
+    expected = dict(dataclasses.asdict(base), annuity_rate=0.05)
+    assert dataclasses.asdict(varied) == expected
 
 
 def test_run_path_is_deterministic():
-    scenario = baseline_scenario(num_paths=8, seed=11)
+    scenario = Scenario(num_paths=8, seed=11)
     assert run_path(scenario, 3) == run_path(scenario, 3)
 
 
 def test_run_path_rejects_out_of_range_index():
-    scenario = baseline_scenario(num_paths=8)
+    scenario = Scenario(num_paths=8)
     with pytest.raises(ConfigError):
         run_path(scenario, 8)
     with pytest.raises(ConfigError):
@@ -132,7 +131,7 @@ def test_run_path_rejects_out_of_range_index():
 def test_run_path_replays_the_published_draw_order():
     # the contract: n+m inflations first, then n-1 log-returns, one stream
     # per path keyed by (seed, path_index); anything else is a break
-    scenario = baseline_scenario(num_paths=8, seed=11)
+    scenario = Scenario(num_paths=8, seed=11)
     n = scenario.service_years
     m = scenario.retirement_years
     stream = RandomStream(11, 3)
@@ -160,7 +159,7 @@ def test_run_path_replays_the_published_draw_order():
 
 
 def test_detail_agrees_with_outcome_and_tables_line_up():
-    scenario = baseline_scenario(num_paths=4, seed=5)
+    scenario = Scenario(num_paths=4, seed=5)
     detail = run_path_detail(scenario, 2)
     assert detail.outcome == run_path(scenario, 2)
     assert len(detail.career) == 30
@@ -176,7 +175,7 @@ def test_detail_agrees_with_outcome_and_tables_line_up():
 
 
 def test_pension_identity_and_pv_shortfall_link():
-    scenario = baseline_scenario(num_paths=50, annuity_rate=0.05)
+    scenario = Scenario(num_paths=50, annuity_rate=0.05)
     result = run_scenario(scenario)
     for outcome in result.outcomes:
         assert outcome.pension == outcome.final_corpus * 0.05
@@ -185,21 +184,21 @@ def test_pension_identity_and_pv_shortfall_link():
 
 
 def test_run_scenario_keeps_index_order():
-    scenario = baseline_scenario(num_paths=12)
+    scenario = Scenario(num_paths=12)
     result = run_scenario(scenario)
     assert [o.path_index for o in result.outcomes] == list(range(12))
     assert result.final_corpus.count == 12
 
 
 def test_execution_order_cannot_change_results():
-    scenario = baseline_scenario(num_paths=48, seed=3)
+    scenario = Scenario(num_paths=48, seed=3)
     backwards = [run_path(scenario, i) for i in reversed(range(scenario.num_paths))]
     backwards.sort(key=lambda o: o.path_index)
     assert tuple(backwards) == run_scenario(scenario).outcomes
 
 
 def test_non_finite_outcome_names_metric_and_path():
-    scenario = baseline_scenario(num_paths=5, inflation_sd_pct=1e200)
+    scenario = Scenario(num_paths=5, inflation_sd_pct=1e200)
     with pytest.raises(ValueError, match="pv_support is not finite on path 0") as info:
         run_scenario(scenario)
     assert not isinstance(info.value, ConfigError)
@@ -216,7 +215,7 @@ def test_non_finite_outcome_names_metric_and_path():
     ],
 )
 def test_overflow_names_the_fields_in_both_engines(overrides, fields):
-    scenario = baseline_scenario(num_paths=3, **overrides)
+    scenario = Scenario(num_paths=3, **overrides)
     for run in (lambda: run_path(scenario, 0), lambda: run_scenario(scenario)):
         with pytest.raises(ValueError) as info:
             run()
@@ -233,7 +232,7 @@ def _bits(outcomes):
     "overrides", [{}, {"annuity_rate": 0.05}, {"service_years": 25}, {"gbm_sigma": 0.0}]
 )
 def test_batch_engine_equals_run_path_bitwise(overrides):
-    scenario = baseline_scenario(**overrides)  # 1000 paths: three blocks
+    scenario = Scenario(**overrides)  # 1000 paths: three blocks
     expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
     assert _bits(run_scenario(scenario).outcomes) == _bits(expected)
 
@@ -242,7 +241,7 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     # inflation this wide gives infinite and NaN requirements and top-ups;
     # run_scenario rejects such outcomes, but each block must still agree
     # with run_path field by field (a NaN requirement counts as a miss)
-    scenario = baseline_scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
+    scenario = Scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
     size = 2 * scenario.service_years + scenario.retirement_years - 1
     with np.errstate(all="ignore"):
         z = stream_normals(scenario.seed, 0, scenario.num_paths, size)
@@ -256,7 +255,7 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
 def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
     # 2**15 draws hold no whole path of this career; 1-path blocks would
     # cost more than the scalar loop, so blocks hold _MIN_BLOCK_PATHS = 8
-    scenario = baseline_scenario(
+    scenario = Scenario(
         service_years=20_000, increment_rate=0, risk_free_rate=0, gbm_mu=0, num_paths=20
     )
     career = engine._career
@@ -294,7 +293,7 @@ _RANGES = {
 
 def _scenarios(**overrides):
     ranges = {**_RANGES, **overrides}
-    return st.fixed_dictionaries(ranges).map(lambda values: baseline_scenario(**values))
+    return st.fixed_dictionaries(ranges).map(lambda values: Scenario(**values))
 
 
 @contextlib.contextmanager
@@ -310,7 +309,7 @@ def _small_blocks(scenario, block_paths):
 @settings(max_examples=60, deadline=None, database=None)
 @given(scenario=_scenarios(), block_paths=st.integers(1, 9))
 @example(  # every year misses, but each discounted top-up is subnormal and rounds to 0
-    scenario=baseline_scenario(
+    scenario=Scenario(
         num_paths=2, guarantee_fraction=5e-324, annuity_rate=0.0, risk_free_rate=0.15,
         basic_start=1.0, service_years=45, retirement_years=30, increment_rate=0.0,
     ),
@@ -347,7 +346,7 @@ def _sweeps(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(case=_sweeps(), block_paths=st.integers(1, 9))
 @example(  # -0.0 + -0.0 contributes -0.0 a year, so final_corpus is -0.0, not 0.0
-    case=(baseline_scenario(num_paths=3, employer_rate=-0.0), "employee_rate", [0.0, -0.0]),
+    case=(Scenario(num_paths=3, employer_rate=-0.0), "employee_rate", [0.0, -0.0]),
     block_paths=2,
 )
 def test_sweep_equals_separate_runs_bitwise(case, block_paths):
@@ -365,7 +364,7 @@ def test_sweep_equals_separate_runs_bitwise(case, block_paths):
 @pytest.mark.parametrize("field", engine.FIELDS, ids=lambda field: field.key)
 def test_sweep_of_each_field_equals_separate_runs(field):
     # a field tagged with too late a stage would share a stage it changes
-    base = baseline_scenario(num_paths=20)
+    base = Scenario(num_paths=20)
     other = field.default + 1 if field.kind is int else field.default / 2
     overrides = [(field.key, getattr(base, field.key)), (field.key, other)]
     with _small_blocks(base, 7):
@@ -397,7 +396,7 @@ def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, key, value
     for name in ("stream_normals", "_career", "_retirement"):
         spy(name)
     # 1000 paths make 3 blocks at each of these service_years
-    sweep(baseline_scenario(num_paths=1000), [(key, value) for value in values])
+    sweep(Scenario(num_paths=1000), [(key, value) for value in values])
     blocks = 3
     assert calls == {
         "stream_normals": normals * blocks,
@@ -416,7 +415,7 @@ def test_failing_scenario_draws_no_further_blocks(monkeypatch):
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     with pytest.raises(ValueError, match="growth factor"):
-        run_scenario(baseline_scenario(gbm_mu=800.0))  # 1000 paths: three blocks
+        run_scenario(Scenario(gbm_mu=800.0))  # 1000 paths: three blocks
     assert drawn == [0]
 
 
@@ -431,7 +430,7 @@ def test_sweep_whose_first_variant_fails_draws_no_further_blocks(monkeypatch):
     monkeypatch.setattr(engine, "stream_normals", spy)
     overrides = [("gbm_mu", value) for value in (800.0, 0.09, 0.1)]
     with pytest.raises(ValueError, match="growth factor"):
-        sweep(baseline_scenario(), overrides)  # 1000 paths: three blocks
+        sweep(Scenario(), overrides)  # 1000 paths: three blocks
     # block 0 once for the sweep, once more for the first variant alone
     assert drawn == [0, 0]
 
@@ -462,7 +461,7 @@ def _first_error(scenarios):
     ],
 )
 def test_failing_sweep_raises_the_first_failing_variants_error(base, key, values):
-    base = baseline_scenario(num_paths=20, **base)
+    base = Scenario(num_paths=20, **base)
     expected = _first_error(with_field(base, key, value) for value in values)
     with pytest.raises(type(expected)) as info:
         sweep(base, [(key, value) for value in values])
@@ -488,7 +487,7 @@ def test_raising_gbm_mu_never_hurts_a_path(scenario, raise_by):
 
 
 def test_degenerate_randomness_collapses_paths():
-    scenario = baseline_scenario(num_paths=6, gbm_sigma=0.0, inflation_sd_pct=0.0)
+    scenario = Scenario(num_paths=6, gbm_sigma=0.0, inflation_sd_pct=0.0)
     result = run_scenario(scenario)
     first = result.outcomes[0]
     assert all(o.final_corpus == first.final_corpus for o in result.outcomes)
@@ -498,7 +497,7 @@ def test_degenerate_randomness_collapses_paths():
 
 
 def test_common_random_numbers_couple_variants_per_path():
-    base = baseline_scenario(num_paths=300)
+    base = Scenario(num_paths=300)
     seven, five = sweep(base, [("annuity_rate", 0.07), ("annuity_rate", 0.05)])
     assert seven.scenario.seed == base.seed
     assert five.scenario.seed == base.seed
@@ -509,18 +508,18 @@ def test_common_random_numbers_couple_variants_per_path():
 
 
 def test_sweep_preserves_order():
-    base = baseline_scenario(num_paths=20)
+    base = Scenario(num_paths=20)
     results = sweep(base, [("gbm_mu", 0.07), ("gbm_mu", 0.09), ("gbm_mu", 0.11)])
     assert [r.scenario.gbm_mu for r in results] == [0.07, 0.09, 0.11]
 
 
 def test_sweep_unknown_field_rejected():
     with pytest.raises(ConfigError):
-        sweep(baseline_scenario(num_paths=4), [("no_such_key", 1.0)])
+        sweep(Scenario(num_paths=4), [("no_such_key", 1.0)])
 
 
 def test_metric_accessor():
-    result = run_scenario(baseline_scenario(num_paths=5))
+    result = run_scenario(Scenario(num_paths=5))
     for name in METRICS:
         assert result.metric(name) is getattr(result, name)
     with pytest.raises(KeyError):
@@ -581,6 +580,6 @@ def test_summarize_rejects_bad_input():
 
 
 def test_histogram_counts_sum_to_num_paths():
-    result = run_scenario(baseline_scenario(num_paths=77))
+    result = run_scenario(Scenario(num_paths=77))
     for name in METRICS:
         assert sum(result.metric(name).bin_counts) == 77

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import math
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +18,10 @@ from pensionsim import io_cli
 from pensionsim.engine import (
     FIELDS,
     ConfigError,
-    baseline_scenario,
+    Scenario,
     run_path_detail,
     run_scenario,
     scenario_from_values,
-    scenario_values,
 )
 from pensionsim.io_cli import (
     CAREER_CSV_HEADER,
@@ -34,7 +36,7 @@ from pensionsim.io_cli import (
 
 
 def test_empty_file_is_the_baseline():
-    assert parse_scenario("") == baseline_scenario()
+    assert parse_scenario("") == Scenario()
 
 
 def test_comments_blanks_and_overrides():
@@ -104,8 +106,8 @@ def test_field_boundaries_are_accepted():
         ("seed", 2**64 - 1),
         ("num_paths", 1),
     ):
-        assert scenario_values(scenario_from_values({key: value}))[key] == value
-        assert scenario_values(parse_scenario(f"{key} = {value}\n"))[key] == value
+        assert dataclasses.asdict(scenario_from_values({key: value}))[key] == value
+        assert dataclasses.asdict(parse_scenario(f"{key} = {value}\n"))[key] == value
     with pytest.raises(ConfigError, match="^line 1: basic_start must be > 0"):
         parse_scenario("basic_start = 0\n")
 
@@ -143,12 +145,12 @@ def test_missing_separator_rejected():
 
 
 def test_scenario_text_round_trips():
-    scenario = baseline_scenario(gbm_mu=0.11, seed=9, basic_start=250.0)
+    scenario = Scenario(gbm_mu=0.11, seed=9, basic_start=250.0)
     assert parse_scenario(scenario_text(scenario)) == scenario
 
 
 def test_career_csv_layout_and_precision():
-    detail = run_path_detail(baseline_scenario(num_paths=2, seed=8), 0)
+    detail = run_path_detail(Scenario(num_paths=2, seed=8), 0)
     text = career_csv(detail.career)
     lines = text.splitlines()
     assert lines[0] == CAREER_CSV_HEADER
@@ -164,7 +166,7 @@ def test_career_csv_layout_and_precision():
 
 
 def test_retirement_csv_layout_and_booleans():
-    detail = run_path_detail(baseline_scenario(num_paths=2, seed=8, annuity_rate=0.01), 1)
+    detail = run_path_detail(Scenario(num_paths=2, seed=8, annuity_rate=0.01), 1)
     text = retirement_csv(detail.retirement)
     lines = text.splitlines()
     assert lines[0] == RETIREMENT_CSV_HEADER
@@ -183,7 +185,7 @@ def _numpy_scalars(row):
 
 
 def test_csv_renders_numpy_scalar_fields_as_plain_numbers():
-    detail = run_path_detail(baseline_scenario(num_paths=2, annuity_rate=0.04), 1)
+    detail = run_path_detail(Scenario(num_paths=2, annuity_rate=0.04), 1)
     for render, rows in ((career_csv, detail.career), (retirement_csv, detail.retirement)):
         numpy_rows = [_numpy_scalars(row) for row in rows]
         plain_rows = [
@@ -198,7 +200,7 @@ def test_csv_renders_numpy_scalar_fields_as_plain_numbers():
 
 
 def test_emit_summary_shape_and_key_order():
-    result = run_scenario(baseline_scenario(num_paths=40))
+    result = run_scenario(Scenario(num_paths=40))
     text = emit_summary(result)
     doc = json.loads(text)
     assert list(doc) == ["scenario", "metrics"]
@@ -215,14 +217,14 @@ def test_emit_summary_shape_and_key_order():
 
 
 def test_emit_summary_bytes_stable():
-    scenario = baseline_scenario(num_paths=25)
+    scenario = Scenario(num_paths=25)
     first = emit_summary(run_scenario(scenario))
     second = emit_summary(run_scenario(scenario))
     assert first == second
 
 
 def test_single_path_summary_has_zero_sd():
-    result = run_scenario(baseline_scenario(num_paths=1))
+    result = run_scenario(Scenario(num_paths=1))
     doc = json.loads(emit_summary(result))
     for name in ("final_corpus", "shortfall_years", "pv_support"):
         assert doc["metrics"][name]["sd"] == 0.0
@@ -433,6 +435,43 @@ def test_cli_num_paths_beyond_the_stream_ids_is_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 1: num_paths must be <= {2**64}, got {2**64 + 1}\n"
+
+
+@pytest.mark.parametrize("command", ["path", "run"])
+def test_cli_config_with_a_byte_order_mark(tmp_path, capsys, command):
+    # some Windows editors save UTF-8 with a leading BOM
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes("num_paths = 5\nseed = 3\n".encode("utf-8-sig"))
+    out = tmp_path / "out"
+    argv = ["--index", "4"] if command == "path" else ["--out", str(out)]
+    assert cli_main([command, "--config", str(config), *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "run":
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert (summary["scenario"]["num_paths"], summary["scenario"]["seed"]) == (5, 3)
+    else:
+        assert captured.out.startswith(CAREER_CSV_HEADER + "\n")
+        assert cli_main(["path", "--config", str(config), "--index", "5"]) == 1  # num_paths = 5
+
+
+@pytest.mark.parametrize(
+    "config, code, stream, expected",
+    [("", 0, "stdout", CAREER_CSV_HEADER + "\n"), ("gbm_sigma = 1e200\n", 2, "stderr", "error: ")],
+    ids=["success", "runtime-error"],
+)
+def test_module_entry_point_exits_with_the_code(tmp_path, config, code, stream, expected):
+    # the exit code must reach the shell through main()'s SystemExit
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(config)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "pensionsim", "path", "--index", "0", "--config", str(scenario)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code
+    assert getattr(done, stream).startswith(expected)
+    if code:
+        assert "gbm_sigma" in done.stderr and done.stdout == ""
 
 
 def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys):

@@ -145,20 +145,57 @@ def test_inflation_moments_at_a_million_draws():
     assert abs(infl.std(ddof=1) - 1.0) <= 0.005
 
 
+# both stream APIs, each drawing three normals from one (seed, stream id)
+STREAM_APIS = (
+    lambda seed, stream_id: RandomStream(seed, stream_id).standard_normal(3),
+    lambda seed, stream_id: stream_normals(seed, stream_id, 1, 3)[0],
+)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_out_of_range_rejected(seed):
-    with pytest.raises(ValueError):
-        RandomStream(seed, 0)
+    for draw in STREAM_APIS:
+        with pytest.raises(ValueError, match="master_seed"):
+            draw(seed, 0)
 
 
 def test_negative_stream_id_rejected():
-    with pytest.raises(ValueError):
-        RandomStream(0, -1)
+    for draw in STREAM_APIS:
+        with pytest.raises(ValueError, match="stream id"):
+            draw(0, -1)
+
+
+def test_stream_ids_past_64_bits_rejected():
+    # one id past the last would read counter word 3, outside [j, 0, k, 0]
+    for draw in STREAM_APIS:
+        with pytest.raises(ValueError, match="stream id"):
+            draw(0, 2**64)
+    with pytest.raises(ValueError, match="first \\+ count"):
+        stream_normals(0, 2**64 - 1, 2, 3)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (0, 2.0)], ids=["seed", "stream-id"])
+def test_float_seed_or_stream_id_rejected(seed, stream_id):
+    for draw in STREAM_APIS:
+        with pytest.raises(TypeError):
+            draw(seed, stream_id)
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count"):
         RandomStream(0, 0).standard_normal(-1)
+    with pytest.raises(ValueError, match="count"):
+        stream_normals(0, 0, -1, 2)
+    with pytest.raises(ValueError, match="size"):
+        stream_normals(0, 0, 2, -3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seed_and_stream_id_draw_as_python_ints():
+    top = 2**64 - 1
+    for draw in STREAM_APIS:
+        assert np.array_equal(draw(np.uint64(3), np.int64(4)), draw(3, 4))
+        assert np.array_equal(draw(np.uint64(top), np.uint64(top)), draw(top, top))
 
 
 def test_bad_params_rejected():
