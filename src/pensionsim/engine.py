@@ -58,6 +58,7 @@ __all__ = [
     "ScenarioResult",
     "SummaryStats",
     "check_field",
+    "check_outcome",
     "run_path",
     "run_path_detail",
     "run_scenario",
@@ -151,10 +152,6 @@ _BY_KEY = {field.key: field for field in FIELDS}
 # they drive, and the retirement scored on that career. Each stage reads its
 # own fields and those of every stage before it.
 _STAGES = ("draws", "career", "retirement")
-_READS = {
-    stage: tuple(f.key for f in FIELDS if _STAGES.index(f.stage) <= _STAGES.index(stage))
-    for stage in _STAGES
-}
 
 DEFAULTS: dict[str, int | float] = {field.key: field.default for field in FIELDS}
 
@@ -334,44 +331,30 @@ def _retirement(scenario: Scenario, corpus, salary, infl):
     return corpus, pension, shortfall, pv
 
 
-def _groups(scenarios: list[Scenario], indices, stage: str) -> list[list[int]]:
-    """`indices` grouped by the exact values of the fields `stage` reads.
-
-    Values compare by repr, which tells -0.0 from 0.0 where == does not.
-    """
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i in indices:
-        key = tuple(repr(getattr(scenarios[i], name)) for name in _READS[stage])
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _run(scenarios: list[Scenario]) -> list[ScenarioResult]:
+def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
     """The results of `scenarios`, in order, computed one block of paths at a time.
 
-    In each block the normals are drawn once for the scenarios that share
-    the draws fields, the career is computed once for those that also share
-    the career fields, and each scenario's retirement is scored on it. When
-    a block of several scenarios fails, each scenario is rerun alone, in
-    order, so the error raised is that of the first failing scenario, as if
-    each ran alone.
+    The scenarios must agree on every field of the stages before `stage`,
+    and each block computes those stages once for all of them. When a block
+    of several scenarios fails, each is rerun alone, in order, so the error
+    raised is that of the first failing scenario, as if each ran alone.
     """
+    if stage == "draws" or not scenarios:
+        return [_run([scenario])[0] for scenario in scenarios]
+    s = scenarios[0]
     blocks: list[list[tuple]] = [[] for _ in scenarios]
     try:
         with np.errstate(all="ignore"):  # a blow-up is reported by _result, by metric and path
-            for draws in _groups(scenarios, range(len(scenarios)), "draws"):
-                careers = _groups(scenarios, draws, "career")
-                s = scenarios[draws[0]]
-                size = 2 * s.service_years + s.retirement_years - 1
-                per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
-                for first in range(0, s.num_paths, per_block):
-                    z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
-                    for career in careers:
-                        shared = _career(scenarios[career[0]], z)
-                        for i in career:
-                            blocks[i].append(_retirement(scenarios[i], *shared))
-                        del shared  # so that one block's shared arrays are alive at a time
-                    del z
+            size = 2 * s.service_years + s.retirement_years - 1
+            per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
+            for first in range(0, s.num_paths, per_block):
+                z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
+                shared = _career(s, z) if stage == "retirement" else None
+                for scenario, columns in zip(scenarios, blocks):
+                    career = _career(scenario, z) if shared is None else shared
+                    columns.append(_retirement(scenario, *career))
+                    del career  # so that one block's career arrays are alive at a time
+                del z, shared
     except (ValueError, ArithmeticError):
         if len(scenarios) > 1:
             for scenario in scenarios:
@@ -399,8 +382,8 @@ class SummaryStats:
     bin_counts: tuple[int, ...]
 
 
-def _histogram_range(arr: np.ndarray) -> tuple[float, float] | None:
-    """None where np.histogram's own range works; else a widened range.
+def _histogram_range(arr: np.ndarray) -> tuple[float, float]:
+    """[min, max] of `arr`, widened where the histogram's edges would collapse.
 
     np.histogram widens equal values by 0.5 itself, but raises when its
     edges collapse: values apart by a few ulps, or equal values too large
@@ -411,12 +394,12 @@ def _histogram_range(arr: np.ndarray) -> tuple[float, float] | None:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, _BIN_COUNT + 1)
     if np.all(edges[:-1] < edges[1:]):
-        return None
+        return lo, hi
     pad = max(0.5, max(abs(lo), abs(hi)) * 2.0**-40)
     return lo - pad, hi + pad
 
 
-def summarize(values) -> SummaryStats:
+def summarize(values, metric: str = "values") -> SummaryStats:
     """Moments, linear-interpolation quantiles, and a 30-bin equal-width histogram.
 
     The sd uses the n-1 divisor and is 0.0 for a single value. Histogram
@@ -425,21 +408,31 @@ def summarize(values) -> SummaryStats:
     narrow for distinct bin edges (equal values, or values apart by
     rounding only), it is widened on both sides: by 0.5, as np.histogram
     does for equal values, or by 2**-40 of the values' magnitude if larger.
+    Raises ValueError naming `metric` and the statistic if one is not finite.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("summarize needs at least one value")
-    counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=_histogram_range(arr))
-    qs = np.quantile(arr, _QUANTILE_LEVELS)
+    with np.errstate(all="ignore"):  # an overflow shows as a statistic that is not finite
+        moments = {
+            "mean": float(arr.mean()),
+            "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+            "min": float(arr.min()),
+            "max": float(arr.max()),
+        }
+        quantiles = dict(zip(QUANTILE_LABELS, np.quantile(arr, _QUANTILE_LEVELS).tolist()))
+        span = _histogram_range(arr)
+        named = {**moments, **quantiles, "first edge": span[0], "last edge": span[1]}
+        for stat, value in named.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{metric} {stat} is not finite: {value}")
+        counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=span)
     return SummaryStats(
         count=int(arr.size),
-        mean=float(arr.mean()),
-        sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        min=float(arr.min()),
-        max=float(arr.max()),
-        quantiles={label: float(q) for label, q in zip(QUANTILE_LABELS, qs)},
-        bin_edges=tuple(float(e) for e in edges),
-        bin_counts=tuple(int(c) for c in counts),
+        **moments,
+        quantiles=quantiles,
+        bin_edges=tuple(edges.tolist()),
+        bin_counts=tuple(counts.tolist()),
     )
 
 
@@ -459,25 +452,31 @@ class ScenarioResult:
         return getattr(self, name)
 
 
+def check_outcome(outcome: PathOutcome) -> None:
+    """Raise ValueError naming the metric and the first path when a metric is not finite.
+
+    Each field holds one path's value, or a column over the paths `path_index` lists.
+    """
+    values = np.array([np.atleast_1d(getattr(outcome, name)) for name in METRICS], dtype=float)
+    # values[metric, path]: the first that is not finite, in that order, or else (0, 0)
+    row, col = divmod(int(np.isfinite(values).argmin()), values.shape[1])
+    if not math.isfinite(values[row, col]):
+        path = np.atleast_1d(outcome.path_index)[col]
+        raise ValueError(f"{METRICS[row]} is not finite on path {path}: {values[row, col]}")
+
+
 def _result(scenario: Scenario, blocks) -> ScenarioResult:
     """Outcomes and summaries from `scenario`'s `_retirement` columns, block by block.
 
-    Raises ValueError naming the metric and the first path index when an
-    outcome is not finite (a numeric blow-up of the scenario's parameters).
+    Raises ValueError naming the metric when an outcome (see check_outcome)
+    or a summary statistic (see summarize) is not finite.
     """
-    total = scenario.num_paths
-    corpus, pension, shortfall, pv = (np.concatenate(column) for column in zip(*blocks))
-    metrics = dict(zip(METRICS, (corpus, shortfall, pv)))
-    for name, column in metrics.items():
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise ValueError(f"{name} is not finite on path {bad[0]}: {column[bad[0]]}")
+    columns = PathOutcome(np.arange(scenario.num_paths), *map(np.concatenate, zip(*blocks)))
+    check_outcome(columns)
     return ScenarioResult(
         scenario=scenario,
-        outcomes=tuple(
-            map(PathOutcome, range(total), *(c.tolist() for c in (corpus, pension, shortfall, pv)))
-        ),
-        **{name: summarize(column) for name, column in metrics.items()},
+        outcomes=tuple(map(PathOutcome, *(column.tolist() for column in columns))),
+        **{name: summarize(getattr(columns, name), name) for name in METRICS},
     )
 
 
@@ -486,8 +485,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     Paths run in blocks of at most _BLOCK_DRAWS draws, or of
     _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
-    `run_path`'s bit for bit. Raises ValueError naming the metric and the
-    first path index when an outcome is not finite (a numeric blow-up of the
+    `run_path`'s bit for bit. Raises ValueError naming the metric when an
+    outcome or a summary statistic is not finite (a numeric blow-up of the
     scenario's parameters). It runs sweep's block loop with one scenario, so
     an error in a block stops the run at that block.
     """
@@ -500,13 +499,14 @@ def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
     Every variant keeps the base seed, so variants share random
     streams path-by-path (common random numbers) and differences reflect
     the parameter change alone. The variants run together, block by block,
-    and each stage runs once per block for all variants that agree on the
-    fields it reads (see Field.stage): variants of annuity_rate,
-    risk_free_rate or guarantee_fraction share the normals and the career,
-    variants of another career field share the normals, and variants of
-    seed, service_years, retirement_years or num_paths share nothing. The
-    results equal separate run_scenario calls bit for bit. When a block
-    fails, the variants are rerun one by one, so the error raised is that
-    of the first variant, in the given order, that fails.
+    and share every stage before the earliest stage of the overridden
+    fields (see Field.stage). The results equal separate run_scenario calls
+    bit for bit. When a block fails, the variants are rerun one by one, so
+    the error raised is that of the first variant, in the given order, that
+    fails.
     """
-    return _run([with_field(base, key, value) for key, value in overrides])
+    scenarios, stages = [], ["retirement"]
+    for key, value in overrides:
+        scenarios.append(with_field(base, key, value))
+        stages.append(_BY_KEY[key].stage)
+    return _run(scenarios, min(stages, key=_STAGES.index))

@@ -26,6 +26,7 @@ from .engine import (
     ScenarioResult,
     SummaryStats,
     check_field,
+    check_outcome,
     run_path_detail,
     run_scenario,
     scenario_from_values,
@@ -158,7 +159,7 @@ def emit_summary(result: ScenarioResult) -> str:
         },
         "metrics": {name: _stats_block(result.metric(name)) for name in METRICS},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"  # strict JSON: no NaN or Infinity
 
 
 def _write_files(out: Path, files: dict[str, str]) -> None:
@@ -297,9 +298,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_path(args) -> int:
     scenario = _load_scenario(args)
     detail = run_path_detail(scenario, args.index)
-    sys.stdout.write(career_csv(detail.career))
-    sys.stdout.write("\n")
-    sys.stdout.write(retirement_csv(detail.retirement))
+    check_outcome(detail.outcome)  # as run does, before anything is written
+    sys.stdout.write(career_csv(detail.career) + "\n" + retirement_csv(detail.retirement))
     return 0
 
 

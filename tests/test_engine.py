@@ -374,14 +374,20 @@ def test_sweep_of_each_field_equals_separate_runs(field):
 
 
 @pytest.mark.parametrize(
-    "key, values, normals, careers",
+    "overrides, normals, careers",
     [
-        ("annuity_rate", (0.05, 0.07, 0.09), 1, 1),
-        ("gbm_sigma", (0.0, 0.05, 0.1), 1, 3),
-        ("service_years", (25, 30, 35), 3, 3),
+        ([("annuity_rate", value) for value in (0.05, 0.07, 0.09)], 1, 1),
+        ([("gbm_sigma", value) for value in (0.0, 0.05, 0.1)], 1, 3),
+        ([("service_years", value) for value in (25, 30, 35)], 3, 3),
+        # the earliest stage among the keys decides what is shared
+        ([("annuity_rate", 0.05), ("gbm_sigma", 0.1)], 1, 2),
+        ([("annuity_rate", 0.05), ("seed", 7)], 2, 2),
+        ([], 0, 0),
     ],
+    ids=["annuity_rate", "gbm_sigma", "service_years", "retirement+career", "retirement+draws",
+         "none"],
 )
-def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, key, values, normals, careers):
+def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, overrides, normals, careers):
     calls = Counter()
 
     def spy(name):
@@ -396,13 +402,21 @@ def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, key, value
     for name in ("stream_normals", "_career", "_retirement"):
         spy(name)
     # 1000 paths make 3 blocks at each of these service_years
-    sweep(Scenario(num_paths=1000), [(key, value) for value in values])
+    base = Scenario(num_paths=1000)
+    # a generator can be read only once
+    results = sweep(base, (override for override in overrides))
     blocks = 3
-    assert calls == {
+    assert calls == Counter({
         "stream_normals": normals * blocks,
         "_career": careers * blocks,
-        "_retirement": len(values) * blocks,
-    }
+        "_retirement": len(overrides) * blocks,
+    })
+    listed = sweep(base, list(overrides))
+    separate = [run_scenario(with_field(base, key, value)) for key, value in overrides]
+    for got in (results, listed):
+        assert [_bits(r.outcomes) for r in got] == [_bits(r.outcomes) for r in separate]
+        assert [emit_summary(r) for r in got] == [emit_summary(r) for r in separate]
+    assert sweep(base, []) == []
 
 
 def test_failing_scenario_draws_no_further_blocks(monkeypatch):
@@ -577,6 +591,15 @@ def test_summarize_histogram_of_values_apart_by_rounding(values):
 def test_summarize_rejects_bad_input():
     with pytest.raises(ValueError):
         summarize([])
+    # statistics out of float range: the sum, the squares, the spread
+    with pytest.raises(ValueError, match="^pv_support mean is not finite: inf$"):
+        summarize([1.7e308, 1.7e308], "pv_support")
+    with pytest.raises(ValueError, match="^final_corpus sd is not finite: inf$"):
+        summarize([1e200, 2e200, 3e200], "final_corpus")
+    with pytest.raises(ValueError, match="^values sd is not finite: inf$"):
+        summarize([-1.7e308, 1.7e308])
+    with pytest.raises(ValueError, match="^values last edge is not finite: inf$"):
+        summarize([1.7976931348623157e308])
 
 
 def test_histogram_counts_sum_to_num_paths():

@@ -9,14 +9,21 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pensionsim import io_cli
 from pensionsim.engine import (
+    DEFAULTS,
     FIELDS,
+    METRICS,
     ConfigError,
     Scenario,
     run_path_detail,
@@ -456,31 +463,113 @@ def test_cli_config_with_a_byte_order_mark(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "config, code, stream, expected",
-    [("", 0, "stdout", CAREER_CSV_HEADER + "\n"), ("gbm_sigma = 1e200\n", 2, "stderr", "error: ")],
-    ids=["success", "runtime-error"],
+    "command, config, code, stream, expected, names",
+    [
+        (["path", "--index", "0"], "", 0, "stdout", CAREER_CSV_HEADER + "\n", ()),
+        (["path", "--index", "0"], "gbm_sigma = 1e200\n", 2, "stderr", "error: ", ("gbm_sigma",)),
+        # the squares of the sd overflow; a real process, since pytest turns
+        # numpy's RuntimeWarning into an error of its own
+        (["run"], "num_paths = 3\nbasic_start = 1e200\n", 2, "stderr", "error: ",
+         ("final_corpus", "sd")),
+    ],
+    ids=["success", "runtime-error", "summary-overflow"],
 )
-def test_module_entry_point_exits_with_the_code(tmp_path, config, code, stream, expected):
+def test_module_entry_point_exits_with_the_code(
+    tmp_path, command, config, code, stream, expected, names
+):
     # the exit code must reach the shell through main()'s SystemExit
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(config)
+    out = tmp_path / "out"
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "pensionsim", "path", "--index", "0", "--config", str(scenario)]
+    argv = [sys.executable, "-m", "pensionsim", *command, "--config", str(scenario)]
+    if command[0] == "run":
+        argv += ["--out", str(out)]
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == code
     assert getattr(done, stream).startswith(expected)
     if code:
-        assert "gbm_sigma" in done.stderr and done.stdout == ""
+        assert all(name in done.stderr for name in names) and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and "RuntimeWarning" not in done.stderr
+        assert not out.exists()
 
 
-def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "path"])
+def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys, command):
     config = tmp_path / "scenario.cfg"
     config.write_text("num_paths = 5\ninflation_sd_pct = 1e200\n")
     out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
-    assert "pv_support is not finite on path 0" in capsys.readouterr().err
+    argv = ["--index", "0"] if command == "path" else ["--out", str(out)]
+    assert cli_main([command, "--config", str(config), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pv_support is not finite on path 0: inf\n"
+    assert captured.out == ""
     assert not out.exists()
+
+
+# each key at its default, zero and the float extremes; integer keys small
+# enough that a run stays quick, and at most 4 paths
+_EXTREMES = [0, 5e-324, 1e200, 1.7e308, -1.7e308]
+_CLI_VALUES = {
+    field.key: st.sampled_from([field.default, *_EXTREMES]) for field in FIELDS
+} | {
+    "service_years": st.sampled_from([0, 1, 2, 30]),
+    "retirement_years": st.sampled_from([0, 1, 20]),
+    "num_paths": st.integers(1, 4),
+    "seed": st.sampled_from([0, 2**64 - 1]),
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_CLI_VALUES)), unique=True, max_size=3))
+    values = {"num_paths": draw(_CLI_VALUES["num_paths"])}
+    values |= {key: draw(_CLI_VALUES[key]) for key in keys}
+    command = draw(st.sampled_from(["run", "sweep", "path"]))
+    if command == "run":
+        argv = ["run"]
+    elif command == "path":
+        argv = ["path", "--index", "0"]
+    else:
+        key = draw(st.sampled_from(sorted(_CLI_VALUES)))
+        swept = draw(st.lists(_CLI_VALUES[key], min_size=1, max_size=2))
+        # --values=V, since argparse reads a bare -1.7e+308 as an option
+        argv = ["sweep", "--param", key, "--values=" + ",".join(map(repr, swept))]
+    return "".join(f"{key} = {value!r}\n" for key, value in values.items()), argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(call=_cli_calls())
+def test_cli_error_contract_holds_across_the_scenario_space(call):
+    config_text, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.cfg"
+        config.write_text(config_text)
+        out = Path(tmp) / "out"
+        if argv[0] != "path":
+            argv = [*argv, "--out", str(out)]
+        stdout, stderr = StringIO(), StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli_main([*argv, "--config", str(config)])
+        assert code in (0, 1, 2)
+        if code:
+            [line] = stderr.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert any(name in line for name in (*DEFAULTS, *METRICS)), line
+            assert stdout.getvalue() == "" and not out.exists()
+        elif argv[0] == "path":
+            assert stdout.getvalue().startswith(CAREER_CSV_HEADER + "\n")
+        else:
+            assert stderr.getvalue() == ""
+            summaries = sorted(out.glob("summary*.json"))
+            assert summaries
+            for summary in summaries:
+                json.loads(summary.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 def test_cli_failing_sweep_reports_the_first_failing_variant(tmp_path, capsys):
