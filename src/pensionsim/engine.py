@@ -214,7 +214,7 @@ def with_field(scenario: Scenario, key: str, value) -> Scenario:
 
 
 class PathOutcome(NamedTuple):
-    """Per-path results; pension is final_corpus * annuity_rate by construction."""
+    """One path's values or arrays over a run's paths; pension is final_corpus * annuity_rate."""
 
     path_index: int
     final_corpus: float
@@ -436,12 +436,12 @@ def summarize(values, metric: str = "values") -> SummaryStats:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: outcomes holds arrays
 class ScenarioResult:
-    """All path outcomes plus per-metric summaries, in path-index order."""
+    """Outcomes as one array per PathOutcome field, in path-index order, plus summaries."""
 
     scenario: Scenario
-    outcomes: tuple[PathOutcome, ...]
+    outcomes: PathOutcome
     final_corpus: SummaryStats
     shortfall_years: SummaryStats
     pv_support: SummaryStats
@@ -471,13 +471,10 @@ def _result(scenario: Scenario, blocks) -> ScenarioResult:
     Raises ValueError naming the metric when an outcome (see check_outcome)
     or a summary statistic (see summarize) is not finite.
     """
-    columns = PathOutcome(np.arange(scenario.num_paths), *map(np.concatenate, zip(*blocks)))
-    check_outcome(columns)
-    return ScenarioResult(
-        scenario=scenario,
-        outcomes=tuple(map(PathOutcome, *(column.tolist() for column in columns))),
-        **{name: summarize(getattr(columns, name), name) for name in METRICS},
-    )
+    outcomes = PathOutcome(np.arange(scenario.num_paths), *map(np.concatenate, zip(*blocks)))
+    check_outcome(outcomes)
+    summaries = {name: summarize(getattr(outcomes, name), name) for name in METRICS}
+    return ScenarioResult(scenario=scenario, outcomes=outcomes, **summaries)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

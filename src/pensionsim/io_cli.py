@@ -153,10 +153,7 @@ def _stats_block(stats: SummaryStats) -> dict:
 def emit_summary(result: ScenarioResult) -> str:
     """Deterministic JSON report: resolved scenario echo plus per-metric summaries."""
     doc = {
-        "scenario": {
-            **asdict(result.scenario),
-            "conventions": dict(CONVENTIONS),
-        },
+        "scenario": {**asdict(result.scenario), "conventions": CONVENTIONS},
         "metrics": {name: _stats_block(result.metric(name)) for name in METRICS},
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"  # strict JSON: no NaN or Infinity
@@ -305,6 +302,11 @@ def _cmd_path(args) -> int:
 
 def cli_main(argv=None) -> int:
     """Entry point; returns 0 on success, 1 for config errors, 2 for runtime errors."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--values V" as "--values=V", since argparse would read a V such as -10,4 as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--values":
+            argv[i : i + 2] = [f"--values={argv[i + 1]}"]
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)

@@ -17,6 +17,7 @@ from pensionsim.engine import Scenario, run_path, run_scenario, sweep
 from pensionsim.io_cli import emit_summary
 from pensionsim.retirement import annual_pension, requirement_series
 from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_series
+from records import records
 
 _RESULTS: dict[tuple, object] = {}
 
@@ -109,16 +110,16 @@ def _pipeline_oracle(annuity_rate: float) -> tuple[float, int, float]:
 
 def test_criterion_3_closed_form_oracle():
     result = _result(3, gbm_sigma=0.0, inflation_sd_pct=0.0)
-    outcomes = result.outcomes
-    assert all(o.final_corpus == outcomes[0].final_corpus for o in outcomes)
+    final_corpus = result.outcomes.final_corpus
+    assert np.all(final_corpus == final_corpus[0])
 
-    corpus = outcomes[0].final_corpus
+    corpus = float(final_corpus[0])
     oracle_corpus = _corpus_geometric_oracle()
     assert abs(corpus / oracle_corpus - 1.0) <= 1e-9, (corpus, oracle_corpus)
 
     for annuity in (0.07, 0.05):
         result = _result(3, gbm_sigma=0.0, inflation_sd_pct=0.0, annuity_rate=annuity)
-        outcome = result.outcomes[0]
+        outcome = records(result.outcomes)[0]
         oracle_c, oracle_shortfall, oracle_pv = _pipeline_oracle(annuity)
         assert outcome.shortfall_years == oracle_shortfall, annuity
         assert outcome.pv_support == oracle_pv, (annuity, outcome.pv_support, oracle_pv)
@@ -191,7 +192,7 @@ def test_criterion_8_byte_determinism():
     # execution order cannot matter: paths run backwards give the same outcomes
     backwards = [run_path(scenario, i) for i in reversed(range(scenario.num_paths))]
     backwards.sort(key=lambda o: o.path_index)
-    assert tuple(backwards) == result.outcomes
+    assert tuple(backwards) == records(result.outcomes)
     _report(8, "byte determinism")
 
 

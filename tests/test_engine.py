@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -34,6 +35,7 @@ from pensionsim.retirement import (
     shortfall_years,
 )
 from pensionsim.stochastic import RandomStream, gbm_log_returns, inflation_series, stream_normals
+from records import records
 
 
 def test_baseline_scenario_carries_the_documented_defaults():
@@ -177,7 +179,7 @@ def test_detail_agrees_with_outcome_and_tables_line_up():
 def test_pension_identity_and_pv_shortfall_link():
     scenario = Scenario(num_paths=50, annuity_rate=0.05)
     result = run_scenario(scenario)
-    for outcome in result.outcomes:
+    for outcome in records(result.outcomes):
         assert outcome.pension == outcome.final_corpus * 0.05
         assert (outcome.shortfall_years == 0) == (outcome.pv_support == 0.0)
         assert outcome.pv_support >= 0.0
@@ -186,15 +188,35 @@ def test_pension_identity_and_pv_shortfall_link():
 def test_run_scenario_keeps_index_order():
     scenario = Scenario(num_paths=12)
     result = run_scenario(scenario)
-    assert [o.path_index for o in result.outcomes] == list(range(12))
+    assert result.outcomes.path_index.tolist() == list(range(12))
     assert result.final_corpus.count == 12
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_scenario, lambda scenario: sweep(scenario, [("annuity_rate", 0.05)])[0]],
+    ids=["run_scenario", "sweep"],
+)
+def test_outcomes_are_columns_with_no_per_path_objects(run):
+    scenario = Scenario(num_paths=10_000)
+    run(scenario)  # warm-up: imports, caches and allocator pools
+    tracemalloc.start()
+    try:
+        result = run(scenario)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # five 8-byte columns take 40 B a path; a PathOutcome of Python numbers takes some 150 B more
+    assert held <= 64 * scenario.num_paths, held / scenario.num_paths
+    for column in result.outcomes:
+        assert isinstance(column, np.ndarray) and column.shape == (scenario.num_paths,)
 
 
 def test_execution_order_cannot_change_results():
     scenario = Scenario(num_paths=48, seed=3)
     backwards = [run_path(scenario, i) for i in reversed(range(scenario.num_paths))]
     backwards.sort(key=lambda o: o.path_index)
-    assert tuple(backwards) == run_scenario(scenario).outcomes
+    assert tuple(backwards) == records(run_scenario(scenario).outcomes)
 
 
 def test_non_finite_outcome_names_metric_and_path():
@@ -234,7 +256,7 @@ def _bits(outcomes):
 def test_batch_engine_equals_run_path_bitwise(overrides):
     scenario = Scenario(**overrides)  # 1000 paths: three blocks
     expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
-    assert _bits(run_scenario(scenario).outcomes) == _bits(expected)
+    assert _bits(records(run_scenario(scenario).outcomes)) == _bits(expected)
 
 
 def test_batch_engine_keeps_the_scalar_nan_conventions():
@@ -247,8 +269,7 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
         z = stream_normals(scenario.seed, 0, scenario.num_paths, size)
         block = engine._retirement(scenario, *engine._career(scenario, z))
         expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
-    columns = (column.tolist() for column in block)
-    outcomes = map(engine.PathOutcome, range(scenario.num_paths), *columns)
+    outcomes = records(engine.PathOutcome(np.arange(scenario.num_paths), *block))
     assert _bits(outcomes) == _bits(expected)
 
 
@@ -266,7 +287,7 @@ def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
         return career(scenario, z)
 
     monkeypatch.setattr(engine, "_career", spy)
-    outcomes = run_scenario(scenario).outcomes
+    outcomes = records(run_scenario(scenario).outcomes)
     assert blocks == [8, 8, 4]
     for i in (0, 11, 19):
         assert repr(outcomes[i]) == repr(run_path(scenario, i))
@@ -317,7 +338,7 @@ def _small_blocks(scenario, block_paths):
 )
 def test_batch_engine_properties(scenario, block_paths):
     with _small_blocks(scenario, block_paths):
-        outcomes = run_scenario(scenario).outcomes
+        outcomes = records(run_scenario(scenario).outcomes)
     assert _bits(outcomes) == _bits(run_path(scenario, i) for i in range(scenario.num_paths))
     for outcome in outcomes:
         assert 0 <= outcome.shortfall_years <= scenario.retirement_years
@@ -357,7 +378,7 @@ def test_sweep_equals_separate_runs_bitwise(case, block_paths):
     assert len(results) == len(separate)
     for got, want in zip(results, separate):
         assert repr(got.scenario) == repr(want.scenario)
-        assert _bits(got.outcomes) == _bits(want.outcomes)
+        assert _bits(records(got.outcomes)) == _bits(records(want.outcomes))
         assert emit_summary(got) == emit_summary(want)
 
 
@@ -370,7 +391,9 @@ def test_sweep_of_each_field_equals_separate_runs(field):
     with _small_blocks(base, 7):
         results = sweep(base, overrides)
         separate = [run_scenario(with_field(base, key, value)) for key, value in overrides]
-    assert [_bits(r.outcomes) for r in results] == [_bits(r.outcomes) for r in separate]
+    assert [_bits(records(r.outcomes)) for r in results] == [
+        _bits(records(r.outcomes)) for r in separate
+    ]
 
 
 @pytest.mark.parametrize(
@@ -414,7 +437,9 @@ def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, overrides,
     listed = sweep(base, list(overrides))
     separate = [run_scenario(with_field(base, key, value)) for key, value in overrides]
     for got in (results, listed):
-        assert [_bits(r.outcomes) for r in got] == [_bits(r.outcomes) for r in separate]
+        assert [_bits(records(r.outcomes)) for r in got] == [
+            _bits(records(r.outcomes)) for r in separate
+        ]
         assert [emit_summary(r) for r in got] == [emit_summary(r) for r in separate]
     assert sweep(base, []) == []
 
@@ -494,7 +519,7 @@ _WIDE_INFLATION = _scenarios(
 def test_raising_gbm_mu_never_hurts_a_path(scenario, raise_by):
     # common random numbers: both runs share every draw, path by path
     richer = with_field(scenario, "gbm_mu", scenario.gbm_mu + raise_by)
-    for low, high in zip(run_scenario(scenario).outcomes, run_scenario(richer).outcomes):
+    for low, high in zip(*(records(run_scenario(s).outcomes) for s in (scenario, richer))):
         assert high.final_corpus >= low.final_corpus
         assert high.shortfall_years <= low.shortfall_years
         assert high.pv_support <= low.pv_support
@@ -503,8 +528,8 @@ def test_raising_gbm_mu_never_hurts_a_path(scenario, raise_by):
 def test_degenerate_randomness_collapses_paths():
     scenario = Scenario(num_paths=6, gbm_sigma=0.0, inflation_sd_pct=0.0)
     result = run_scenario(scenario)
-    first = result.outcomes[0]
-    assert all(o.final_corpus == first.final_corpus for o in result.outcomes)
+    final_corpus = result.outcomes.final_corpus
+    assert np.all(final_corpus == final_corpus[0])
     # identical values; the mean-based sd only reaches zero up to rounding
     assert result.final_corpus.sd <= 1e-8
     assert result.final_corpus.min == result.final_corpus.max
@@ -515,7 +540,7 @@ def test_common_random_numbers_couple_variants_per_path():
     seven, five = sweep(base, [("annuity_rate", 0.07), ("annuity_rate", 0.05)])
     assert seven.scenario.seed == base.seed
     assert five.scenario.seed == base.seed
-    for a, b in zip(seven.outcomes, five.outcomes):
+    for a, b in zip(records(seven.outcomes), records(five.outcomes)):
         assert a.final_corpus == b.final_corpus  # same draws, same corpus
         assert a.shortfall_years <= b.shortfall_years
         assert a.pv_support <= b.pv_support

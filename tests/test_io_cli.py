@@ -334,6 +334,24 @@ def test_cli_sweep_repeated_value_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "values, code", [("-10,4", 0), ("-1e1,4", 0), ("-.5,4", 0), ("-1.7e+308", 2)]
+)
+def test_cli_sweep_reads_a_negative_first_value_as_a_value(tmp_path, capsys, values, code):
+    # the token after --values is its value whatever its sign, as in --values=V
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_paths = 20\n")
+    runs = []
+    for flag in (["--values", values], [f"--values={values}"]):
+        out = tmp_path / f"out{len(runs)}"
+        argv = ["--config", str(config), "--param", "inflation_mean_pct", *flag, "--out", str(out)]
+        rc = cli_main(["sweep", *argv])
+        files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+        runs.append((rc, capsys.readouterr().err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code and bool(runs[0][2]) == (code == 0)
+
+
 def test_cli_path_prints_both_tables(capsys):
     rc = cli_main(["path", "--index", "3"])
     assert rc == 0
@@ -534,8 +552,7 @@ def _cli_calls(draw):
     else:
         key = draw(st.sampled_from(sorted(_CLI_VALUES)))
         swept = draw(st.lists(_CLI_VALUES[key], min_size=1, max_size=2))
-        # --values=V, since argparse reads a bare -1.7e+308 as an option
-        argv = ["sweep", "--param", key, "--values=" + ",".join(map(repr, swept))]
+        argv = ["sweep", "--param", key, "--values", ",".join(map(repr, swept))]
     return "".join(f"{key} = {value!r}\n" for key, value in values.items()), argv
 
 
