@@ -382,14 +382,8 @@ class SummaryStats:
     bin_counts: tuple[int, ...]
 
 
-def _histogram_range(arr: np.ndarray) -> tuple[float, float]:
-    """[min, max] of `arr`, widened where the histogram's edges would collapse.
-
-    np.histogram widens equal values by 0.5 itself, but raises when its
-    edges collapse: values apart by a few ulps, or equal values too large
-    for 0.5 to move.
-    """
-    lo, hi = float(arr.min()), float(arr.max())
+def _histogram_range(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], widened where the equal-width bin edges would collapse (see summarize)."""
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, _BIN_COUNT + 1)
@@ -408,7 +402,8 @@ def summarize(values, metric: str = "values") -> SummaryStats:
     narrow for distinct bin edges (equal values, or values apart by
     rounding only), it is widened on both sides: by 0.5, as np.histogram
     does for equal values, or by 2**-40 of the values' magnitude if larger.
-    Raises ValueError naming `metric` and the statistic if one is not finite.
+    The counts are taken against exactly `bin_edges`. Raises ValueError
+    naming `metric` and the statistic if one is not finite.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
@@ -421,18 +416,18 @@ def summarize(values, metric: str = "values") -> SummaryStats:
             "max": float(arr.max()),
         }
         quantiles = dict(zip(QUANTILE_LABELS, np.quantile(arr, _QUANTILE_LEVELS).tolist()))
-        span = _histogram_range(arr)
+        span = _histogram_range(moments["min"], moments["max"])
         named = {**moments, **quantiles, "first edge": span[0], "last edge": span[1]}
         for stat, value in named.items():
-            if not math.isfinite(value):
+            if not math.isfinite(value):  # checked before linspace, which makes NaN of inf
                 raise ValueError(f"{metric} {stat} is not finite: {value}")
-        counts, edges = np.histogram(arr, bins=_BIN_COUNT, range=span)
+        edges = np.linspace(*span, _BIN_COUNT + 1)
     return SummaryStats(
         count=int(arr.size),
         **moments,
         quantiles=quantiles,
         bin_edges=tuple(edges.tolist()),
-        bin_counts=tuple(counts.tolist()),
+        bin_counts=tuple(np.histogram(arr, bins=edges)[0].tolist()),
     )
 
 
@@ -457,12 +452,12 @@ def check_outcome(outcome: PathOutcome) -> None:
 
     Each field holds one path's value, or a column over the paths `path_index` lists.
     """
-    values = np.array([np.atleast_1d(getattr(outcome, name)) for name in METRICS], dtype=float)
-    # values[metric, path]: the first that is not finite, in that order, or else (0, 0)
-    row, col = divmod(int(np.isfinite(values).argmin()), values.shape[1])
-    if not math.isfinite(values[row, col]):
-        path = np.atleast_1d(outcome.path_index)[col]
-        raise ValueError(f"{METRICS[row]} is not finite on path {path}: {values[row, col]}")
+    for name in METRICS:
+        column = np.atleast_1d(getattr(outcome, name))
+        col = int(np.isfinite(column).argmin())  # the first that is not finite, or else 0
+        if not math.isfinite(column[col]):
+            path = np.atleast_1d(outcome.path_index)[col]
+            raise ValueError(f"{name} is not finite on path {path}: {column[col]}")
 
 
 def _result(scenario: Scenario, blocks) -> ScenarioResult:

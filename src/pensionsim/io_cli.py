@@ -216,22 +216,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--detail",
         type=int,
         nargs="+",
+        action="extend",  # a repeated --detail adds to the list; extend copies the default
         default=[],
         metavar="PATH_INDEX",
-        help="also write year-by-year CSVs for these path indices",
+        help="also write year-by-year CSVs for these path indices; may be repeated",
     )
     run_cmd.set_defaults(handler=_cmd_run)
 
     sweep_cmd = commands.add_parser("sweep", help="rerun one scenario field over several values")
-    sweep_cmd.add_argument("--config", type=Path)
+    sweep_cmd.add_argument("--config", type=Path, help="base scenario; defaults apply if omitted")
     sweep_cmd.add_argument("--param", required=True, help="scenario field to vary")
     sweep_cmd.add_argument("--values", required=True, help="comma-separated values")
-    sweep_cmd.add_argument("--out", type=Path, default=Path("."))
+    sweep_cmd.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     path_cmd = commands.add_parser("path", help="print one path's detail CSVs to stdout")
-    path_cmd.add_argument("--config", type=Path)
-    path_cmd.add_argument("--index", type=int, required=True)
+    path_cmd.add_argument("--config", type=Path, help="scenario file; defaults apply if omitted")
+    path_cmd.add_argument("--index", type=int, required=True, help="path index to print")
     path_cmd.set_defaults(handler=_cmd_path)
     return parser
 
@@ -303,10 +304,10 @@ def _cmd_path(args) -> int:
 def cli_main(argv=None) -> int:
     """Entry point; returns 0 on success, 1 for config errors, 2 for runtime errors."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # "--values V" as "--values=V", since argparse would read a V such as -10,4 as an option
+    # "--val V" as "--val=V" for each prefix of --values, lest argparse read a V of -1 as an option
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--values":
-            argv[i : i + 2] = [f"--values={argv[i + 1]}"]
+        if len(argv[i]) > 2 and "--values".startswith(argv[i]):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)

@@ -213,7 +213,7 @@ if __name__ == "__main__":
     for number, (name, check) in enumerate(_CRITERIA, start=1):
         try:
             check()
-        except AssertionError as exc:
+        except Exception as exc:  # a numeric error fails its criterion, and the next ones run
             failed += 1
-            print(f"criterion {number} ({name}): FAIL {exc}")
+            print(f"criterion {number} ({name}): FAIL {type(exc).__name__}: {exc}")
     raise SystemExit(1 if failed else 0)

@@ -17,7 +17,9 @@ from pensionsim.engine import (
     DEFAULTS,
     METRICS,
     ConfigError,
+    PathOutcome,
     Scenario,
+    check_outcome,
     run_path,
     run_path_detail,
     run_scenario,
@@ -224,6 +226,29 @@ def test_non_finite_outcome_names_metric_and_path():
     with pytest.raises(ValueError, match="pv_support is not finite on path 0") as info:
         run_scenario(scenario)
     assert not isinstance(info.value, ConfigError)
+
+
+def test_non_finite_outcome_names_the_first_metric_then_its_first_path():
+    final_corpus = np.array([1.0, 1.0, np.inf, np.nan])
+    pv = np.array([np.nan, 1.0, 1.0, 1.0])
+    outcome = PathOutcome(np.arange(4), final_corpus, final_corpus, np.zeros(4, np.int64), pv)
+    with pytest.raises(ValueError, match=r"^final_corpus is not finite on path 2: inf$"):
+        check_outcome(outcome)
+
+
+def test_check_outcome_makes_no_copy_of_the_columns():
+    n = 100_000
+    floats = [np.linspace(0.0, 1.0, n) for _ in range(3)]
+    outcome = PathOutcome(np.arange(n), *floats[:2], np.zeros(n, np.int64), floats[2])
+    check_outcome(outcome)  # warm-up
+    tracemalloc.start()
+    try:
+        check_outcome(outcome)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one column's 1-byte finiteness mask at a time; a float copy of the three took 24 B a path
+    assert peak <= 4 * n, peak / n
 
 
 @pytest.mark.parametrize(
@@ -608,7 +633,8 @@ def test_summarize_quantiles_are_ordered():
 def test_summarize_histogram_of_values_apart_by_rounding(values):
     # np.histogram alone raises "Too many bins" on these
     stats = summarize(values)
-    assert sum(stats.bin_counts) == len(values)
+    assert sum(stats.bin_counts) == len(values) == stats.count
+    assert stats.bin_counts == tuple(np.histogram(values, bins=stats.bin_edges)[0])
     assert all(a < b for a, b in zip(stats.bin_edges, stats.bin_edges[1:]))
     assert stats.bin_edges[0] <= min(values) and max(values) <= stats.bin_edges[-1]
 

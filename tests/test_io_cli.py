@@ -270,6 +270,15 @@ def test_cli_run_reads_config_and_writes_detail(tmp_path):
     assert len(career) == 31
 
 
+@pytest.mark.parametrize("detail", [["0", "--detail", "2"], ["0", "2", "--detail", "2"]])
+def test_cli_repeated_detail_adds_to_the_list(tmp_path, capsys, detail):
+    assert cli_main(["run", "--paths", "20", "--out", str(tmp_path), "--detail", *detail]) == 0
+    names = [f"path_{i}_{table}.csv" for i in (0, 2) for table in ("career", "retirement")]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["summary.json", *names])
+    wrote = capsys.readouterr().out.splitlines()
+    assert sorted(wrote) == sorted(f"wrote {tmp_path / name}" for name in ["summary.json", *names])
+
+
 def test_cli_two_runs_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     args = ["run", "--paths", "60", "--out"]
@@ -350,6 +359,24 @@ def test_cli_sweep_reads_a_negative_first_value_as_a_value(tmp_path, capsys, val
         runs.append((rc, capsys.readouterr().err, files))
     assert runs[0] == runs[1]
     assert runs[0][0] == code and bool(runs[0][2]) == (code == 0)
+
+
+@pytest.mark.parametrize("values", ["-10,4", "-1e1,4"])
+@pytest.mark.parametrize("flag", ["--v", "--val", "--value"])
+def test_cli_sweep_reads_a_negative_value_after_an_abbreviated_flag(
+    tmp_path, capsys, flag, values
+):
+    # argparse takes a prefix of an option for it: --val for --values, --pa for --param
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_paths = 20\n")
+    abbreviated = ["--pa", "inflation_mean_pct", flag, values]
+    runs = []
+    for flags in (abbreviated, ["--param", "inflation_mean_pct", "--values=-10,4"]):
+        out = tmp_path / f"out{len(runs)}"
+        assert cli_main(["sweep", "--config", str(config), *flags, "--out", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    capsys.readouterr()
+    assert runs[0] == runs[1] and len(runs[0]) == 3
 
 
 def test_cli_path_prints_both_tables(capsys):
