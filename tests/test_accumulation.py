@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from pensionsim.accumulation import (
     accumulate_corpus,
     dearness_allowance,
+    growth_factors,
     project_basic,
 )
 from pensionsim.engine import Scenario
+from pensionsim.stochastic import gbm_drift, stream_normals
 
 BASE = Scenario(
     service_years=30,
@@ -64,6 +67,11 @@ def test_da_length_mismatch_rejected():
         dearness_allowance([100.0, 103.0], [2.0])
 
 
+def test_da_of_no_years_names_the_argument():
+    with pytest.raises(ValueError, match="^basic must be non-empty$"):
+        dearness_allowance([], [])
+
+
 def test_contribution_is_combined_rate_on_salary():
     assert BASE.contribution_rate * 104.97 == pytest.approx(25.19, abs=0.005)
     assert BASE.contribution_rate * 239.93 == pytest.approx(57.58, abs=0.005)
@@ -86,6 +94,85 @@ def test_salary_table_replay_full_rows():
         assert da[t] == pytest.approx(d, abs=0.005)
         assert salary[t] == pytest.approx(s, abs=0.005)
         assert contribution[t] == pytest.approx(c, abs=0.005)
+
+
+def _math_exp(values):
+    # the scalar reference the growth factors must equal bit for bit
+    values = np.asarray(values, dtype=float)
+    return np.fromiter(map(math.exp, values.ravel().tolist()), float, values.size)
+
+
+def _log_returns(seed, paths):
+    scenario = Scenario(seed=seed)
+    n, m = scenario.service_years, scenario.retirement_years
+    z = stream_normals(seed, 0, paths, 2 * n + m - 1)
+    return gbm_drift(scenario) + scenario.gbm_sigma * z[:, n + m :]
+
+
+SPECIAL_VALUES = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e308,
+    709.782712893384,  # just below overflow
+    -745.1332191019411,  # the smallest positive (subnormal) factor
+    -745.2,  # rounds to 0.0
+]
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["log-returns", "wide", "standard-normal", "tiny", "subnormal-result", "special"],
+)
+def test_growth_factors_equal_math_exp_bitwise(family):
+    rng = np.random.default_rng(20240607)
+    values = {
+        "log-returns": lambda: np.concatenate([_log_returns(s, 4000).ravel() for s in (42, 0, 7)]),
+        "wide": lambda: rng.uniform(-700.0, 709.0, 600_000),
+        "standard-normal": lambda: rng.standard_normal(600_000),
+        "tiny": lambda: rng.normal(0.0, 1e-6, 200_000),
+        "subnormal-result": lambda: rng.uniform(-745.2, -708.0, 200_000),
+        "special": lambda: np.array(SPECIAL_VALUES),
+    }[family]()
+    got = growth_factors(values)
+    assert got.dtype == np.float64 and got.shape == values.shape
+    differ = got.view(np.int64) != _math_exp(values).view(np.int64)
+    assert not differ.any(), values[differ][:5]
+
+
+@pytest.mark.parametrize("value", [709.8, 710.0, 1e308, np.finfo(float).max])
+def test_growth_factor_of_a_finite_overflow_raises(value):
+    with pytest.raises(OverflowError):
+        math.exp(value)
+    message = r"^market growth factor exp\(log_return\) overflows: gbm_mu or gbm_sigma is too large$"
+    with pytest.raises(ValueError, match=message):
+        growth_factors([0.0, value, np.inf])
+    with pytest.raises(ValueError, match=message):
+        growth_factors(np.full((2, 3), value))
+
+
+def test_growth_factors_pass_non_finite_log_returns_through():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = growth_factors([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    assert got[0] == np.inf
+    assert got[1] == 0.0 and not np.signbit(got[1])
+    assert np.isnan(got[2])
+    assert got[3:].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (4, 29), (2, 3, 5)])
+def test_growth_factors_keep_the_input_shape(shape):
+    values = np.random.default_rng(3).normal(0.07, 0.2, shape)
+    got = growth_factors(values)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == shape
+    assert got.ravel().view(np.int64).tolist() == _math_exp(values).view(np.int64).tolist()
+
+
+def test_growth_factors_of_float32_or_a_list_are_float64():
+    float32 = np.array([0.1, -2.5, 3.0], dtype=np.float32)
+    for values in (float32, float32.tolist(), [0.1, -2.5, 3.0]):
+        got = growth_factors(values)
+        assert got.dtype == np.float64
+        expected = _math_exp(np.asarray(values, dtype=np.float64))
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_corpus_single_year_is_the_contribution():

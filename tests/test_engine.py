@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -212,6 +213,23 @@ def test_outcomes_are_columns_with_no_per_path_objects(run):
     assert held <= 64 * scenario.num_paths, held / scenario.num_paths
     for column in result.outcomes:
         assert isinstance(column, np.ndarray) and column.shape == (scenario.num_paths,)
+
+
+def test_growth_stage_makes_no_python_exp_call(monkeypatch):
+    scenario = Scenario(num_paths=1000)
+    runs = [
+        lambda: records(run_scenario(scenario).outcomes),
+        lambda: [records(r.outcomes) for r in sweep(scenario, [("annuity_rate", 0.05)] * 2)],
+        lambda: [records(r.outcomes) for r in sweep(scenario, [("gbm_mu", 0.05), ("gbm_mu", 0.1)])],
+        lambda: [run_path(scenario, i) for i in (0, 1, 999)],
+    ]
+    expected = [_bits(run()) for run in runs]
+
+    def no_exp(x):
+        raise AssertionError("math.exp called on the hot path")
+
+    monkeypatch.setattr(math, "exp", no_exp)
+    assert [_bits(run()) for run in runs] == expected
 
 
 def test_execution_order_cannot_change_results():
