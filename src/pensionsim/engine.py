@@ -325,8 +325,7 @@ def _retirement(scenario: Scenario, corpus, salary, infl):
     # written so that a NaN requirement or pension counts as a miss
     miss = ~(pension[:, None] >= req)
     top_ups = np.where(miss, req - pension[:, None], 0.0) / discount
-    # a copy, since a view would keep the block's whole matrix alive
-    pv = np.add.accumulate(top_ups, axis=1)[:, -1].copy()
+    pv = np.add.accumulate(top_ups, axis=1)[:, -1]
     shortfall = miss.sum(axis=1)
     return corpus, pension, shortfall, pv
 
@@ -342,25 +341,37 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     if stage == "draws" or not scenarios:
         return [_run([scenario])[0] for scenario in scenarios]
     s = scenarios[0]
-    blocks: list[list[tuple]] = [[] for _ in scenarios]
+    # each scenario's outcome columns, which the blocks fill; allocated first,
+    # so that a run too large to hold fails before its first draw
+    kinds = (float, float, int, float)  # PathOutcome's types after path_index
+    outcomes = [
+        PathOutcome(np.arange(s.num_paths), *(np.empty(s.num_paths, kind) for kind in kinds))
+        for _ in scenarios
+    ]
     try:
-        with np.errstate(all="ignore"):  # a blow-up is reported by _result, by metric and path
+        with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
             size = 2 * s.service_years + s.retirement_years - 1
             per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
             for first in range(0, s.num_paths, per_block):
                 z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
                 shared = _career(s, z) if stage == "retirement" else None
-                for scenario, columns in zip(scenarios, blocks):
+                for scenario, (_, *columns) in zip(scenarios, outcomes):
                     career = _career(scenario, z) if shared is None else shared
-                    columns.append(_retirement(scenario, *career))
-                    del career  # so that one block's career arrays are alive at a time
+                    for column, values in zip(columns, _retirement(scenario, *career)):
+                        column[first : first + len(z)] = values
+                    del career, values  # so that one block's arrays are alive at a time
                 del z, shared
     except (ValueError, ArithmeticError):
         if len(scenarios) > 1:
             for scenario in scenarios:
                 _run([scenario])
         raise
-    return [_result(scenario, columns) for scenario, columns in zip(scenarios, blocks)]
+    results = []
+    for scenario, outcome in zip(scenarios, outcomes):
+        check_outcome(outcome)  # it and summarize raise ValueError naming the metric
+        summaries = {name: summarize(getattr(outcome, name), name) for name in METRICS}
+        results.append(ScenarioResult(scenario=scenario, outcomes=outcome, **summaries))
+    return results
 
 
 QUANTILE_LABELS = ("p5", "p25", "p50", "p75", "p95")
@@ -458,18 +469,6 @@ def check_outcome(outcome: PathOutcome) -> None:
         if not math.isfinite(column[col]):
             path = np.atleast_1d(outcome.path_index)[col]
             raise ValueError(f"{name} is not finite on path {path}: {column[col]}")
-
-
-def _result(scenario: Scenario, blocks) -> ScenarioResult:
-    """Outcomes and summaries from `scenario`'s `_retirement` columns, block by block.
-
-    Raises ValueError naming the metric when an outcome (see check_outcome)
-    or a summary statistic (see summarize) is not finite.
-    """
-    outcomes = PathOutcome(np.arange(scenario.num_paths), *map(np.concatenate, zip(*blocks)))
-    check_outcome(outcomes)
-    summaries = {name: summarize(getattr(outcomes, name), name) for name in METRICS}
-    return ScenarioResult(scenario=scenario, outcomes=outcomes, **summaries)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

@@ -314,7 +314,11 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 0
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's message, if any, names no key
+            sizes = "num_paths, service_years and retirement_years"
+            message = f"out of memory ({message or 'no detail'}); the arrays grow with {sizes}"
+        print(f"error: {message}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
 
 

@@ -117,25 +117,20 @@ def philox_uniforms(master_seed: int, first: int, count: int, size: int) -> np.n
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     blocks = -(-size // 4)
-    x0, x2 = np.meshgrid(
-        np.arange(1, blocks + 1, dtype=np.uint64),
-        np.arange(first, first + count, dtype=np.uint64),
-    )
-    x1 = x3 = 0
+    # counter [j, 0, k, 0]: blocks j along a row, streams k down a column
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    x2 = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    x1 = x3 = np.uint64(0)
     k0, k1 = master_seed, 0
     for round_ in range(_PHILOX_ROUNDS):
         if round_:
             k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
         hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
         hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
-        hi1 ^= x1
-        hi1 ^= k0
-        hi0 ^= x3
-        hi0 ^= k1
+        hi1 = hi1 ^ x1 ^ k0  # not in place: the rounds broadcast row and column
+        hi0 = hi0 ^ x3 ^ k1
         x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-    words = np.empty((count, blocks, 4), dtype=np.uint64)
-    for i, x in enumerate((x0, x1, x2, x3)):
-        words[:, :, i] = x
+    words = np.stack((x0, x1, x2, x3), axis=-1)
     words >>= 11  # Generator.random's 53-bit mapping
     return words.reshape(count, 4 * blocks)[:, :size] * _UNIFORM_FLOOR
 

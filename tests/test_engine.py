@@ -195,11 +195,14 @@ def test_run_scenario_keeps_index_order():
     assert result.final_corpus.count == 12
 
 
-@pytest.mark.parametrize(
+_RUN_OR_SWEEP = pytest.mark.parametrize(
     "run",
     [run_scenario, lambda scenario: sweep(scenario, [("annuity_rate", 0.05)])[0]],
     ids=["run_scenario", "sweep"],
 )
+
+
+@_RUN_OR_SWEEP
 def test_outcomes_are_columns_with_no_per_path_objects(run):
     scenario = Scenario(num_paths=10_000)
     run(scenario)  # warm-up: imports, caches and allocator pools
@@ -213,6 +216,31 @@ def test_outcomes_are_columns_with_no_per_path_objects(run):
     assert held <= 64 * scenario.num_paths, held / scenario.num_paths
     for column in result.outcomes:
         assert isinstance(column, np.ndarray) and column.shape == (scenario.num_paths,)
+
+
+@_RUN_OR_SWEEP
+def test_a_run_peaks_at_its_outcome_columns_plus_one_block(run):
+    scenario = Scenario(num_paths=100_000)
+    run(Scenario(num_paths=1000))  # warm-up: imports, caches and allocator pools
+    tracemalloc.start()
+    try:
+        run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the columns take 40 B a path and one block's arrays under 2 MB; block
+    # results held until a concatenation at the end took some 90 B a path
+    assert peak <= 64 * scenario.num_paths, peak / scenario.num_paths
+
+
+@_RUN_OR_SWEEP
+def test_a_run_too_large_to_hold_fails_before_its_first_draw(monkeypatch, run):
+    def no_draws(*args):
+        raise AssertionError("drew normals for outcomes that cannot be held")
+
+    monkeypatch.setattr(engine, "stream_normals", no_draws)
+    with pytest.raises(MemoryError):
+        run(Scenario(num_paths=2**55))  # 256 PiB a column: no 64-bit machine maps it
 
 
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):

@@ -640,6 +640,41 @@ def test_cli_unwritable_out_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["sweep", "--param", "annuity_rate", "--values", "0.05,0.07"],
+        ["path", "--index", "0"],
+    ],
+    ids=["run", "sweep", "path"],
+)
+def test_cli_out_of_memory_names_the_size_keys(tmp_path, capsys, argv):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(f"retirement_years = {2**58}\n")  # exabytes: no 64-bit machine maps it
+    out = tmp_path / "out"
+    if argv[0] != "path":
+        argv = argv + ["--out", str(out)]
+    assert cli_main([*argv, "--config", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: out of memory (Unable to allocate") and err.count("\n") == 1
+    assert all(key in err for key in ("num_paths", "service_years", "retirement_years"))
+    assert not out.exists()
+
+
+def test_cli_out_of_memory_without_a_message_still_says_so(tmp_path, capsys, monkeypatch):
+    def fail(scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(io_cli, "run_scenario", fail)
+    assert cli_main(["run", "--paths", "5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (no detail); ") and "retirement_years" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "config, fields",
     [
         ("service_years = 100000\n", ("service_years", "increment_rate")),
