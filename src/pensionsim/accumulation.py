@@ -67,7 +67,7 @@ def dearness_allowance(basic, inflation_pct) -> np.ndarray:
     return da
 
 
-def growth_factors(log_returns) -> np.ndarray:
+def growth_factors(log_returns, out=None) -> np.ndarray:
     """One-year growth factor exp(r) for each log-return, in the input's shape.
 
     The factors come from the C library's exp, the one Python's math module
@@ -76,10 +76,11 @@ def growth_factors(log_returns) -> np.ndarray:
     libm exp in one compiled loop. np.exp is not used: its SIMD exp differs
     from libm in the last bit on about 3.6% of log-returns. As in the math
     module, only a finite log-return whose exp overflows is an error; inf
-    gives inf, -inf gives 0.0 and NaN gives NaN.
+    gives inf, -inf gives 0.0 and NaN gives NaN. The factors are written to
+    `out` if given, a float array of the input's shape.
     """
     r = np.asarray(log_returns, dtype=float)
-    growth = inv_boxcox(r, 0.0, out=np.empty(r.shape))
+    growth = inv_boxcox(r, 0.0, out=np.empty(r.shape) if out is None else out)
     inf = np.isinf(growth)
     if inf.any() and np.isfinite(r[inf]).any():
         raise ValueError(

@@ -7,9 +7,10 @@ inflation values, then the n-1 log-returns, all from that one stream.
 
 `run_path` and `run_path_detail` compute one path with the scalar layer
 functions; they are the reference. `run_scenario` and `sweep` compute
-blocks of paths as (paths, years) arrays with the same operations in the
-same order, so their outcomes equal `run_path`'s bit for bit; `sweep`
-computes each stage of a block once for the variants that share it.
+blocks of paths as year-major (years, paths) arrays with the same
+operations in the same order, so their outcomes equal `run_path`'s bit for
+bit; `sweep` computes each stage of a block once for the variants that
+share it. A run computes every block in one set of arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .stochastic import (
     gbm_drift,
     gbm_log_returns,
     inflation_series,
+    normals_layout,
     stream_normals,
 )
 
@@ -232,6 +234,16 @@ class PathDetail:
     retirement: tuple[RetirementYear, ...]
 
 
+# the most bytes numpy can index; larger arrays are a ValueError, not a MemoryError
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def _check_bytes(nbytes: int) -> None:
+    """Raise MemoryError when `nbytes` is more than numpy can index."""
+    if nbytes > _MAX_BYTES:
+        raise MemoryError(f"Unable to allocate {nbytes} bytes, more than numpy can index")
+
+
 def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
     """Simulate one path; depends only on (seed, path_index) and parameters."""
     return run_path_detail(scenario, path_index).outcome
@@ -245,6 +257,7 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
         )
     n = scenario.service_years
     m = scenario.retirement_years
+    _check_bytes(8 * (2 * n + m - 1))  # the path's draws
     with np.errstate(all="ignore"):  # as in run_scenario: a blow-up shows in the outcome
         stream = RandomStream(scenario.seed, path_index)
         # normative draw order: n+m inflations, then n-1 log-returns
@@ -284,50 +297,106 @@ _BLOCK_DRAWS = 2**15
 _MIN_BLOCK_PATHS = 8
 
 
-def _career(scenario: Scenario, z: np.ndarray):
-    """The career half of a block of paths, one row of normals `z` per path.
+def _block_layout(scenario: Scenario) -> tuple[int, dict[str, tuple[tuple[int, ...], type]]]:
+    """The paths in a block of `scenario`'s run, and the arrays a block is computed in.
 
-    Row i of `z` holds path i's 2n+m-1 draws (see stream_normals). Returns
-    the final corpus, the final salary and the (paths, n+m) inflation
+    The arrays are (shape, dtype) by name, each year-major with one column a
+    path: the draws (see normals_layout), then the arrays of _career and of
+    _retirement.
+    """
+    n, m = scenario.service_years, scenario.retirement_years
+    size = 2 * n + m - 1
+    paths = min(max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size), scenario.num_paths)
+    return paths, {
+        **normals_layout(paths, size),
+        "infl": ((n + m, paths), np.float64),
+        "rets": ((n - 1, paths), np.float64),
+        "growth": ((n - 1, paths), np.float64),
+        "salary": ((n, paths), np.float64),
+        "corpus": ((n, paths), np.float64),
+        "req": ((m, paths), np.float64),
+        "sufficient": ((m, paths), np.bool_),
+    }
+
+
+def _career(scenario: Scenario, z: np.ndarray, space: dict):
+    """The career half of a block of paths, on year-major normals `z`.
+
+    Row t of `z` holds draw t of each path (see stream_normals), one column
+    a path. Computes in `space`'s career arrays, never in `z`, and returns
+    the final corpus, the final salary and the (n+m, paths) inflation
     matrix, each as `run_path` computes them.
     """
     n, m = scenario.service_years, scenario.retirement_years
-    # inflation_series and gbm_log_returns, row-wise
-    infl = scenario.inflation_mean_pct + scenario.inflation_sd_pct * z[:, : n + m]
-    rets = gbm_drift(scenario) + scenario.gbm_sigma * z[:, n + m :]
+    # inflation_series and gbm_log_returns, column-wise
+    infl = np.multiply(z[: n + m], scenario.inflation_sd_pct, out=space["infl"])
+    infl += scenario.inflation_mean_pct
+    rets = np.multiply(z[n + m :], scenario.gbm_sigma, out=space["rets"])
+    rets += gbm_drift(scenario)
 
-    basic = project_basic(scenario)
-    da = np.zeros((len(z), n))
-    da[:, 1:] = basic[:-1] * infl[:, : n - 1] / 100.0
-    salary = basic + da
-    contributions = scenario.contribution_rate * salary
-    growth = growth_factors(rets)
-    corpus = contributions[:, 0]
-    for t in range(1, n):
-        corpus = corpus * growth[:, t - 1] + contributions[:, t]
-    return corpus, salary[:, -1], infl
+    basic = project_basic(scenario)[:, None]
+    salary = space["salary"]  # the dearness allowance, then the salary
+    salary[0] = 0.0
+    np.multiply(infl[: n - 1], basic[:-1], out=salary[1:])
+    salary[1:] /= 100.0
+    salary += basic
+    corpus = np.multiply(salary, scenario.contribution_rate, out=space["corpus"])
+    growth = growth_factors(rets, out=space["growth"])
+    for t in range(1, n):  # row t: the contribution, then the corpus, of year t + 1
+        corpus[t - 1] *= growth[t - 1]
+        corpus[t] += corpus[t - 1]
+    return corpus[-1], salary[-1], infl
 
 
-def _retirement(scenario: Scenario, corpus, salary, infl):
+def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> None:
     """The retirement half of a block: `scenario`'s terms on a `_career` result.
 
-    Returns final_corpus, pension, shortfall_years and pv_support arrays,
-    in PathOutcome's field order, one entry per path.
+    Writes final_corpus, pension, shortfall_years and pv_support, one entry
+    per path, into the arrays `out`, in PathOutcome's field order. Computes
+    in `space`'s retirement arrays, never in the career.
     """
     n, m = scenario.service_years, scenario.retirement_years
-    pension = corpus * scenario.annuity_rate
+    final_corpus, pension, shortfall, pv = out
+    final_corpus[...] = corpus
+    np.multiply(corpus, scenario.annuity_rate, out=pension)
     discount = discount_factors(scenario.risk_free_rate, n, m)
-    # requirement_series row-wise: both accumulates run year by year, as
-    # run_path does, so the bits match (np.sum would sum pairwise)
-    req = 1.0 + infl[:, n - 1 : n + m - 1] / 100.0
-    req[:, 0] *= scenario.guarantee_fraction * salary
-    np.multiply.accumulate(req, axis=1, out=req)
+    # requirement_series column-wise: the requirements and the sum of the
+    # top-ups run year by year, as run_path does, so the bits match (np.sum
+    # would sum pairwise)
+    req = np.divide(infl[n - 1 : n + m - 1], 100.0, out=space["req"])
+    req += 1.0
+    req[0] *= scenario.guarantee_fraction * salary
+    np.multiply.accumulate(req, axis=0, out=req)
     # written so that a NaN requirement or pension counts as a miss
-    miss = ~(pension[:, None] >= req)
-    top_ups = np.where(miss, req - pension[:, None], 0.0) / discount
-    pv = np.add.accumulate(top_ups, axis=1)[:, -1]
-    shortfall = miss.sum(axis=1)
-    return corpus, pension, shortfall, pv
+    sufficient = np.greater_equal(pension, req, out=space["sufficient"])
+    top_ups = np.subtract(req, pension, out=req)
+    np.putmask(top_ups, sufficient, 0.0)
+    top_ups /= np.array(discount)[:, None]
+    pv[...] = top_ups[0]
+    for top_up in top_ups[1:]:
+        pv += top_up
+    np.logical_not(sufficient, out=sufficient)
+    np.sum(sufficient, axis=0, out=shortfall)
+
+
+def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) -> None:
+    """Compute `scenarios`' outcomes into their columns, one block of paths at a time.
+
+    Every block is computed in one set of arrays, and the last, shorter one
+    in their leading columns; they are freed when this returns.
+    """
+    s = scenarios[0]
+    paths, layout = _block_layout(s)
+    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+    size = 2 * s.service_years + s.retirement_years - 1
+    for first in range(0, s.num_paths, paths):
+        count = min(paths, s.num_paths - first)
+        block = {name: array[..., :count] for name, array in space.items()}
+        z = stream_normals(s.seed, first, count, size, block).T
+        shared = _career(s, z, block) if stage == "retirement" else None
+        for scenario, (_, *columns) in zip(scenarios, outcomes):
+            career = _career(scenario, z, block) if shared is None else shared
+            _retirement(scenario, *career, block, [c[first : first + count] for c in columns])
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
@@ -341,8 +410,13 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     if stage == "draws" or not scenarios:
         return [_run([scenario])[0] for scenario in scenarios]
     s = scenarios[0]
-    # each scenario's outcome columns, which the blocks fill; allocated first,
-    # so that a run too large to hold fails before its first draw
+    # each scenario's outcome columns, which the blocks fill, then the arrays
+    # of a block; a run too large to hold fails before its first draw
+    _, layout = _block_layout(s)
+    _check_bytes(
+        8 * len(PathOutcome._fields) * s.num_paths * len(scenarios)
+        + sum(math.prod(shape) * np.dtype(kind).itemsize for shape, kind in layout.values())
+    )
     kinds = (float, float, int, float)  # PathOutcome's types after path_index
     outcomes = [
         PathOutcome(np.arange(s.num_paths), *(np.empty(s.num_paths, kind) for kind in kinds))
@@ -350,17 +424,7 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     ]
     try:
         with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
-            size = 2 * s.service_years + s.retirement_years - 1
-            per_block = max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size)
-            for first in range(0, s.num_paths, per_block):
-                z = stream_normals(s.seed, first, min(per_block, s.num_paths - first), size)
-                shared = _career(s, z) if stage == "retirement" else None
-                for scenario, (_, *columns) in zip(scenarios, outcomes):
-                    career = _career(scenario, z) if shared is None else shared
-                    for column, values in zip(columns, _retirement(scenario, *career)):
-                        column[first : first + len(z)] = values
-                    del career, values  # so that one block's arrays are alive at a time
-                del z, shared
+            _fill(scenarios, stage, outcomes)
     except (ValueError, ArithmeticError):
         if len(scenarios) > 1:
             for scenario in scenarios:

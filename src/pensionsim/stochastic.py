@@ -33,6 +33,7 @@ __all__ = [
     "gbm_drift",
     "gbm_log_returns",
     "inflation_series",
+    "normals_layout",
     "philox_uniforms",
     "stream_normals",
 ]
@@ -82,63 +83,118 @@ class RandomStream:
         return _normals(self._gen.random(count))
 
 
-def _normals(u: np.ndarray) -> np.ndarray:
-    return ndtri(np.maximum(u, _UNIFORM_FLOOR))
+def _normals(u: np.ndarray, out=None) -> np.ndarray:
+    return ndtri(np.maximum(u, _UNIFORM_FLOOR, out=out), out=out)
 
 
-def _mulhilo(x: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of x * multiplier, built from 32-bit halves.
+def _mulhilo(x: np.ndarray, multiplier: int, hi: np.ndarray, a, b, c) -> np.ndarray:
+    """Write the high 64-bit word of x * multiplier to `hi`, and the low word over `x`.
 
-    No partial sum below can exceed 2**64 - 1; in-place steps keep the
-    temporaries few.
+    Built from 32-bit halves, so that no partial sum exceeds 2**64 - 1. `hi`,
+    `a`, `b` and `c` have x's shape; `a`, `b` and `c` are scratch.
     """
     m_lo, m_hi = multiplier & _MASK32, multiplier >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    t = x_lo * m_lo
-    t >>= 32
-    t += x_hi * m_lo
-    x_lo *= m_hi
-    x_lo += t & _MASK32
-    x_hi *= m_hi
-    x_hi += t >> 32
-    x_hi += x_lo >> 32
-    return x_hi, x * multiplier  # uint64 products wrap: the low word
+    np.bitwise_and(x, _MASK32, out=a)  # x_lo
+    np.right_shift(x, 32, out=hi)  # x_hi
+    np.multiply(a, m_lo, out=b)
+    b >>= 32
+    np.multiply(hi, m_lo, out=c)
+    b += c  # t = (x_lo * m_lo >> 32) + x_hi * m_lo
+    a *= m_hi
+    np.bitwise_and(b, _MASK32, out=c)
+    a += c
+    hi *= m_hi
+    b >>= 32
+    hi += b
+    a >>= 32
+    hi += a
+    x *= multiplier  # uint64 products wrap: the low word
+    return hi
 
 
-def philox_uniforms(master_seed: int, first: int, count: int, size: int) -> np.ndarray:
+def _philox_words(master_seed: int, first: int, space: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Words 0..3 of Philox blocks 1..B of streams first..first+C-1, each (B, C).
+
+    `space` is nine (B, C) uint64 arrays: six hold the state, three are
+    scratch, and the words are left in four of them. numpy's Philox
+    increments the counter before it generates, so block j of stream k,
+    counting from 1, is computed from the counter [j, 0, k, 0].
+    """
+    *free, a, b, c = space
+    grid = a.shape
+    # counter [j, 0, k, 0]: blocks j down a column, streams k along a row; the
+    # first rounds work on these vectors, and round 2 broadcasts them to the grid
+    x0 = np.arange(1, grid[0] + 1, dtype=np.uint64)[:, None]
+    x2 = np.arange(first, first + grid[1], dtype=np.uint64)[None, :]
+    x1 = x3 = np.uint64(0)
+    k0, k1 = master_seed, 0
+
+    def product(x, multiplier):
+        if x.shape == grid:
+            return _mulhilo(x, multiplier, free.pop(), a, b, c)
+        return _mulhilo(x, multiplier, *(np.empty_like(x) for _ in range(4)))
+
+    def xor(hi, x, key):
+        if hi.shape != grid and np.broadcast_shapes(hi.shape, np.shape(x)) == grid:
+            hi = np.bitwise_xor(hi, x, out=free.pop())
+        else:
+            hi ^= x
+        hi ^= key
+        return hi
+
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+        hi0 = product(x0, _PHILOX_M0)
+        hi1 = product(x2, _PHILOX_M1)
+        y0, y2 = xor(hi1, x1, k0), xor(hi0, x3, k1)
+        free += (x for x in (x1, x3) if np.shape(x) == grid)
+        x0, x1, x2, x3 = y0, x2, y2, x0
+    return x0, x1, x2, x3
+
+
+def normals_layout(paths: int, size: int) -> dict[str, tuple[tuple[int, ...], type]]:
+    """The arrays stream_normals draws `size` normals of up to `paths` streams in.
+
+    Name to (shape, dtype); each array has one column a stream.
+    """
+    blocks = -(-size // 4)  # Philox blocks of four words
+    return {
+        "normals": ((4 * blocks, paths), np.float64),
+        "words": ((9, blocks, paths), np.uint64),
+    }
+
+
+def philox_uniforms(master_seed: int, first: int, count: int, size: int, space=None) -> np.ndarray:
     """The first `size` uniforms of streams first..first+count-1, one row each.
 
     Row i equals `size` draws of `RandomStream(master_seed, first + i)`, in
     any split (numpy keeps the unused words of a block for the next call).
-    numpy's Philox increments the counter before it generates, so block j
-    of stream k, counting from 1, is computed from the counter [j, 0, k, 0].
+    The result is a (count, size) view of year-major uniforms: `.T` gives
+    draw t of every stream in row t. They are computed in `space`, arrays
+    laid out as normals_layout gives for at least `count` streams and
+    `size` draws, or in new ones.
     """
     master_seed, first, count = _check_streams(master_seed, first, count)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
+    if space is None:
+        space = {name: np.empty(*layout) for name, layout in normals_layout(count, size).items()}
     blocks = -(-size // 4)
-    # counter [j, 0, k, 0]: blocks j along a row, streams k down a column
-    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    x2 = np.arange(first, first + count, dtype=np.uint64)[:, None]
-    x1 = x3 = np.uint64(0)
-    k0, k1 = master_seed, 0
-    for round_ in range(_PHILOX_ROUNDS):
-        if round_:
-            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
-        hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
-        hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
-        hi1 = hi1 ^ x1 ^ k0  # not in place: the rounds broadcast row and column
-        hi0 = hi0 ^ x3 ^ k1
-        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-    words = np.stack((x0, x1, x2, x3), axis=-1)
-    words >>= 11  # Generator.random's 53-bit mapping
-    return words.reshape(count, 4 * blocks)[:, :size] * _UNIFORM_FLOOR
+    uniforms = space["normals"][: 4 * blocks, :count]
+    words = _philox_words(master_seed, first, space["words"][:, :blocks, :count])
+    for word, x in enumerate(words):  # block j's words are rows 4j..4j+3
+        x >>= 11  # Generator.random's 53-bit mapping
+        np.multiply(x, _UNIFORM_FLOOR, out=uniforms[word::4])
+    return uniforms[:size].T
 
 
-def stream_normals(master_seed: int, first: int, count: int, size: int) -> np.ndarray:
+def stream_normals(master_seed: int, first: int, count: int, size: int, space=None) -> np.ndarray:
     """`RandomStream(master_seed, k).standard_normal(size)` for each stream k in
-    first..first+count-1, as one (count, size) array."""
-    return _normals(philox_uniforms(master_seed, first, count, size))
+    first..first+count-1, as one (count, size) array: a view of year-major
+    normals, computed in `space` as philox_uniforms computes its uniforms."""
+    u = philox_uniforms(master_seed, first, count, size, space)
+    return _normals(u, out=u)
 
 
 def gbm_drift(scenario: Scenario) -> float:

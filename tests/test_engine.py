@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -243,6 +246,64 @@ def test_a_run_too_large_to_hold_fails_before_its_first_draw(monkeypatch, run):
         run(Scenario(num_paths=2**55))  # 256 PiB a column: no 64-bit machine maps it
 
 
+# sizes whose arrays pass 2**63 - 1 bytes, where numpy raises ValueError, not MemoryError
+_PAST_NUMPY = [
+    {"num_paths": 2**63 - 1},
+    {"num_paths": 2**64},
+    {"retirement_years": 2**62},
+    {"service_years": 2**62, "num_paths": 1},
+]
+
+
+@_RUN_OR_SWEEP
+@pytest.mark.parametrize("sizes", _PAST_NUMPY, ids=repr)
+def test_a_run_past_what_numpy_indexes_is_out_of_memory(monkeypatch, run, sizes):
+    def no_draws(*args):
+        raise AssertionError("drew normals for outcomes that cannot be held")
+
+    monkeypatch.setattr(engine, "stream_normals", no_draws)
+    with pytest.raises(MemoryError):
+        run(Scenario(**sizes))
+
+
+@pytest.mark.parametrize("sizes", [{"retirement_years": 2**62}, {"service_years": 2**61}], ids=repr)
+def test_a_path_past_what_numpy_indexes_is_out_of_memory(monkeypatch, sizes):
+    def no_draws(*args):
+        raise AssertionError("drew normals that cannot be held")
+
+    monkeypatch.setattr(engine, "RandomStream", no_draws)
+    with pytest.raises(MemoryError):
+        run_path(Scenario(**sizes), 0)
+
+
+_FAULTS_PER_RUN = """
+import resource
+from pensionsim import Scenario, run_scenario
+
+scenario = Scenario(num_paths=10_000)
+for _ in range(2):  # warm-up: imports, caches and allocator pools
+    run_scenario(scenario)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    run_scenario(scenario)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_a_run_faults_its_block_arrays_in_once():
+    # a fresh interpreter, as the allocator's thresholds depend on what ran before;
+    # blocks that allocated and freed their arrays had glibc hand the freed top of
+    # the heap back to the kernel and fault it in again, some 5000 pages a run
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_RUN],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    faults = float(done.stdout)
+    assert faults < 1000, faults
+
+
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
     scenario = Scenario(num_paths=1000)
     runs = [
@@ -336,11 +397,15 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     # with run_path field by field (a NaN requirement counts as a miss)
     scenario = Scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
     size = 2 * scenario.service_years + scenario.retirement_years - 1
+    paths, layout = engine._block_layout(scenario)
+    assert paths == scenario.num_paths  # one block
+    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+    columns = [np.empty(paths), np.empty(paths), np.empty(paths, int), np.empty(paths)]
     with np.errstate(all="ignore"):
-        z = stream_normals(scenario.seed, 0, scenario.num_paths, size)
-        block = engine._retirement(scenario, *engine._career(scenario, z))
+        z = stream_normals(scenario.seed, 0, paths, size, space).T
+        engine._retirement(scenario, *engine._career(scenario, z, space), space, columns)
         expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
-    outcomes = records(engine.PathOutcome(np.arange(scenario.num_paths), *block))
+    outcomes = records(engine.PathOutcome(np.arange(scenario.num_paths), *columns))
     assert _bits(outcomes) == _bits(expected)
 
 
@@ -353,9 +418,9 @@ def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
     career = engine._career
     blocks = []
 
-    def spy(scenario, z):
-        blocks.append(len(z))
-        return career(scenario, z)
+    def spy(scenario, z, space):
+        blocks.append(z.shape[1])  # year-major: one column a path
+        return career(scenario, z, space)
 
     monkeypatch.setattr(engine, "_career", spy)
     outcomes = records(run_scenario(scenario).outcomes)
@@ -467,6 +532,46 @@ def test_sweep_of_each_field_equals_separate_runs(field):
     ]
 
 
+@pytest.mark.parametrize("key, values", [("gbm_sigma", (0.0, 0.05, 0.1)),
+                                         ("annuity_rate", (0.05, 0.07, 0.09))])
+@pytest.mark.parametrize("block_paths", [1, 7, 414])
+def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, block_paths):
+    # a career-stage and a retirement-stage sweep: each variant's stages run
+    # in the arrays the block's draws and shared career live beside
+    base = Scenario(num_paths=500 if block_paths == 414 else 30)
+    draws = []
+    normals, career, retirement = engine.stream_normals, engine._career, engine._retirement
+
+    def drawn(*args):
+        z = normals(*args)
+        draws.append((z, z.tobytes()))
+        return z
+
+    def unchanged(stage, *names):
+        def checked(scenario, *args):
+            before = [np.copy(arg) for arg in args[: len(names)]]
+            result = stage(scenario, *args)
+            z, z_bytes = draws[-1]
+            assert z.tobytes() == z_bytes, f"{stage.__name__} wrote into the draws"
+            for name, arg, old in zip(names, args, before):
+                assert np.array_equal(arg, old, equal_nan=True), f"wrote into the {name}"
+            return result
+        return checked
+
+    monkeypatch.setattr(engine, "stream_normals", drawn)
+    monkeypatch.setattr(engine, "_career", unchanged(career, "draws"))
+    monkeypatch.setattr(engine, "_retirement", unchanged(retirement, "corpus", "salary", "infl"))
+    overrides = [(key, value) for value in values]
+    with _small_blocks(base, block_paths):
+        results = sweep(base, overrides)
+    separate = [run_scenario(with_field(base, key, value)) for value in values]
+    for result, alone in zip(results, separate):
+        got = _bits(records(result.outcomes))
+        assert got == _bits(records(alone.outcomes))
+        paths = range(0, base.num_paths, 7)
+        assert [got[i] for i in paths] == _bits(run_path(result.scenario, i) for i in paths)
+
+
 @pytest.mark.parametrize(
     "overrides, normals, careers",
     [
@@ -519,9 +624,9 @@ def test_failing_scenario_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size):
+    def spy(seed, first, count, size, space):
         drawn.append(first)
-        return normals(seed, first, count, size)
+        return normals(seed, first, count, size, space)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     with pytest.raises(ValueError, match="growth factor"):
@@ -533,9 +638,9 @@ def test_sweep_whose_first_variant_fails_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size):
+    def spy(seed, first, count, size, space):
         drawn.append(first)
-        return normals(seed, first, count, size)
+        return normals(seed, first, count, size, space)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     overrides = [("gbm_mu", value) for value in (800.0, 0.09, 0.1)]

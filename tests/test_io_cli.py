@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno
 import json
@@ -13,13 +14,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pensionsim import io_cli
+from pensionsim import engine, io_cli
 from pensionsim.engine import (
     DEFAULTS,
     FIELDS,
@@ -40,6 +42,7 @@ from pensionsim.io_cli import (
     retirement_csv,
     scenario_text,
 )
+from pensionsim.stochastic import RandomStream
 
 
 def test_empty_file_is_the_baseline():
@@ -553,17 +556,47 @@ def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# each key at its default, zero and the float extremes; integer keys small
-# enough that a run stays quick, and at most 4 paths
+# each key at its default, zero and the float extremes; size keys small
+# enough that a run stays quick, or so large that their arrays pass what
+# numpy can index (2**63 - 1 bytes), and at most 4 paths or up to the bound
 _EXTREMES = [0, 5e-324, 1e200, 1.7e308, -1.7e308]
 _CLI_VALUES = {
     field.key: st.sampled_from([field.default, *_EXTREMES]) for field in FIELDS
 } | {
-    "service_years": st.sampled_from([0, 1, 2, 30]),
-    "retirement_years": st.sampled_from([0, 1, 20]),
-    "num_paths": st.integers(1, 4),
+    "service_years": st.sampled_from([0, 1, 2, 30, 2**62]),
+    "retirement_years": st.sampled_from([0, 1, 20, 2**62]),
+    "num_paths": st.one_of(st.integers(1, 4), st.sampled_from([2**63 - 1, 2**64])),
     "seed": st.sampled_from([0, 2**64 - 1]),
 }
+
+
+@contextlib.contextmanager
+def _no_huge_arrays():
+    # yields the list of huge draws and arrays asked for; each is refused, so a
+    # size check that let a huge run through maps no memory and loops over no years
+    huge = []
+
+    def guarded(function, elements):
+        def call(*args, **kwargs):
+            if elements(*args) > 2**24:
+                huge.append(f"{function.__name__}{args}")
+                raise AssertionError(f"{function.__name__} asked for {elements(*args)}")
+            return function(*args, **kwargs)
+        return call
+
+    def shape_size(shape, *_):
+        return math.prod(shape) if isinstance(shape, tuple) else shape
+
+    with mock.patch.object(np, "empty", guarded(np.empty, shape_size)), \
+            mock.patch.object(np, "arange", guarded(
+                np.arange, lambda *bounds: bounds[-1] - bounds[0] if bounds[1:] else bounds[0])), \
+            mock.patch.object(engine, "stream_normals", guarded(
+                engine.stream_normals, lambda seed, first, count, size, *_: count * size)), \
+            mock.patch.object(engine, "project_basic", guarded(
+                engine.project_basic, lambda scenario: scenario.service_years)), \
+            mock.patch.object(RandomStream, "standard_normal", guarded(
+                RandomStream.standard_normal, lambda stream, count: count)):
+        yield huge
 
 
 @st.composite
@@ -598,8 +631,9 @@ def test_cli_error_contract_holds_across_the_scenario_space(call):
         if argv[0] != "path":
             argv = [*argv, "--out", str(out)]
         stdout, stderr = StringIO(), StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
+        with redirect_stdout(stdout), redirect_stderr(stderr), _no_huge_arrays() as huge:
             code = cli_main([*argv, "--config", str(config)])
+        assert not huge
         assert code in (0, 1, 2)
         if code:
             [line] = stderr.getvalue().splitlines()
