@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.special import inv_boxcox
+
+from .stochastic import _special_functions
 
 if TYPE_CHECKING:
     from .engine import Scenario
@@ -71,21 +72,27 @@ def growth_factors(log_returns, out=None) -> np.ndarray:
     """One-year growth factor exp(r) for each log-return, in the input's shape.
 
     The factors come from the C library's exp, the one Python's math module
-    calls, so they are bit-identical to a plain scalar reimplementation.
-    inv_boxcox(r, 0) is exp(r) by definition, and scipy evaluates it with that
-    libm exp in one compiled loop. np.exp is not used: its SIMD exp differs
-    from libm in the last bit on about 3.6% of log-returns. As in the math
-    module, only a finite log-return whose exp overflows is an error; inf
-    gives inf, -inf gives 0.0 and NaN gives NaN. The factors are written to
-    `out` if given, a float array of the input's shape.
+    calls, so they are bit-identical to a plain scalar reimplementation: a
+    math.exp map while the process is young, then scipy's inv_boxcox(r, 0),
+    which is exp(r) by definition and calls that libm exp in one compiled
+    loop (see stochastic._special_functions). np.exp is not used: its SIMD
+    exp differs from libm in the last bit on about 3.6% of log-returns. As
+    in the math module, only a finite log-return whose exp overflows is an
+    error; inf gives inf, -inf gives 0.0 and NaN gives NaN. The factors are
+    written to `out` if given, a float array of the input's shape.
     """
     r = np.asarray(log_returns, dtype=float)
-    growth = inv_boxcox(r, 0.0, out=np.empty(r.shape) if out is None else out)
+    overflow = ValueError(
+        "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
+    )
+    _, exp = _special_functions(r.size)
+    try:
+        growth = exp(r, out=np.empty(r.shape) if out is None else out)
+    except OverflowError:  # math.exp's way of saying so
+        raise overflow from None
     inf = np.isinf(growth)
     if inf.any() and np.isfinite(r[inf]).any():
-        raise ValueError(
-            "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
-        )
+        raise overflow
     return growth
 
 

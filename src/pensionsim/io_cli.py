@@ -163,10 +163,11 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
     """Write a command's whole output set into `out`: every file or none.
 
     Every target is checked first, then every file is written to a temporary
-    name beside it, and only then are all renamed into place. Files are
-    created as open(path, "w") creates them, so the umask sets their mode.
-    On failure the temporary files go, and so do the directories of `out`
-    that this call created.
+    name beside it, and only then are all renamed into place; a `wrote` line
+    is printed for each after the last rename. Files are created as
+    open(path, "w") creates them, so the umask sets their mode. On failure
+    the temporary files go, and so do the directories of `out` that this
+    call created.
     """
     targets = [out / name for name in files]
     for path in targets:
@@ -183,7 +184,6 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
                 handle.write(text)
         for tmp, path in zip(temps, targets):
             os.replace(tmp, path)
-            print(f"wrote {path}")
     except BaseException:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
@@ -191,6 +191,8 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
+    for path in targets:  # only now, so that a failing stdout cannot split the set
+        print(f"wrote {path}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -19,11 +19,13 @@ time.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import ndtri
 
 if TYPE_CHECKING:
     from .engine import Scenario
@@ -84,7 +86,157 @@ class RandomStream:
 
 
 def _normals(u: np.ndarray, out=None) -> np.ndarray:
-    return ndtri(np.maximum(u, _UNIFORM_FLOOR, out=out), out=out)
+    u = np.maximum(u, _UNIFORM_FLOOR, out=out)
+    ndtri, _ = _special_functions(u.size)
+    return ndtri(u, out=u)
+
+
+# --- special functions: ndtri and exp, without scipy until it pays ----------
+#
+# Importing scipy.special takes about 0.25 s, more than half the wall time
+# of a `path` command or a default `run`. So a process serves its first
+# values from a numpy port of the same Cephes ndtri and from a math.exp map,
+# and imports scipy.special only once the port has cost about as much as the
+# import would (a ski-rental rule). Both give the same bits. Measured on a
+# 2-core Xeon VM (Python 3.11, numpy 2.4, scipy 1.17): a port call costs
+# 60-95 us more than scipy's, and each value about 115 ns more for ndtri and
+# 60 ns more for exp. So each call is charged at least 2**9 values, about
+# its fixed cost in values, and the 2**20 values the port may serve cost at
+# most about 0.12 s more than scipy would, half the import.
+_PORT_BUDGET = 2**20
+_PORT_CALL = 2**9
+
+# the switch's state: how many values the port may still serve in this
+# process, or None once scipy.special serves; process-wide, as the import is
+_port_left: int | None = _PORT_BUDGET
+
+
+def _special_functions(values: int):
+    """`(ndtri, exp)` for a call on `values` values, each taking `(x, out)`.
+
+    They are the numpy port until the process has charged _PORT_BUDGET
+    values to it or scipy.special is loaded, and scipy's from then on.
+    """
+    global _port_left
+    if _port_left is not None:
+        _port_left -= max(values, _PORT_CALL)
+        if _port_left >= 0 and "scipy.special" not in sys.modules:
+            return _ndtri_port, _exp_port
+        _port_left = None
+    return _scipy_functions()
+
+
+@functools.cache
+def _scipy_functions():
+    from scipy.special import inv_boxcox, ndtri
+
+    def exp(r, out=None):
+        return inv_boxcox(r, 0.0, out=out)  # exp(r) by definition, with the C library's exp
+
+    return ndtri, exp
+
+
+# Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989), as scipy.special.ndtri computes it
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# |y - 0.5| <= 3/8
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# sqrt(-2 log y) in [2, 8): y in (exp(-32), exp(-2)]
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# sqrt(-2 log y) in [8, 64): y in (exp(-2048), exp(-32)]
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule, rounding each product and sum as Cephes' polevl does."""
+    ans = x * coefs[0]
+    ans += coefs[1]
+    for c in coefs[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coefs) -> np.ndarray:
+    """_polevl with a leading coefficient of 1, as Cephes' p1evl."""
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _tail(z: np.ndarray, p, q) -> np.ndarray:
+    return z * _polevl(z, p) / _p1evl(z, q)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # the C library's log, as Cephes calls it; np.log differs in the last bit
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri_port(y0, out=None) -> np.ndarray:
+    """scipy.special.ndtri's bits, in numpy: the inverse of the normal CDF.
+
+    Each branch is computed on its own elements only, so nothing warns; 0
+    gives -inf, 1 gives inf, and NaN or a value outside [0, 1] gives NaN.
+    `out` may be `y0` itself.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    x = np.empty(y0.shape) if out is None else out
+    high = y0 > 1.0 - _EXP_M2
+    y = np.where(high, 1.0 - y0, y0)  # Cephes' y; a copy, so x may be y0
+    central = y > _EXP_M2
+    tail = (y > 0.0) & ~central
+    rest = ~(central | tail)
+
+    c = y[central] - 0.5
+    c2 = c * c
+    xc = c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))
+    xc *= _SQRT_2PI
+
+    t = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = t - _log(t) / t
+    z = 1.0 / t
+    near = t < 8.0  # y > exp(-32)
+    if near.all():
+        x1 = _tail(z, _P1, _Q1)
+    else:
+        x1 = np.empty_like(z)
+        x1[near] = _tail(z[near], _P1, _Q1)
+        x1[~near] = _tail(z[~near], _P2, _Q2)
+    xt = x0 - x1
+    np.negative(xt, out=xt, where=~high[tail])
+
+    xr = np.where(y[rest] == 0.0, np.where(high[rest], np.inf, -np.inf), np.nan)
+    x[central] = xc
+    x[tail] = xt
+    x[rest] = xr
+    return x
+
+
+def _exp_port(r, out=None) -> np.ndarray:
+    """exp(r) from the C library through math.exp, as scipy's inv_boxcox(r, 0)
+    gives it; a finite r whose exp overflows raises OverflowError."""
+    r = np.asarray(r, dtype=float)
+    out = np.empty(r.shape) if out is None else out
+    out[...] = np.fromiter(map(math.exp, r.ravel().tolist()), float, r.size).reshape(r.shape)
+    return out
 
 
 def _mulhilo(x: np.ndarray, multiplier: int, hi: np.ndarray, a, b, c) -> np.ndarray:

@@ -534,8 +534,13 @@ def test_sweep_of_each_field_equals_separate_runs(field):
 
 @pytest.mark.parametrize("key, values", [("gbm_sigma", (0.0, 0.05, 0.1)),
                                          ("annuity_rate", (0.05, 0.07, 0.09))])
-@pytest.mark.parametrize("block_paths", [1, 7, 414])
-def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, block_paths):
+@pytest.mark.parametrize(  # ndtri and exp from scipy.special, then from the numpy port
+    "block_paths, special",
+    [(paths, kind) for kind in ("scipy", "port") for paths in (1, 7, 414)],
+    ids=["1", "7", "414", "1-port", "7-port", "414-port"],
+    indirect=["special"],
+)
+def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, block_paths, special):
     # a career-stage and a retirement-stage sweep: each variant's stages run
     # in the arrays the block's draws and shared career live beside
     base = Scenario(num_paths=500 if block_paths == 414 else 30)

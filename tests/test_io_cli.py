@@ -835,6 +835,32 @@ def test_cli_failed_write_removes_the_directories_it_created(tmp_path, capsys, m
     assert _tree(tmp_path) == before
 
 
+class _FullStdout(StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["sweep", "--param", "annuity_rate", "--values", "0.05,0.07,0.09"],
+         ["summary_annuity_rate_0.05.json", "summary_annuity_rate_0.07.json",
+          "summary_annuity_rate_0.09.json", "sweep.csv"]),
+        (["run", "--paths", "5", "--detail", "3"],
+         ["path_3_career.csv", "path_3_retirement.csv", "summary.json"]),
+    ],
+    ids=["sweep", "run"],
+)
+def test_cli_failing_stdout_leaves_the_whole_output_set(tmp_path, capsys, argv, names):
+    # as with `> /dev/full`: the `wrote` lines fail after every file is in place
+    with redirect_stdout(_FullStdout()):
+        assert cli_main(argv + ["--out", str(tmp_path / "full")]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert cli_main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    assert sorted(_tree(tmp_path / "full")) == names
+    assert _tree(tmp_path / "full") == _tree(tmp_path / "ok")
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
 def test_cli_files_take_their_mode_from_the_umask(tmp_path, capsys, umask):
     previous = os.umask(umask)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import inv_boxcox, ndtri
 
+from pensionsim import stochastic
+from pensionsim.accumulation import growth_factors
 from pensionsim.engine import Scenario
 from pensionsim.stochastic import (
     RandomStream,
@@ -207,3 +212,121 @@ def test_bad_params_rejected():
         Scenario(inflation_mean_pct=4.0, inflation_sd_pct=-1.0)
     with pytest.raises(ValueError):
         Scenario(inflation_mean_pct=float("inf"), inflation_sd_pct=1.0)
+
+
+# --- the numpy port of ndtri and the math.exp map, against scipy ------------
+
+
+def _same_bits(got, want) -> np.ndarray:
+    """Where `got` and `want` hold the same float64, NaN counting as equal to NaN."""
+    nan = np.isnan(got)
+    return (got.view(np.int64) == want.view(np.int64)) | (nan & np.isnan(want))
+
+
+@pytest.mark.parametrize("seed", [42, 2**64 - 1])
+def test_ndtri_port_equals_scipy_bitwise_on_philox_uniforms(seed):
+    # 1.2M uniforms a seed, clamped as every draw is; the tail past exp(-2)
+    # takes about 27% of them
+    u = np.maximum(philox_uniforms(seed, 5, 12_000, 100), 2.0**-53)
+    got = stochastic._ndtri_port(u)
+    same = _same_bits(got, ndtri(u))
+    assert same.all(), u[~same][:5]
+
+
+def _neighbours(x: float, k: int = 3) -> list[float]:
+    """x and the k floats on each side of it."""
+    below = above = x
+    out = [x]
+    for _ in range(k):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+EXP_M2 = 0.13533528323661269189  # Cephes' exp(-2), where the tail begins
+NDTRI_EDGES = [
+    2.0**-53, 1.0 - 2.0**-53, 0.5,
+    *_neighbours(EXP_M2), *_neighbours(math.exp(-2.0)),
+    *_neighbours(1.0 - EXP_M2), *_neighbours(1.0 - math.exp(-2.0)),
+    # below exp(-32), where the tail switches from P1/Q1 to P2/Q2: every
+    # uniform the generator can draw there (multiples of 2**-53), on both sides
+    *_neighbours(math.exp(-32.0)), *np.geomspace(5e-324, math.exp(-32.0), 40)[:-1],
+    *(k * 2.0**-53 for k in range(1, 116)), *(1.0 - k * 2.0**-53 for k in range(1, 116)),
+]
+
+
+def test_ndtri_port_equals_scipy_bitwise_at_the_branch_edges():
+    u = np.array(NDTRI_EDGES)
+    got = stochastic._ndtri_port(u)
+    same = _same_bits(got, ndtri(u))
+    assert same.all(), u[~same]
+    assert got[2] == 0.0 and not np.signbit(got[2])
+
+
+def test_ndtri_port_outside_the_open_interval_is_scipys():
+    u = np.array([0.0, 1.0, -0.0, -1e-300, 1.0 + 2.0**-52, -1.0, 2.0, np.inf, -np.inf, np.nan])
+    got = stochastic._ndtri_port(u)  # no RuntimeWarning: each branch sees its own values
+    assert _same_bits(got, ndtri(u)).all(), got
+    assert got[:2].tolist() == [-np.inf, np.inf] and np.isnan(got[3:]).all()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (7, 5), (2, 3, 4)])
+def test_ndtri_port_writes_over_its_input_in_any_layout(shape):
+    u = np.random.default_rng(11).uniform(size=shape)
+    want = ndtri(u)
+    # u in C order, and as a transposed view, the layout stream_normals hands over
+    for y in (np.array(u), np.array(u.T).T):
+        got = stochastic._ndtri_port(y, out=y)
+        assert got is y
+        assert _same_bits(got, want).all()
+
+
+EXP_INPUTS = {
+    "log-returns": lambda rng: 0.0875 + 0.05 * stream_normals(7, 0, 20_000, 29),
+    "wide": lambda rng: rng.uniform(-745.2, 709.78, 400_000),
+    "special": lambda rng: np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 709.782712893384,
+                                     -745.1332191019411, -745.2]),
+}
+
+
+@pytest.mark.parametrize("family", list(EXP_INPUTS))
+def test_exp_port_equals_inv_boxcox_and_math_exp_bitwise(family):
+    r = EXP_INPUTS[family](np.random.default_rng(5))
+    got = stochastic._exp_port(r)
+    assert got.shape == r.shape
+    assert _same_bits(got, inv_boxcox(r, 0.0)).all()
+    expected = np.fromiter(map(math.exp, r.ravel().tolist()), float, r.size).reshape(r.shape)
+    assert _same_bits(got, expected).all()
+
+
+@pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
+@pytest.mark.parametrize("value", [709.8, 1e308, np.finfo(float).max])
+def test_growth_factor_overflow_message_is_the_same_from_either(special, value):
+    if special == "port":
+        with pytest.raises(OverflowError):
+            stochastic._exp_port(np.array([value]))
+    message = r"^market growth factor exp\(log_return\) overflows: gbm_mu or gbm_sigma is too large$"
+    with pytest.raises(ValueError, match=message):
+        growth_factors([0.0, np.nan, value, np.inf])
+    got = growth_factors([np.inf, -np.inf, np.nan, 0.0])
+    assert got[0] == np.inf and got[1] == 0.0 and np.isnan(got[2]) and got[3] == 1.0
+
+
+@pytest.mark.parametrize("special", [2048], indirect=True)
+def test_the_switch_charges_each_call_at_least_its_fixed_cost(special):
+    port = (stochastic._ndtri_port, stochastic._exp_port)
+    assert stochastic._special_functions(1) == port  # charged 2**9
+    assert stochastic._special_functions(1000) == port
+    assert stochastic._port_left == 2048 - 512 - 1000
+    scipy_functions = stochastic._special_functions(537)  # one value past the budget
+    assert scipy_functions[0] is ndtri and scipy_functions != port
+    assert stochastic._port_left is None
+    assert stochastic._special_functions(1) == scipy_functions  # for good
+
+
+@pytest.mark.parametrize("special", [2048], indirect=True)
+def test_the_switch_uses_scipy_once_it_is_loaded(special, monkeypatch):
+    assert stochastic._special_functions(1)[0] is stochastic._ndtri_port
+    monkeypatch.setitem(sys.modules, "scipy.special", sys.modules["scipy"].special)
+    assert stochastic._special_functions(1)[0] is ndtri
+    assert stochastic._port_left is None
