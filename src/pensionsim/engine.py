@@ -41,6 +41,7 @@ from .retirement import (
 from .stochastic import (
     _WORD,
     RandomStream,
+    _expect_calls,
     gbm_drift,
     gbm_log_returns,
     inflation_series,
@@ -389,8 +390,14 @@ def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) ->
     paths, layout = _block_layout(s)
     space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     size = 2 * s.service_years + s.retirement_years - 1
-    for first in range(0, s.num_paths, paths):
-        count = min(paths, s.num_paths - first)
+    firsts = range(0, s.num_paths, paths)
+    counts = [min(paths, s.num_paths - first) for first in firsts]
+    # the run's calls on ndtri and exp: each block's normals, then the
+    # growth factors of each career it computes
+    careers = 1 if stage == "retirement" else len(scenarios)
+    growth = s.service_years - 1
+    _expect_calls(v for count in counts for v in [count * size] + careers * [count * growth])
+    for first, count in zip(firsts, counts):
         block = {name: array[..., :count] for name, array in space.items()}
         z = stream_normals(s.seed, first, count, size, block).T
         shared = _career(s, z, block) if stage == "retirement" else None

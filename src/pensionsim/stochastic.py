@@ -111,11 +111,22 @@ _PORT_CALL = 2**9
 _port_left: int | None = _PORT_BUDGET
 
 
+def _expect_calls(sizes) -> None:
+    """Serve every later call from scipy.special, unless the port's budget
+    covers calls on each of `sizes` values. A run tells its calls before its
+    first block, so one implementation serves all of it: a run that spent the
+    budget part way would pay for both the port and the import."""
+    global _port_left
+    if _port_left is not None and sum(max(v, _PORT_CALL) for v in sizes) > _port_left:
+        _port_left = None
+
+
 def _special_functions(values: int):
     """`(ndtri, exp)` for a call on `values` values, each taking `(x, out)`.
 
     They are the numpy port until the process has charged _PORT_BUDGET
-    values to it or scipy.special is loaded, and scipy's from then on.
+    values to it, a run expects more than is left (see _expect_calls) or
+    scipy.special is loaded, and scipy's from then on.
     """
     global _port_left
     if _port_left is not None:
@@ -272,36 +283,33 @@ def _philox_words(master_seed: int, first: int, space: np.ndarray) -> tuple[np.n
     increments the counter before it generates, so block j of stream k,
     counting from 1, is computed from the counter [j, 0, k, 0].
     """
-    *free, a, b, c = space
-    grid = a.shape
-    # counter [j, 0, k, 0]: blocks j down a column, streams k along a row; the
-    # first rounds work on these vectors, and round 2 broadcasts them to the grid
-    x0 = np.arange(1, grid[0] + 1, dtype=np.uint64)[:, None]
-    x2 = np.arange(first, first + grid[1], dtype=np.uint64)[None, :]
-    x1 = x3 = np.uint64(0)
-    k0, k1 = master_seed, 0
-
-    def product(x, multiplier):
-        if x.shape == grid:
-            return _mulhilo(x, multiplier, free.pop(), a, b, c)
-        return _mulhilo(x, multiplier, *(np.empty_like(x) for _ in range(4)))
-
-    def xor(hi, x, key):
-        if hi.shape != grid and np.broadcast_shapes(hi.shape, np.shape(x)) == grid:
-            hi = np.bitwise_xor(hi, x, out=free.pop())
-        else:
-            hi ^= x
-        hi ^= key
-        return hi
-
-    for round_ in range(_PHILOX_ROUNDS):
-        if round_:
-            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
-        hi0 = product(x0, _PHILOX_M0)
-        hi1 = product(x2, _PHILOX_M1)
-        y0, y2 = xor(hi1, x1, k0), xor(hi0, x3, k1)
-        free += (x for x in (x1, x3) if np.shape(x) == grid)
-        x0, x1, x2, x3 = y0, x2, y2, x0
+    x0, x1, x2, x3, hi0, hi1, a, b, c = space
+    keys = [((master_seed + r * _PHILOX_W0) & _MASK64, (r * _PHILOX_W1) & _MASK64)
+            for r in range(_PHILOX_ROUNDS)]
+    # rounds 0 and 1 on the counter's vectors: blocks j down a column and
+    # streams k along a row, with x1 = x3 = 0
+    col = np.arange(1, a.shape[0] + 1, dtype=np.uint64)[:, None]
+    row = np.arange(first, first + a.shape[1], dtype=np.uint64)[None, :]
+    hc = _mulhilo(col, _PHILOX_M0, *(np.empty_like(col) for _ in range(4)))
+    hr = _mulhilo(row, _PHILOX_M1, *(np.empty_like(row) for _ in range(4)))
+    hr ^= keys[0][0]  # round 0 leaves the state (hr, row, hc, col)
+    hc ^= keys[0][1]
+    h0 = _mulhilo(hr, _PHILOX_M0, *(np.empty_like(hr) for _ in range(4)))
+    h1 = _mulhilo(hc, _PHILOX_M1, *(np.empty_like(hc) for _ in range(4)))
+    h1 ^= keys[1][0]
+    h0 ^= keys[1][1]
+    np.bitwise_xor(h1, row, out=x0)  # round 1 leaves (x0, hc, x2, hr), on the grid
+    x1[...] = hc
+    np.bitwise_xor(h0, col, out=x2)
+    x3[...] = hr
+    for k0, k1 in keys[2:]:  # rounds 2..9 in place; the spent x1, x3 hold the next hi0, hi1
+        _mulhilo(x0, _PHILOX_M0, hi0, a, b, c)
+        _mulhilo(x2, _PHILOX_M1, hi1, a, b, c)
+        hi1 ^= x1
+        hi1 ^= k0
+        hi0 ^= x3
+        hi0 ^= k1
+        x0, x1, x2, x3, hi0, hi1 = hi1, x2, hi0, x0, x1, x3
     return x0, x1, x2, x3
 
 

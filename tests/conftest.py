@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -28,3 +29,16 @@ def special(request, monkeypatch):
     yield request.param
     if request.param == "port":
         assert stochastic._port_left is not None, "scipy.special served a call"
+
+
+@pytest.fixture
+def port_calls(monkeypatch):
+    """Count the calls on the numpy port's ndtri and exp, by function name."""
+    calls = Counter()
+    for name in ("_ndtri_port", "_exp_port"):
+        def counted(*args, _name=name, _port=getattr(stochastic, name), **kwargs):
+            calls[_name] += 1
+            return _port(*args, **kwargs)
+
+        monkeypatch.setattr(stochastic, name, counted)
+    return calls

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pensionsim import engine
+from pensionsim import engine, stochastic
 from pensionsim.accumulation import accumulate_corpus, dearness_allowance, project_basic
 from pensionsim.engine import (
     DEFAULTS,
@@ -575,6 +575,27 @@ def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, bl
         assert got == _bits(records(alone.outcomes))
         paths = range(0, base.num_paths, 7)
         assert [got[i] for i in paths] == _bits(run_path(result.scenario, i) for i in paths)
+
+
+# A default run charges the switch 79_000 normals and 29_000 growth factors
+# in three blocks; the gbm_sigma sweep computes each block's career twice.
+@pytest.mark.parametrize("special, paths, overrides, port", [
+    (108_000, 1000, [], 3),
+    (107_999, 1000, [], 0),
+    (137_000, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3),
+    (136_999, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 0),
+    (2**20, 10_000, [], 0),
+], ids=["run-fits", "run-over", "sweep-fits", "sweep-over", "10k-over"], indirect=["special"])
+def test_one_implementation_serves_a_whole_run(special, paths, overrides, port, port_calls):
+    base = Scenario(num_paths=paths)
+    results = sweep(base, overrides) if overrides else [run_scenario(base)]
+    careers = 2 if overrides else 1
+    assert port_calls == ({"_ndtri_port": port, "_exp_port": careers * port} if port else {})
+    assert stochastic._port_left == (0 if port else None)
+    indices = range(0, paths, 97)
+    for result in results:
+        got = _bits(records(result.outcomes))
+        assert [got[i] for i in indices] == _bits(run_path(result.scenario, i) for i in indices)
 
 
 @pytest.mark.parametrize(

@@ -117,16 +117,16 @@ def test_run_detail_bytes_match_golden(tmp_path, capsys, special):
     assert _digests(out) == DETAIL_GOLDEN
 
 
-# A default run's blocks hold 414 paths: 32_706 normals, then 12_006 growth
-# factors for each career. These budgets run out in the first or the second
-# block, at its normals or at its growth factors, and in the sweep between its
-# two variants' growth factors of one block.
+# A default run charges the switch 108_000 values, 79_000 normals and 29_000
+# growth factors, and the gbm_sigma sweep, two careers a block, 137_000. Each
+# budget here would run out in the first or the second block, at its normals
+# or at its growth factors, so scipy.special serves every block from the first.
 @pytest.mark.parametrize("special", [40_000, 50_000, 80_000], indirect=True)
-def test_budget_spent_mid_run_keeps_the_bits(tmp_path, capsys, monkeypatch, special):
+def test_budget_spent_mid_run_keeps_the_bits(tmp_path, capsys, monkeypatch, special, port_calls):
     def spending(call):
-        monkeypatch.setattr(stochastic, "_port_left", special)  # the port serves the first block
+        monkeypatch.setattr(stochastic, "_port_left", special)
         result = call()
-        assert stochastic._port_left is None  # and scipy.special a later one
+        assert stochastic._port_left is None and not port_calls  # scipy.special served it all
         return result
 
     assert spending(lambda: cli_main(["run", "--out", str(tmp_path / "run")])) == 0

@@ -77,11 +77,13 @@ def test_streams_match_jumped_philox(stream_id):
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 @pytest.mark.parametrize("size", [1, 4, 7, 79])
 def test_stream_block_rows_are_the_streams(seed, size):
-    first = 2**40 - 2
-    block = stream_normals(seed, first, 5, size)
-    assert block.shape == (5, size)
-    for row, stream_id in zip(block, range(first, first + 5)):
-        assert np.array_equal(row, RandomStream(seed, stream_id).standard_normal(size))
+    for first in (2**40 - 2, 2**64 - 5):  # the second block's last stream id is 2**64 - 1
+        block = stream_normals(seed, first, 5, size)
+        assert block.shape == (5, size)
+        for row, stream_id in zip(block, range(first, first + 5)):
+            assert np.array_equal(row, RandomStream(seed, stream_id).standard_normal(size))
+    for count, draws in ((0, size), (5, 0), (0, 0)):  # an empty counter grid
+        assert philox_uniforms(seed, 2**64 - 5, count, draws).shape == (count, draws)
 
 
 def test_stream_position_depends_only_on_draw_count():
