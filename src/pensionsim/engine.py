@@ -392,11 +392,10 @@ def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) ->
     size = 2 * s.service_years + s.retirement_years - 1
     firsts = range(0, s.num_paths, paths)
     counts = [min(paths, s.num_paths - first) for first in firsts]
-    # the run's calls on ndtri and exp: each block's normals, then the
-    # growth factors of each career it computes
+    # the calls on ndtri and exp a block makes: its normals, then the growth
+    # factors of each career it computes
     careers = 1 if stage == "retirement" else len(scenarios)
-    growth = s.service_years - 1
-    _expect_calls(v for count in counts for v in [count * size] + careers * [count * growth])
+    _expect_calls(counts, [size] + careers * [s.service_years - 1])
     for first, count in zip(firsts, counts):
         block = {name: array[..., :count] for name, array in space.items()}
         z = stream_normals(s.seed, first, count, size, block).T
@@ -433,10 +432,9 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
             _fill(scenarios, stage, outcomes)
     except (ValueError, ArithmeticError):
-        if len(scenarios) > 1:
-            for scenario in scenarios:
-                _run([scenario])
-        raise
+        if len(scenarios) == 1:
+            raise
+        return _run(scenarios, "draws")
     results = []
     for scenario, outcome in zip(scenarios, outcomes):
         check_outcome(outcome)  # it and summarize raise ValueError naming the metric

@@ -162,13 +162,17 @@ def emit_summary(result: ScenarioResult) -> str:
 def _write_files(out: Path, files: dict[str, str]) -> None:
     """Write a command's whole output set into `out`: every file or none.
 
-    Every target is checked first, then every file is written to a temporary
+    `out`, or else its nearest parent that exists, must be a directory, and
+    every target is checked first; then every file is written to a temporary
     name beside it, and only then are all renamed into place; a `wrote` line
     is printed for each after the last rename. Files are created as
     open(path, "w") creates them, so the umask sets their mode. On failure
     the temporary files go, and so do the directories of `out` that this
     call created.
     """
+    for directory in (out, *out.parents):  # only the nearest that exists can be a non-directory
+        if directory.exists() and not directory.is_dir():
+            raise NotADirectoryError(f"cannot write into {out}: {directory} is not a directory")
     targets = [out / name for name in files]
     for path in targets:
         if path.exists() and not path.is_file():

@@ -101,8 +101,9 @@ def _normals(u: np.ndarray, out=None) -> np.ndarray:
 # 2-core Xeon VM (Python 3.11, numpy 2.4, scipy 1.17): a port call costs
 # 60-95 us more than scipy's, and each value about 115 ns more for ndtri and
 # 60 ns more for exp. So each call is charged at least 2**9 values, about
-# its fixed cost in values, and the 2**20 values the port may serve cost at
-# most about 0.12 s more than scipy would, half the import.
+# its fixed cost in values, by _special_functions or, for a whole run
+# before its first block, by _expect_calls; the 2**20 values the port may
+# serve cost at most about 0.12 s more than scipy would, half the import.
 _PORT_BUDGET = 2**20
 _PORT_CALL = 2**9
 
@@ -111,13 +112,15 @@ _PORT_CALL = 2**9
 _port_left: int | None = _PORT_BUDGET
 
 
-def _expect_calls(sizes) -> None:
+def _expect_calls(counts, sizes) -> None:
     """Serve every later call from scipy.special, unless the port's budget
-    covers calls on each of `sizes` values. A run tells its calls before its
-    first block, so one implementation serves all of it: a run that spent the
+    covers a run of blocks of `counts` paths, each block making one call on
+    each of `sizes` values a path. A run tells its calls before its first
+    block, so one implementation serves all of it: a run that spent the
     budget part way would pay for both the port and the import."""
     global _port_left
-    if _port_left is not None and sum(max(v, _PORT_CALL) for v in sizes) > _port_left:
+    charge = sum(max(count * size, _PORT_CALL) for count in counts for size in sizes)
+    if _port_left is not None and charge > _port_left:
         _port_left = None
 
 
@@ -148,27 +151,28 @@ def _scipy_functions():
 
 
 # Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
-# 1989), as scipy.special.ndtri computes it
+# 1989), as scipy.special.ndtri computes it; each _Q table starts with the
+# leading 1 that Cephes' p1evl implies, so _polevl evaluates all six
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _SQRT_2PI = 2.50662827463100050242
 # |y - 0.5| <= 3/8
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
        1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
        -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
        1.59056225126211695515e1, -1.18331621121330003142e0)
 # sqrt(-2 log y) in [2, 8): y in (exp(-32), exp(-2)]
 _P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
        4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
        -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
        1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
        -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 # sqrt(-2 log y) in [8, 64): y in (exp(-2048), exp(-32)]
 _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
        1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
        3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
@@ -183,17 +187,8 @@ def _polevl(x: np.ndarray, coefs) -> np.ndarray:
     return ans
 
 
-def _p1evl(x: np.ndarray, coefs) -> np.ndarray:
-    """_polevl with a leading coefficient of 1, as Cephes' p1evl."""
-    ans = x + coefs[0]
-    for c in coefs[1:]:
-        ans *= x
-        ans += c
-    return ans
-
-
 def _tail(z: np.ndarray, p, q) -> np.ndarray:
-    return z * _polevl(z, p) / _p1evl(z, q)
+    return z * _polevl(z, p) / _polevl(z, q)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -218,7 +213,7 @@ def _ndtri_port(y0, out=None) -> np.ndarray:
 
     c = y[central] - 0.5
     c2 = c * c
-    xc = c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))
+    xc = c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))
     xc *= _SQRT_2PI
 
     t = np.sqrt(-2.0 * _log(y[tail]))

@@ -10,6 +10,19 @@ import pytest
 from pensionsim import stochastic
 
 
+@pytest.fixture(autouse=True)
+def fresh_switch(monkeypatch):
+    """Start each test with the switch as a fresh process has it, whatever ran before.
+
+    The port's whole budget is left and scipy.special is not in sys.modules,
+    so the test's first calls go to the port. scipy's functions are loaded
+    before the test, so that a test that turns to scipy never pays the import.
+    """
+    stochastic._scipy_functions()
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+    monkeypatch.setattr(stochastic, "_port_left", stochastic._PORT_BUDGET)
+
+
 @pytest.fixture
 def special(request, monkeypatch):
     """Serve ndtri and exp as the test's parameter says, by setting the switch's state.
@@ -19,13 +32,8 @@ def special(request, monkeypatch):
     the port serves calls until that many values are charged to it, then
     scipy.special does.
     """
-    stochastic._scipy_functions()  # loaded now, so the switch imports nothing mid-test
-    if request.param == "scipy":
-        monkeypatch.setattr(stochastic, "_port_left", None)
-    else:
-        monkeypatch.delitem(sys.modules, "scipy.special")
-        budget = 2**62 if request.param == "port" else request.param
-        monkeypatch.setattr(stochastic, "_port_left", budget)
+    budget = {"scipy": None, "port": 2**62}.get(request.param, request.param)
+    monkeypatch.setattr(stochastic, "_port_left", budget)
     yield request.param
     if request.param == "port":
         assert stochastic._port_left is not None, "scipy.special served a call"

@@ -305,6 +305,8 @@ def test_a_run_faults_its_block_arrays_in_once():
 
 
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
+    # scipy.special serves: the claim is its compiled exp's, as the port's is a math.exp map
+    monkeypatch.setattr(stochastic, "_port_left", None)
     scenario = Scenario(num_paths=1000)
     runs = [
         lambda: records(run_scenario(scenario).outcomes),
@@ -579,13 +581,18 @@ def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, bl
 
 # A default run charges the switch 79_000 normals and 29_000 growth factors
 # in three blocks; the gbm_sigma sweep computes each block's career twice.
+# An 830-path run has blocks of 414, 414 and 2 paths: 2 * (414 * 79 + 414 * 29)
+# values, and the last block's two calls are charged 2**9 each.
 @pytest.mark.parametrize("special, paths, overrides, port", [
     (108_000, 1000, [], 3),
     (107_999, 1000, [], 0),
     (137_000, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3),
     (136_999, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 0),
     (2**20, 10_000, [], 0),
-], ids=["run-fits", "run-over", "sweep-fits", "sweep-over", "10k-over"], indirect=["special"])
+    (90_448, 830, [], 3),
+    (90_447, 830, [], 0),
+], ids=["run-fits", "run-over", "sweep-fits", "sweep-over", "10k-over", "small-last-block-fits",
+        "small-last-block-over"], indirect=["special"])
 def test_one_implementation_serves_a_whole_run(special, paths, overrides, port, port_calls):
     base = Scenario(num_paths=paths)
     results = sweep(base, overrides) if overrides else [run_scenario(base)]

@@ -675,6 +675,25 @@ def test_cli_unwritable_out_is_runtime_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [["run", "--paths", "5"], ["sweep", "--param", "num_paths", "--values", "5"]],
+    ids=["run", "sweep"],
+)
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
+def test_cli_out_under_a_file_names_the_file(tmp_path, capsys, monkeypatch, argv, below):
+    # one line that names the file in the way, not "File exists" or "Not a directory"
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("a file, not a directory")
+    out = str(Path("afile", below))
+    assert cli_main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write into {out}: afile is not a directory\n"
+    assert Path("afile").read_text() == "a file, not a directory"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile"]
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["run"],
         ["sweep", "--param", "annuity_rate", "--values", "0.05,0.07"],
