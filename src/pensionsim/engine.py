@@ -10,18 +10,26 @@ functions; they are the reference. `run_scenario` and `sweep` compute
 blocks of paths as year-major (years, paths) arrays with the same
 operations in the same order, so their outcomes equal `run_path`'s bit for
 bit; `sweep` computes each stage of a block once for the variants that
-share it. A run computes every block in one set of arrays.
+share it. A run computes every block in one set of arrays, and a large
+run shares its blocks with a helper process (see _fill).
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import dataclasses
 import math
+import os
+import pickle
+import threading
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
+from . import stochastic
 from .accumulation import (
     CareerYear,
     accumulate_corpus,
@@ -42,6 +50,7 @@ from .stochastic import (
     _WORD,
     RandomStream,
     _expect_calls,
+    _scipy_functions,
     gbm_drift,
     gbm_log_returns,
     inflation_series,
@@ -235,6 +244,9 @@ class PathDetail:
     retirement: tuple[RetirementYear, ...]
 
 
+# PathOutcome's types after path_index
+_OUTCOME_KINDS = (float, float, int, float)
+
 # the most bytes numpy can index; larger arrays are a ValueError, not a MemoryError
 _MAX_BYTES = np.iinfo(np.intp).max
 
@@ -380,38 +392,377 @@ def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> N
     np.sum(sufficient, axis=0, out=shortfall)
 
 
+def _block(scenarios: list[Scenario], stage: str, first: int, count: int, space: dict, out) -> None:
+    """Compute paths first..first+count-1 of `scenarios` in `space`'s leading columns.
+
+    `out` holds, for each scenario, the four arrays of count entries that
+    take its outcomes, in PathOutcome's field order after path_index.
+    """
+    s = scenarios[0]
+    block = {name: array[..., :count] for name, array in space.items()}
+    z = stream_normals(s.seed, first, count, 2 * s.service_years + s.retirement_years - 1, block).T
+    shared = _career(s, z, block) if stage == "retirement" else None
+    for scenario, columns in zip(scenarios, out):
+        career = _career(scenario, z, block) if shared is None else shared
+        _retirement(scenario, *career, block, columns)
+
+
 def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) -> None:
     """Compute `scenarios`' outcomes into their columns, one block of paths at a time.
 
     Every block is computed in one set of arrays, and the last, shorter one
-    in their leading columns; they are freed when this returns.
+    in their leading columns; they are freed when this returns. A run of at
+    least _HELPER_BLOCKS blocks shares them with the helper process when
+    _helper_usable, unless the helper still finishes an earlier run (see
+    _share); if a block fails there or here, or the helper ends,
+    every block is computed again here, in order, so the error raised is
+    that of the first failing block.
     """
     s = scenarios[0]
     paths, layout = _block_layout(s)
-    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     size = 2 * s.service_years + s.retirement_years - 1
-    firsts = range(0, s.num_paths, paths)
-    counts = [min(paths, s.num_paths - first) for first in firsts]
+    counts = [min(paths, s.num_paths - first) for first in range(0, s.num_paths, paths)]
     # the calls on ndtri and exp a block makes: its normals, then the growth
     # factors of each career it computes
     careers = 1 if stage == "retirement" else len(scenarios)
-    _expect_calls(counts, [size] + careers * [s.service_years - 1])
-    for first, count in zip(firsts, counts):
-        block = {name: array[..., :count] for name, array in space.items()}
-        z = stream_normals(s.seed, first, count, size, block).T
-        shared = _career(s, z, block) if stage == "retirement" else None
-        for scenario, (_, *columns) in zip(scenarios, outcomes):
-            career = _career(scenario, z, block) if shared is None else shared
-            _retirement(scenario, *career, block, [c[first : first + count] for c in columns])
+    charge = _expect_calls(counts, [size] + careers * [s.service_years - 1])
+    left = stochastic._port_left  # the switch's state for every block of the run
+    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+
+    def out(index):  # block `index`'s entries of each scenario's outcome columns
+        first = index * paths
+        return [[column[first : first + counts[index]] for column in outcome[1:]]
+                for outcome in outcomes]
+
+    if len(counts) >= _HELPER_BLOCKS and _helper_usable():
+        try:
+            if (helper := _helper_for(left)) is not None:
+                _share(helper, (scenarios, stage, paths, layout, left), counts, space, out)
+            else:  # it still finishes an earlier run, so this one is computed here
+                for index, count in enumerate(counts):
+                    _block(scenarios, stage, index * paths, count, space, out(index))
+        except (ValueError, ArithmeticError, EOFError, OSError):
+            _stop_helper()
+            stochastic._port_left = left
+        except BaseException:
+            _stop_helper()
+            raise
+        else:
+            if helper is not None and stochastic._port_left is not None:
+                stochastic._port_left = left - charge  # charged as if every block ran here
+            return
+    for index, count in enumerate(counts):
+        _block(scenarios, stage, index * paths, count, space, out(index))
+
+
+# --- the helper: a second process for a run's blocks ------------------------
+#
+# Philox streams are counter-based, so a block's bits do not depend on the
+# process that computes it. A run of many blocks computes them in two
+# processes: this one and a helper, forked by the first such run and kept
+# for every later one. Each run sends the helper one pickled command, which
+# holds all the helper may not read from its own module state (a copy from
+# the fork, perhaps stale): the scenarios, the stage, the block layout and
+# the special-functions switch's state. Both processes claim blocks from one
+# pipe, 8 bytes a claim; a read that small is atomic, and a helper slowed by
+# other work just claims fewer. The helper writes each block's outcome rows
+# back through a second pipe, which this process reads between its own
+# blocks and after its last one. Once no claim is left, this process waits
+# for the helper's last blocks only about as long as one of its own claims
+# takes (_PATIENCE), and then computes them itself, so a helper that the
+# machine delays holds a run up by about two claims at most. Its late rows
+# are read and dropped before its next run, and a run that starts before
+# they have all come is computed here alone. The helper ignores SIGINT and
+# ends only through os._exit: when a pipe to its parent closes, or when
+# killed.
+
+# blocks a run needs to use the helper; three blocks split at best 2:1
+_HELPER_BLOCKS = 4
+# claims a run makes at most: with the two end markers they fill
+# 4096 bytes, which any pipe takes in one write
+_CLAIMS = 510
+_END = -1  # the claim that ends a process's share, and the helper's last message of a run
+# claim times of this process after the helper's last message by which the
+# helper's last claim should have come, as both compute a claim about as fast
+_PATIENCE = 1.5
+
+
+class _Helper(NamedTuple):
+    pid: int
+    commands: int  # this process writes commands here
+    claims_r: int  # both processes read claims here
+    claims_w: int
+    rows: int  # the helper writes outcome rows here
+
+
+_helper: _Helper | None = None
+# the rows' bytes of each block of the run whose end marker the helper has
+# not yet sent; None when it has sent every message of its runs
+_owed: list[int] | None = None
+
+
+def _helper_usable() -> bool:
+    """Whether a run may use the helper: this process can fork, may run on
+    two CPUs, and runs no other Python thread."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _readable(fd: int, timeout: float | None = 0.0) -> bool:
+    """Whether a read of `fd` would not wait, within `timeout` seconds (None:
+    however long it takes): data has come, or the write end is closed."""
+    import select
+
+    poll = select.poll()
+    poll.register(fd, select.POLLIN)
+    return bool(poll.poll(None if timeout is None else timeout * 1e3))
+
+
+def _drained() -> bool:
+    """Whether the helper has sent every message of its runs; reads and
+    drops those of an earlier run that have come."""
+    global _owed
+    while _owed is not None and _readable(_helper.rows):
+        index = _read_int(_helper.rows)
+        if index == _END:
+            _owed = None
+        else:
+            _read(_helper.rows, _owed[index])
+    return _owed is None
+
+
+def _helper_for(left: int | None) -> _Helper | None:
+    """The helper, forked if there is none or it has ended since the last
+    run; None while it still computes blocks of an earlier run."""
+    if _helper is not None:
+        try:
+            if not _drained():
+                return None
+            ended = _readable(_helper.rows)  # between runs its rows pipe is empty, unless closed
+        except EOFError:
+            ended = True
+        if ended:
+            _stop_helper()
+    if _helper is None:
+        if left is None:
+            _scipy_functions()  # imported once, before the fork, for both processes
+        _start_helper()
+    return _helper
+
+
+def _start_helper() -> None:
+    import signal
+    import warnings
+
+    global _helper
+    cpu = _cpu()
+    fds = os.pipe() + os.pipe() + os.pipe()
+    commands_r, commands_w, claims_r, claims_w, rows_r, rows_w = fds
+    try:
+        with warnings.catch_warnings():
+            # From Python 3.12 fork() warns whenever the process has another OS
+            # thread, and numpy's BLAS pool always is one. No other Python
+            # thread runs (see _helper_usable), and the helper calls only
+            # numpy and scipy ufuncs, pickle and os, never BLAS, so it never
+            # waits on a lock that a thread left behind by the fork held.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for fd in (commands_w, claims_w, rows_r):
+                os.close(fd)
+            _leave_cpu(cpu)
+            _serve(commands_r, claims_r, rows_w)
+        finally:
+            os._exit(0)  # never flush the parent's buffers or run its atexit handlers
+    os.close(commands_r)
+    os.close(rows_w)
+    _helper = _Helper(pid, commands_w, claims_r, claims_w, rows_r)
+
+
+def _cpu() -> int | None:
+    """The CPU this process runs on, or None where the C library cannot tell."""
+    try:
+        import ctypes
+
+        getcpu = ctypes.CDLL(None).sched_getcpu
+        getcpu.argtypes, getcpu.restype = (), ctypes.c_int
+        return getcpu()
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Move this process off `cpu`, if it may run elsewhere, and leave it free to move back.
+
+    A forked child may start on its parent's CPU, and a scheduler wakes a
+    sleeping process where it last ran and may balance it away only late,
+    so a helper left there could share its parent's CPU run after run.
+    """
+    cpus = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError):  # the helper serves wherever it runs
+        os.sched_setaffinity(0, cpus - {cpu} or cpus)
+        os.sched_setaffinity(0, cpus)
+
+
+def _forget_helper() -> None:
+    """Drop the helper and close this process's ends of its pipes; a forked child calls it."""
+    global _helper, _owed
+    if _helper is not None:
+        for fd in _helper[1:]:
+            os.close(fd)
+        _helper = _owed = None
+
+
+def _stop_helper() -> None:
+    """Kill and reap the helper, if there is one, and close its pipes."""
+    import signal
+
+    helper = _helper
+    _forget_helper()
+    if helper is not None:
+        with contextlib.suppress(ChildProcessError):
+            if not os.waitpid(helper.pid, os.WNOHANG)[0]:  # it has not ended already
+                os.kill(helper.pid, signal.SIGKILL)
+                os.waitpid(helper.pid, 0)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+atexit.register(_stop_helper)
+
+
+def _read(fd: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError("the helper process has ended")
+        data += chunk
+    return data
+
+
+def _read_int(fd: int) -> int:
+    return int.from_bytes(_read(fd, 8), "little", signed=True)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _int_bytes(value: int) -> bytes:
+    return value.to_bytes(8, "little", signed=True)
+
+
+def _claims(blocks: int) -> list[range]:
+    """A run's claims: at most _CLAIMS runs of consecutive blocks, each as long as the first."""
+    per = -(-blocks // _CLAIMS)
+    return [range(first, min(first + per, blocks)) for first in range(0, blocks, per)]
+
+
+def _share(helper: _Helper, command: tuple, counts: list[int], space: dict, out) -> None:
+    """Compute a run's blocks here and in the helper, each claiming them until none is left.
+
+    `out(index)` gives the arrays that take block `index`'s outcomes. Once
+    no claim is left, the helper's blocks still to come are computed here if
+    the helper has sent nothing for _PATIENCE times the mean time of this
+    process's claims.
+    """
+    global _owed
+    scenarios, stage, paths, _, _ = command
+    claims = _claims(len(counts))
+    os.write(helper.claims_w, b"".join(map(_int_bytes, [*range(len(claims)), _END, _END])))
+    message = pickle.dumps(command)
+    _write(helper.commands, _int_bytes(len(message)) + message)
+
+    def receive() -> bool:  # one message of the helper: True when it has finished its share
+        nonlocal heard
+        index = _read_int(helper.rows)
+        heard = time.perf_counter()
+        if index == _END:
+            return True
+        for columns in out(index):
+            for column in columns:
+                column[...] = np.frombuffer(_read(helper.rows, column.nbytes), column.dtype)
+        have[index] = True
+        return False
+
+    def compute(index):
+        _block(scenarios, stage, index * paths, counts[index], space, out(index))
+        have[index] = True
+
+    have = [False] * len(counts)  # whether block `index`'s outcomes are in
+    took = []  # seconds each claim of this process took
+    heard = time.perf_counter()  # when the helper's last message came, or the command went
+    done = False
+    while (claim := _read_int(helper.claims_r)) != _END:
+        start = time.perf_counter()
+        for index in claims[claim]:
+            compute(index)
+        took.append(time.perf_counter() - start)
+        while not done and _readable(helper.rows):
+            done = receive()
+    # The helper claims its next blocks as it sends the last ones, so its last
+    # claim began before its last message came. With no claim of its own, this
+    # process has no measure of a claim and waits.
+    patience = _PATIENCE * sum(took) / len(took) if took else None
+    while not done:
+        timeout = None if patience is None else max(heard + patience - time.perf_counter(), 0.0)
+        if _readable(helper.rows, timeout):
+            done = receive()
+        elif all(have):  # only the helper's end marker is late
+            _owed = [sum(c.nbytes for columns in out(i) for c in columns) for i in range(len(counts))]
+            return
+        else:
+            for index in [i for i, got in enumerate(have) if not got]:
+                compute(index)
+
+
+def _serve(commands: int, claims: int, rows: int) -> None:
+    """The helper's life: its share of each run whose command arrives on `commands`."""
+    while True:
+        message = _read(commands, _read_int(commands))
+        scenarios, stage, paths, layout, left = pickle.loads(message)
+        stochastic._port_left = left
+        num_paths = scenarios[0].num_paths
+        runs = _claims(-(-num_paths // paths))
+        space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+        columns = [[np.empty(paths, kind) for kind in _OUTCOME_KINDS] for _ in scenarios]
+        with np.errstate(all="ignore"):
+            while (claim := _read_int(claims)) != _END:
+                for index in runs[claim]:
+                    first = index * paths
+                    count = min(paths, num_paths - first)
+                    out = [[column[:count] for column in outcome] for outcome in columns]
+                    _block(scenarios, stage, first, count, space, out)
+                    _write(rows, _int_bytes(index) + b"".join(c.tobytes() for o in out for c in o))
+        _write(rows, _int_bytes(_END))
+        del space, columns  # freed while the helper waits for the next run
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
     """The results of `scenarios`, in order, computed one block of paths at a time.
 
     The scenarios must agree on every field of the stages before `stage`,
-    and each block computes those stages once for all of them. When a block
-    of several scenarios fails, each is rerun alone, in order, so the error
-    raised is that of the first failing scenario, as if each ran alone.
+    and each block computes those stages once for all of them. The blocks
+    may be shared with the helper process (see _fill), which gives the same
+    bits and, when a block fails, the error of the first failing block.
+    When a block of several scenarios fails, each is rerun alone, in order,
+    so the error raised is that of the first failing scenario, as if each
+    ran alone.
     """
     if stage == "draws" or not scenarios:
         return [_run([scenario])[0] for scenario in scenarios]
@@ -423,9 +774,8 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         8 * len(PathOutcome._fields) * s.num_paths * len(scenarios)
         + sum(math.prod(shape) * np.dtype(kind).itemsize for shape, kind in layout.values())
     )
-    kinds = (float, float, int, float)  # PathOutcome's types after path_index
     outcomes = [
-        PathOutcome(np.arange(s.num_paths), *(np.empty(s.num_paths, kind) for kind in kinds))
+        PathOutcome(np.arange(s.num_paths), *(np.empty(s.num_paths, k) for k in _OUTCOME_KINDS))
         for _ in scenarios
     ]
     try:
@@ -545,10 +895,14 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     Paths run in blocks of at most _BLOCK_DRAWS draws, or of
     _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
-    `run_path`'s bit for bit. Raises ValueError naming the metric when an
-    outcome or a summary statistic is not finite (a numeric blow-up of the
-    scenario's parameters). It runs sweep's block loop with one scenario, so
-    an error in a block stops the run at that block.
+    `run_path`'s bit for bit. A run of at least _HELPER_BLOCKS blocks is
+    computed in this process and a helper process forked once for all such
+    runs, when the process may use two CPUs and runs no other thread.
+    Raises ValueError naming the metric when an outcome or a summary
+    statistic is not finite (a numeric blow-up of the scenario's
+    parameters). It runs sweep's blocks with one scenario, so a block's
+    error is raised as computing the blocks in order in one process raises
+    it: that of the first failing block.
     """
     return _run([scenario])[0]
 
@@ -560,7 +914,8 @@ def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
     streams path-by-path (common random numbers) and differences reflect
     the parameter change alone. The variants run together, block by block,
     and share every stage before the earliest stage of the overridden
-    fields (see Field.stage). The results equal separate run_scenario calls
+    fields (see Field.stage). The blocks may be computed in two processes,
+    as run_scenario's are. The results equal separate run_scenario calls
     bit for bit. When a block fails, the variants are rerun one by one, so
     the error raised is that of the first variant, in the given order, that
     fails.

@@ -112,16 +112,18 @@ _PORT_CALL = 2**9
 _port_left: int | None = _PORT_BUDGET
 
 
-def _expect_calls(counts, sizes) -> None:
+def _expect_calls(counts, sizes) -> int:
     """Serve every later call from scipy.special, unless the port's budget
     covers a run of blocks of `counts` paths, each block making one call on
     each of `sizes` values a path. A run tells its calls before its first
     block, so one implementation serves all of it: a run that spent the
-    budget part way would pay for both the port and the import."""
+    budget part way would pay for both the port and the import. Returns
+    what the run's calls will charge."""
     global _port_left
     charge = sum(max(count * size, _PORT_CALL) for count in counts for size in sizes)
     if _port_left is not None and charge > _port_left:
         _port_left = None
+    return charge
 
 
 def _special_functions(values: int):

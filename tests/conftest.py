@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from pensionsim import stochastic
+from pensionsim import engine, stochastic
 
 
 @pytest.fixture(autouse=True)
@@ -21,6 +21,14 @@ def fresh_switch(monkeypatch):
     stochastic._scipy_functions()
     monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
     monkeypatch.setattr(stochastic, "_port_left", stochastic._PORT_BUDGET)
+
+
+@pytest.fixture(autouse=True)
+def no_helper_after():
+    """Stop the engine's helper process after each test, so that the next test
+    forks its own, and no test's patches or switch state reach another's runs."""
+    yield
+    engine._stop_helper()
 
 
 @pytest.fixture
