@@ -812,21 +812,49 @@ class SummaryStats:
     bin_counts: tuple[int, ...]
 
 
-def _histogram_range(lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi], widened where the equal-width bin edges would collapse (see summarize)."""
+def _histogram_range(lo: float, hi: float) -> tuple[float, float, np.ndarray]:
+    """[lo, hi], widened where the equal-width bin edges would collapse (see
+    summarize), and the edges over it."""
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, _BIN_COUNT + 1)
-    if np.all(edges[:-1] < edges[1:]):
-        return lo, hi
+    if (edges[:-1] < edges[1:]).all():
+        return lo, hi, edges
     pad = max(0.5, max(abs(lo), abs(hi)) * 2.0**-40)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    return lo, hi, np.linspace(lo, hi, _BIN_COUNT + 1)
+
+
+def _quantiles(arr: np.ndarray, ordered: np.ndarray) -> list[float]:
+    """arr's quantiles at _QUANTILE_LEVELS by the rule summarize states,
+    from `ordered`, which is arr sorted."""
+    zeros = ordered[ordered.searchsorted(0.0, "left") : ordered.searchsorted(0.0, "right")]
+    if 0 < np.count_nonzero(np.signbit(zeros)) < zeros.size:
+        return np.quantile(arr, _QUANTILE_LEVELS).tolist()
+    last = ordered.size - 1
+    virtual = [last * q for q in _QUANTILE_LEVELS]
+    lower = [-1 if v >= last else math.floor(v) for v in virtual]
+    values = ordered[[*lower, *(-1 if i == -1 else i + 1 for i in lower)]].tolist()
+    quantiles = []
+    for v, i, a, b in zip(virtual, lower, values, values[len(lower) :]):
+        g, diff = v - i, b - a
+        quantiles.append(b - diff * (1 - g) if g >= 0.5 else a + diff * g)
+    return quantiles
 
 
 def summarize(values, metric: str = "values") -> SummaryStats:
     """Moments, linear-interpolation quantiles, and a 30-bin equal-width histogram.
 
-    The sd uses the n-1 divisor and is 0.0 for a single value. Histogram
+    The sd uses the n-1 divisor and is 0.0 for a single value. The
+    quantiles are np.quantile's, bit for bit, by its linear rule on one
+    sorted copy of the n values: level q has the virtual index v = (n-1)*q,
+    between the indices lower = floor(v) and lower + 1, except that both
+    are -1 where v >= n-1; with g = v - lower and a, b the values at those
+    indices, the quantile is a + (b-a)*g, or b - (b-a)*(1-g) where g >=
+    0.5. Only 0.0 and -0.0 are equal values with different bits, and a sort
+    may order them otherwise than np.quantile's partition does, so a column
+    that holds both takes its quantiles from np.quantile itself. The bin
+    counts are np.histogram's, from the same sorted copy. Histogram
     bins span [min, max] and are right-open except the last, which is
     closed so the maximum lands in the final bin. When [min, max] is too
     narrow for distinct bin edges (equal values, or values apart by
@@ -842,22 +870,25 @@ def summarize(values, metric: str = "values") -> SummaryStats:
         moments = {
             "mean": float(arr.mean()),
             "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-            "min": float(arr.min()),
+            "min": float(arr.min()),  # not the sorted ends: max may be -0.0 beside 0.0
             "max": float(arr.max()),
         }
-        quantiles = dict(zip(QUANTILE_LABELS, np.quantile(arr, _QUANTILE_LEVELS).tolist()))
-        span = _histogram_range(moments["min"], moments["max"])
-        named = {**moments, **quantiles, "first edge": span[0], "last edge": span[1]}
+        ordered = np.sort(arr)  # once std has freed its temporary, so the two never coexist
+        quantiles = dict(zip(QUANTILE_LABELS, _quantiles(arr, ordered)))
+        first, last, edges = _histogram_range(moments["min"], moments["max"])
+        named = {**moments, **quantiles, "first edge": first, "last edge": last}
         for stat, value in named.items():
-            if not math.isfinite(value):  # checked before linspace, which makes NaN of inf
+            if not math.isfinite(value):  # not the edges: linspace makes NaN of inf
                 raise ValueError(f"{metric} {stat} is not finite: {value}")
-        edges = np.linspace(*span, _BIN_COUNT + 1)
+    # np.histogram's counts: the values below each edge, and at or below the last
+    below = ordered.searchsorted(edges, "left")
+    below[-1] = ordered.searchsorted(edges[-1], "right")
     return SummaryStats(
         count=int(arr.size),
         **moments,
         quantiles=quantiles,
         bin_edges=tuple(edges.tolist()),
-        bin_counts=tuple(np.histogram(arr, bins=edges)[0].tolist()),
+        bin_counts=tuple(np.diff(below).tolist()),
     )
 
 

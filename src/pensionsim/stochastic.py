@@ -50,8 +50,16 @@ _UNIFORM_FLOOR = 2.0**-53
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-_MASK32 = 0xFFFFFFFF
 _MASK64 = _WORD - 1
+# _mulhilo's operands as uint64 arrays and scalars, built once, so that no
+# call converts a Python int: the mask and the shift of a 32-bit half, and
+# (multiplier, low half, high half) for the stack [M0, M1], each (2, 1, 1)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT53 = np.uint64(64 - 53)  # Generator.random's 53-bit mapping keeps a word's high bits
+_PHILOX_M = np.array(
+    [[m, m & 0xFFFFFFFF, m >> 32] for m in (_PHILOX_M0, _PHILOX_M1)], dtype=np.uint64
+).T[:, :, None, None]
 
 
 def _check_streams(master_seed, first, count) -> tuple[int, int, int]:
@@ -247,78 +255,87 @@ def _exp_port(r, out=None) -> np.ndarray:
     return out
 
 
-def _mulhilo(x: np.ndarray, multiplier: int, hi: np.ndarray, a, b, c) -> np.ndarray:
+def _mulhilo(x: np.ndarray, m, hi: np.ndarray, a, b, c) -> np.ndarray:
     """Write the high 64-bit word of x * multiplier to `hi`, and the low word over `x`.
 
-    Built from 32-bit halves, so that no partial sum exceeds 2**64 - 1. `hi`,
-    `a`, `b` and `c` have x's shape; `a`, `b` and `c` are scratch.
+    `m` is (multiplier, its low 32 bits, its high 32 bits), uint64 arrays
+    that broadcast against x. Built from 32-bit halves, so that no partial
+    sum exceeds 2**64 - 1. `hi`, `a`, `b` and `c` have x's shape; `a`, `b`
+    and `c` are scratch.
     """
-    m_lo, m_hi = multiplier & _MASK32, multiplier >> 32
-    np.bitwise_and(x, _MASK32, out=a)  # x_lo
-    np.right_shift(x, 32, out=hi)  # x_hi
-    np.multiply(a, m_lo, out=b)
-    b >>= 32
-    np.multiply(hi, m_lo, out=c)
-    b += c  # t = (x_lo * m_lo >> 32) + x_hi * m_lo
-    a *= m_hi
-    np.bitwise_and(b, _MASK32, out=c)
-    a += c
-    hi *= m_hi
-    b >>= 32
-    hi += b
-    a >>= 32
-    hi += a
-    x *= multiplier  # uint64 products wrap: the low word
+    multiplier, m_lo, m_hi = m
+    np.bitwise_and(x, _MASK32, a)  # x_lo
+    np.right_shift(x, _SHIFT32, hi)  # x_hi
+    np.multiply(a, m_lo, b)
+    np.right_shift(b, _SHIFT32, b)
+    np.multiply(hi, m_lo, c)
+    np.add(b, c, b)  # t = (x_lo * m_lo >> 32) + x_hi * m_lo
+    np.multiply(a, m_hi, a)
+    np.bitwise_and(b, _MASK32, c)
+    np.add(a, c, a)
+    np.multiply(hi, m_hi, hi)
+    np.right_shift(b, _SHIFT32, b)
+    np.add(hi, b, hi)
+    np.right_shift(a, _SHIFT32, a)
+    np.add(hi, a, hi)
+    np.multiply(x, multiplier, x)  # uint64 products wrap: the low word
     return hi
 
 
 def _philox_words(master_seed: int, first: int, space: np.ndarray) -> tuple[np.ndarray, ...]:
     """Words 0..3 of Philox blocks 1..B of streams first..first+C-1, each (B, C).
 
-    `space` is nine (B, C) uint64 arrays: six hold the state, three are
-    scratch, and the words are left in four of them. numpy's Philox
+    `space` is six (2, B, C) uint64 stacks: three hold the state, three are
+    scratch, and the words are left in two of them. numpy's Philox
     increments the counter before it generates, so block j of stream k,
     counting from 1, is computed from the counter [j, 0, k, 0].
+
+    A round's two multiplications are independent, so rounds 2..9 make them
+    as one, on the stack X = [x0, x2] with the multipliers [M0, M1]; Y =
+    [x3, x1] holds the words they are xored with.
     """
-    x0, x1, x2, x3, hi0, hi1, a, b, c = space
-    keys = [((master_seed + r * _PHILOX_W0) & _MASK64, (r * _PHILOX_W1) & _MASK64)
-            for r in range(_PHILOX_ROUNDS)]
+    X, Y, H, a, b, c = space
+    # round r's keys, as [k1, k0] to match X's high words [hi0, hi1]
+    keys = np.array(
+        [[(r * _PHILOX_W1) & _MASK64, (master_seed + r * _PHILOX_W0) & _MASK64]
+         for r in range(_PHILOX_ROUNDS)],
+        dtype=np.uint64,
+    )[:, :, None, None]
+    m0, m1 = _PHILOX_M[:, 0], _PHILOX_M[:, 1]  # each (3, 1, 1)
     # rounds 0 and 1 on the counter's vectors: blocks j down a column and
     # streams k along a row, with x1 = x3 = 0
-    col = np.arange(1, a.shape[0] + 1, dtype=np.uint64)[:, None]
-    row = np.arange(first, first + a.shape[1], dtype=np.uint64)[None, :]
-    hc = _mulhilo(col, _PHILOX_M0, *(np.empty_like(col) for _ in range(4)))
-    hr = _mulhilo(row, _PHILOX_M1, *(np.empty_like(row) for _ in range(4)))
-    hr ^= keys[0][0]  # round 0 leaves the state (hr, row, hc, col)
-    hc ^= keys[0][1]
-    h0 = _mulhilo(hr, _PHILOX_M0, *(np.empty_like(hr) for _ in range(4)))
-    h1 = _mulhilo(hc, _PHILOX_M1, *(np.empty_like(hc) for _ in range(4)))
-    h1 ^= keys[1][0]
-    h0 ^= keys[1][1]
-    np.bitwise_xor(h1, row, out=x0)  # round 1 leaves (x0, hc, x2, hr), on the grid
-    x1[...] = hc
-    np.bitwise_xor(h0, col, out=x2)
-    x3[...] = hr
-    for k0, k1 in keys[2:]:  # rounds 2..9 in place; the spent x1, x3 hold the next hi0, hi1
-        _mulhilo(x0, _PHILOX_M0, hi0, a, b, c)
-        _mulhilo(x2, _PHILOX_M1, hi1, a, b, c)
-        hi1 ^= x1
-        hi1 ^= k0
-        hi0 ^= x3
-        hi0 ^= k1
-        x0, x1, x2, x3, hi0, hi1 = hi1, x2, hi0, x0, x1, x3
-    return x0, x1, x2, x3
+    col = np.arange(1, a.shape[1] + 1, dtype=np.uint64)[:, None]
+    row = np.arange(first, first + a.shape[2], dtype=np.uint64)[None, :]
+    hc = _mulhilo(col, m0, *(np.empty_like(col) for _ in range(4)))
+    hr = _mulhilo(row, m1, *(np.empty_like(row) for _ in range(4)))
+    np.bitwise_xor(hr, keys[0, 1], hr)  # round 0 leaves the state (hr, row, hc, col)
+    np.bitwise_xor(hc, keys[0, 0], hc)
+    h0 = _mulhilo(hr, m0, *(np.empty_like(hr) for _ in range(4)))
+    h1 = _mulhilo(hc, m1, *(np.empty_like(hc) for _ in range(4)))
+    np.bitwise_xor(h1, keys[1, 1], h1)
+    np.bitwise_xor(h0, keys[1, 0], h0)
+    np.bitwise_xor(h1, row, X[0])  # round 1 leaves (x0, hc, x2, hr), on the grid
+    np.bitwise_xor(h0, col, X[1])
+    Y[0] = hr
+    Y[1] = hc
+    for k in keys[2:]:  # rounds 2..9 in place: the spent Y holds the next high words
+        _mulhilo(X, _PHILOX_M, H, a, b, c)
+        np.bitwise_xor(H, Y, H)
+        np.bitwise_xor(H, k, H)  # H = [x2, x0] of the next round
+        X, Y, H = H[::-1], X, Y
+    return X[0], Y[1], X[1], Y[0]
 
 
 def normals_layout(paths: int, size: int) -> dict[str, tuple[tuple[int, ...], type]]:
     """The arrays stream_normals draws `size` normals of up to `paths` streams in.
 
-    Name to (shape, dtype); each array has one column a stream.
+    Name to (shape, dtype); each array has one column a stream. "words" is
+    the six (2, blocks, paths) stacks _philox_words computes in.
     """
     blocks = -(-size // 4)  # Philox blocks of four words
     return {
         "normals": ((4 * blocks, paths), np.float64),
-        "words": ((9, blocks, paths), np.uint64),
+        "words": ((6, 2, blocks, paths), np.uint64),
     }
 
 
@@ -339,9 +356,9 @@ def philox_uniforms(master_seed: int, first: int, count: int, size: int, space=N
         space = {name: np.empty(*layout) for name, layout in normals_layout(count, size).items()}
     blocks = -(-size // 4)
     uniforms = space["normals"][: 4 * blocks, :count]
-    words = _philox_words(master_seed, first, space["words"][:, :blocks, :count])
+    words = _philox_words(master_seed, first, space["words"][..., :blocks, :count])
     for word, x in enumerate(words):  # block j's words are rows 4j..4j+3
-        x >>= 11  # Generator.random's 53-bit mapping
+        np.right_shift(x, _SHIFT53, x)
         np.multiply(x, _UNIFORM_FLOOR, out=uniforms[word::4])
     return uniforms[:size].T
 

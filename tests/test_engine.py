@@ -837,6 +837,71 @@ def test_summarize_rejects_bad_input():
         summarize([1.7976931348623157e308])
 
 
+def _summary_oracle(values, metric):
+    """summarize's statistics from np.quantile and np.histogram, as repr text
+    (which tells -0.0 from 0.0), or the message of its ValueError."""
+    arr = np.asarray(values, dtype=float).ravel()
+    with np.errstate(all="ignore"):
+        moments = [float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+                   float(arr.min()), float(arr.max())]
+        quantiles = np.quantile(arr, engine._QUANTILE_LEVELS).tolist()
+        first, last, edges = engine._histogram_range(moments[2], moments[3])
+        names = ["mean", "sd", "min", "max", *engine.QUANTILE_LABELS, "first edge", "last edge"]
+        for stat, value in zip(names, [*moments, *quantiles, first, last]):
+            if not math.isfinite(value):
+                return f"{metric} {stat} is not finite: {value}"
+    counts = np.histogram(arr, bins=edges)[0].tolist()
+    return repr((moments, quantiles, edges.tolist(), counts))
+
+
+def _summary_text(values, metric):
+    try:
+        stats = summarize(values, metric)
+    except ValueError as error:
+        return str(error)
+    moments = [stats.mean, stats.sd, stats.min, stats.max]
+    return repr((moments, list(stats.quantiles.values()), list(stats.bin_edges),
+                 list(stats.bin_counts)))
+
+
+_HUGE = 1.7976931348623157e308
+# columns of any size, each drawn by numpy from a seed: (rng, size) -> values
+_COLUMNS = {
+    "spread": lambda rng, n: rng.lognormal(5.0, 2.0, n) * rng.choice([-1.0, 1.0], n),
+    "ties": lambda rng, n: rng.choice(rng.normal(size=rng.integers(1, 6)), n),
+    "constant": lambda rng, n: np.full(n, rng.normal() * 10.0 ** rng.integers(-300, 300)),
+    "rounding": lambda rng, n: rng.normal() * (1.0 + rng.integers(-4, 5, n) * 2.0**-52),
+    "integers": lambda rng, n: rng.integers(0, 21, n),  # as shortfall_years
+    "signed zeros": lambda rng, n: np.where(rng.random(n) < rng.random(), -0.0, 0.0),
+    "zeros and values": lambda rng, n: rng.choice([-0.0, 0.0, -1.5, 2.0, 1e-300], n),
+    "near overflow": lambda rng, n: rng.uniform(-1.0, 1.0, n) * _HUGE,
+    "near overflow, one sign": lambda rng, n: _HUGE * (1.0 - rng.integers(0, 3, n) * 2.0**-52),
+}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(sorted(_COLUMNS)),
+    size=st.sampled_from([1, 2, 3, 4, 5, 17, 50, 3000, 10_000, 70_000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summarize_equals_np_quantile_and_np_histogram(kind, size, seed):
+    # 70_000 values pass np.histogram's chunks of 65_536, which it sorts one by one
+    values = _COLUMNS[kind](np.random.default_rng(seed), size)
+    assert _summary_text(values, "final_corpus") == _summary_oracle(values, "final_corpus")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(values=st.lists(st.floats() | st.sampled_from([0.0, -0.0, _HUGE, -_HUGE]),
+                       min_size=1, max_size=50))
+@example(values=[-0.0, 0.0, -0.0])
+@example(values=[0.0, -0.0, 0.0, 0.0, -0.0])
+@example(values=[_HUGE, -_HUGE, 1.0])
+@example(values=[-_HUGE])
+def test_summarize_equals_np_quantile_and_np_histogram_on_any_floats(values):
+    assert _summary_text(values, "pv_support") == _summary_oracle(values, "pv_support")
+
+
 def test_histogram_counts_sum_to_num_paths():
     result = run_scenario(Scenario(num_paths=77))
     for name in METRICS:

@@ -11,16 +11,19 @@ served by scipy.special and by the numpy port (see the `special` fixture).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pensionsim import stochastic
 from pensionsim.engine import Scenario, run_path, run_scenario, sweep
-from pensionsim.io_cli import cli_main
+from pensionsim.io_cli import cli_main, parse_scenario
+from pensionsim.stochastic import gbm_drift
 from records import records
 
 # scenario file text -> sha256 of summary.json (1000 paths, seed 42)
@@ -61,6 +64,14 @@ DETAIL_GOLDEN = {
 }
 
 
+# Rates of -0.0 and inflation of -100% leave 191 of these 200 final corpora
+# at -0.0 and 9 at 0.0: a column in which a sort may place a zero at a
+# quantile's index other than the one np.quantile's partition places
+SIGNED_ZERO = {"employee_rate": -0.0, "employer_rate": -0.0, "inflation_mean_pct": -100.0,
+               "inflation_sd_pct": 1.0, "num_paths": 200, "seed": 4}
+SIGNED_ZERO_GOLDEN = "5b726ce85c96ca4d2325c64e1a07ac5664f48986ea8a16bd8a5ca6b57d4699ed"
+
+
 def _digests(directory) -> dict[str, str]:
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -78,6 +89,44 @@ def _each_special(argnames, cases, ids):
         indirect=["special"],
     )
 
+
+# sha256 of the C library's exp and log, through math.exp and math.log, on
+# the inputs the golden runs give them: exp on the log-returns of the
+# RUN_GOLDEN scenarios, log on the ndtri port's tail inputs from the default
+# run's uniforms, each y of the tail and then sqrt(-2 log y). The golden
+# bytes rest on these bits, and C libraries may differ in them; so a libm
+# that does fails a test named for the function. The log-returns come
+# through ndtri, so a log that differs fails both. Recorded on glibc 2.36,
+# x86-64.
+LIBM_GOLDEN = {
+    "exp": "98aa71b3e72dfd6957d377ddce9405a65eca37b5a638fa60223e444e87a7b2e4",
+    "log": "03665d52911c3d14cf6b39bd2d0af2767323b26ba42f7aae1399a1caec8243c4",
+}
+
+
+def _bits_digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def test_libm_exp_matches_recorded_bits():
+    returns = []
+    for config in RUN_GOLDEN:
+        s = parse_scenario(config)
+        n, m = s.service_years, s.retirement_years
+        z = stochastic.stream_normals(s.seed, 0, s.num_paths, 2 * n + m - 1)
+        returns += (z[:, n + m :] * s.gbm_sigma + gbm_drift(s)).ravel().tolist()
+    assert _bits_digest(list(map(math.exp, returns))) == LIBM_GOLDEN["exp"]
+
+
+def test_libm_log_matches_recorded_bits():
+    s = Scenario()
+    u = stochastic.philox_uniforms(s.seed, 0, s.num_paths, 2 * s.service_years + s.retirement_years - 1)
+    y = np.maximum(u.ravel(), stochastic._UNIFORM_FLOOR)  # as _ndtri_port sees them
+    y = np.where(y > 1.0 - stochastic._EXP_M2, 1.0 - y, y)
+    tail = y[(y > 0.0) & (y <= stochastic._EXP_M2)].tolist()
+    log_y = list(map(math.log, tail))
+    t = np.sqrt(-2.0 * np.array(log_y)).tolist()
+    assert _bits_digest(log_y + list(map(math.log, t))) == LIBM_GOLDEN["log"]
 
 @_each_special(
     "config", [(c,) for c in RUN_GOLDEN], ["baseline", "annuity_rate", "service_years", "gbm_sigma"]
@@ -115,6 +164,16 @@ def test_run_detail_bytes_match_golden(tmp_path, capsys, special):
     argv = ["run", "--config", str(scenario), "--paths", "100", "--detail", "0", "77"]
     assert cli_main([*argv, "--out", str(out)]) == 0
     assert _digests(out) == DETAIL_GOLDEN
+
+
+@pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
+def test_run_summary_bytes_of_signed_zeros_match_golden(tmp_path, capsys, special):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("".join(f"{key} = {value}\n" for key, value in SIGNED_ZERO.items()))
+    assert cli_main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    assert _digests(tmp_path / "out") == {"summary.json": SIGNED_ZERO_GOLDEN}
+    final_corpus = run_scenario(Scenario(**SIGNED_ZERO)).outcomes.final_corpus
+    assert (final_corpus == 0.0).all() and np.signbit(final_corpus).sum() == 191
 
 
 # A default run charges the switch 108_000 values, 79_000 normals and 29_000

@@ -40,18 +40,35 @@ _PATIENCE = engine._PATIENCE
 
 @pytest.fixture
 def parent_blocks(monkeypatch):
-    """The first path of each block this process computes. It waits 5 ms
-    before each, so that the helper claims some of every run's blocks, and
-    waits for the helper's blocks however late they come on a busy machine."""
-    monkeypatch.setattr(engine, "_PATIENCE", 1e4)
-    firsts, pid, block = [], os.getpid(), engine._block
+    """The first path of each block this process computes. Before its first
+    block of a shared run it waits for the helper's first rows, and before
+    each block 5 ms, so that the helper computes some of every shared run's
+    blocks however late it starts; and it waits for the helper's blocks
+    however late they come on a busy machine. A test that sets _PATIENCE
+    back, to hold the helper up on purpose, waits for neither its first
+    rows nor its late blocks."""
+    patient = 1e4
+    monkeypatch.setattr(engine, "_PATIENCE", patient)
+    firsts, pid, block, share = [], os.getpid(), engine._block, engine._share
+    starting = []  # holds True from a shared run's start to this process's first block
+
+    def sharing(*args):
+        starting.append(True)
+        try:
+            return share(*args)
+        finally:
+            starting.clear()
 
     def waiting(scenarios, stage, first, *args):
         if os.getpid() == pid:
+            if starting and engine._PATIENCE == patient:
+                assert engine._readable(engine._helper.rows, 30.0)
+            starting.clear()
             firsts.append(first)
             time.sleep(0.005)
         return block(scenarios, stage, first, *args)
 
+    monkeypatch.setattr(engine, "_share", sharing)
     monkeypatch.setattr(engine, "_block", waiting)
     return firsts
 
