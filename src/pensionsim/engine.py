@@ -11,25 +11,21 @@ blocks of paths as year-major (years, paths) arrays with the same
 operations in the same order, so their outcomes equal `run_path`'s bit for
 bit; `sweep` computes each stage of a block once for the variants that
 share it. A run computes every block in one set of arrays, and a large
-run shares its blocks with a helper process (see _fill).
+run shares its blocks with a helper process (see _helper), through the
+one function that computes a block in either process (see _blocks).
 """
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import dataclasses
+import functools
 import math
-import os
-import pickle
-import threading
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from . import stochastic
+from . import _helper, stochastic
 from .accumulation import (
     CareerYear,
     accumulate_corpus,
@@ -395,362 +391,81 @@ def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> N
 def _block(scenarios: list[Scenario], stage: str, first: int, count: int, space: dict, out) -> None:
     """Compute paths first..first+count-1 of `scenarios` in `space`'s leading columns.
 
-    `out` holds, for each scenario, the four arrays of count entries that
-    take its outcomes, in PathOutcome's field order after path_index.
+    `out` holds the arrays of count entries that take the outcomes: four
+    for each scenario, in PathOutcome's field order after path_index.
     """
     s = scenarios[0]
     block = {name: array[..., :count] for name, array in space.items()}
     z = stream_normals(s.seed, first, count, 2 * s.service_years + s.retirement_years - 1, block).T
     shared = _career(s, z, block) if stage == "retirement" else None
-    for scenario, columns in zip(scenarios, out):
+    kinds = len(_OUTCOME_KINDS)
+    for number, scenario in enumerate(scenarios):
         career = _career(scenario, z, block) if shared is None else shared
-        _retirement(scenario, *career, block, columns)
+        _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
+
+
+def _counts(num_paths: int, paths: int) -> list[int]:
+    """The paths in each block of a run of `num_paths` paths, `paths` in all but the last."""
+    return [min(paths, num_paths - first) for first in range(0, num_paths, paths)]
+
+
+def _blocks(scenarios: list[Scenario], stage: str, paths: int, layout: dict, left, columns=None):
+    """`(compute, rows)` of a run in this process: `compute(index)` computes
+    block `index` into the arrays `rows(index)`.
+
+    Bound to all but `columns`, this is the job a run gives the helper
+    process (see _helper.share): `paths` and `layout` are the run's
+    _block_layout, and `left` the special-functions switch's state at its
+    start, which every block is computed with. A block's rows are its
+    entries of `columns`, each scenario's outcome columns after path_index,
+    or else of one block's columns, allocated here as the block arrays are.
+    """
+    stochastic._port_left = left
+    counts = _counts(scenarios[0].num_paths, paths)
+    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+    step = paths  # block `index`'s rows start at index * step
+    if columns is None:
+        columns, step = [np.empty(paths, kind) for _ in scenarios for kind in _OUTCOME_KINDS], 0
+
+    def rows(index):
+        return [column[index * step : index * step + counts[index]] for column in columns]
+
+    def compute(index):
+        with np.errstate(all="ignore"):  # a blow-up is reported by metric and path (see _run)
+            _block(scenarios, stage, index * paths, counts[index], space, rows(index))
+
+    return compute, rows
 
 
 def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) -> None:
     """Compute `scenarios`' outcomes into their columns, one block of paths at a time.
 
     Every block is computed in one set of arrays, and the last, shorter one
-    in their leading columns; they are freed when this returns. A run of at
-    least _HELPER_BLOCKS blocks shares them with the helper process when
-    _helper_usable, unless the helper still finishes an earlier run (see
-    _share); if a block fails there or here, or the helper ends,
-    every block is computed again here, in order, so the error raised is
-    that of the first failing block.
+    in their leading columns; they are freed when this returns. A run of
+    many blocks is shared with the helper process (see _helper.share); if a
+    block fails there or here, or the helper ends, every block is computed
+    again here, in order, so the error raised is that of the first failing
+    block.
     """
     s = scenarios[0]
     paths, layout = _block_layout(s)
-    size = 2 * s.service_years + s.retirement_years - 1
-    counts = [min(paths, s.num_paths - first) for first in range(0, s.num_paths, paths)]
+    counts = _counts(s.num_paths, paths)
     # the calls on ndtri and exp a block makes: its normals, then the growth
     # factors of each career it computes
     careers = 1 if stage == "retirement" else len(scenarios)
-    charge = _expect_calls(counts, [size] + careers * [s.service_years - 1])
-    left = stochastic._port_left  # the switch's state for every block of the run
-    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
-
-    def out(index):  # block `index`'s entries of each scenario's outcome columns
-        first = index * paths
-        return [[column[first : first + counts[index]] for column in outcome[1:]]
-                for outcome in outcomes]
-
-    if len(counts) >= _HELPER_BLOCKS and _helper_usable():
-        try:
-            if (helper := _helper_for(left)) is not None:
-                _share(helper, (scenarios, stage, paths, layout, left), counts, space, out)
-            else:  # it still finishes an earlier run, so this one is computed here
-                for index, count in enumerate(counts):
-                    _block(scenarios, stage, index * paths, count, space, out(index))
-        except (ValueError, ArithmeticError, EOFError, OSError):
-            _stop_helper()
-            stochastic._port_left = left
-        except BaseException:
-            _stop_helper()
-            raise
-        else:
-            if helper is not None and stochastic._port_left is not None:
-                stochastic._port_left = left - charge  # charged as if every block ran here
-            return
-    for index, count in enumerate(counts):
-        _block(scenarios, stage, index * paths, count, space, out(index))
-
-
-# --- the helper: a second process for a run's blocks ------------------------
-#
-# Philox streams are counter-based, so a block's bits do not depend on the
-# process that computes it. A run of many blocks computes them in two
-# processes: this one and a helper, forked by the first such run and kept
-# for every later one. Each run sends the helper one pickled command, which
-# holds all the helper may not read from its own module state (a copy from
-# the fork, perhaps stale): the scenarios, the stage, the block layout and
-# the special-functions switch's state. Both processes claim blocks from one
-# pipe, 8 bytes a claim; a read that small is atomic, and a helper slowed by
-# other work just claims fewer. The helper writes each block's outcome rows
-# back through a second pipe, which this process reads between its own
-# blocks and after its last one. Once no claim is left, this process waits
-# for the helper's last blocks only about as long as one of its own claims
-# takes (_PATIENCE), and then computes them itself, so a helper that the
-# machine delays holds a run up by about two claims at most. Its late rows
-# are read and dropped before its next run, and a run that starts before
-# they have all come is computed here alone. The helper ignores SIGINT and
-# ends only through os._exit: when a pipe to its parent closes, or when
-# killed.
-
-# blocks a run needs to use the helper; three blocks split at best 2:1
-_HELPER_BLOCKS = 4
-# claims a run makes at most: with the two end markers they fill
-# 4096 bytes, which any pipe takes in one write
-_CLAIMS = 510
-_END = -1  # the claim that ends a process's share, and the helper's last message of a run
-# claim times of this process after the helper's last message by which the
-# helper's last claim should have come, as both compute a claim about as fast
-_PATIENCE = 1.5
-
-
-class _Helper(NamedTuple):
-    pid: int
-    commands: int  # this process writes commands here
-    claims_r: int  # both processes read claims here
-    claims_w: int
-    rows: int  # the helper writes outcome rows here
-
-
-_helper: _Helper | None = None
-# the rows' bytes of each block of the run whose end marker the helper has
-# not yet sent; None when it has sent every message of its runs
-_owed: list[int] | None = None
-
-
-def _helper_usable() -> bool:
-    """Whether a run may use the helper: this process can fork, may run on
-    two CPUs, and runs no other Python thread."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _readable(fd: int, timeout: float | None = 0.0) -> bool:
-    """Whether a read of `fd` would not wait, within `timeout` seconds (None:
-    however long it takes): data has come, or the write end is closed."""
-    import select
-
-    poll = select.poll()
-    poll.register(fd, select.POLLIN)
-    return bool(poll.poll(None if timeout is None else timeout * 1e3))
-
-
-def _drained() -> bool:
-    """Whether the helper has sent every message of its runs; reads and
-    drops those of an earlier run that have come."""
-    global _owed
-    while _owed is not None and _readable(_helper.rows):
-        index = _read_int(_helper.rows)
-        if index == _END:
-            _owed = None
-        else:
-            _read(_helper.rows, _owed[index])
-    return _owed is None
-
-
-def _helper_for(left: int | None) -> _Helper | None:
-    """The helper, forked if there is none or it has ended since the last
-    run; None while it still computes blocks of an earlier run."""
-    if _helper is not None:
-        try:
-            if not _drained():
-                return None
-            ended = _readable(_helper.rows)  # between runs its rows pipe is empty, unless closed
-        except EOFError:
-            ended = True
-        if ended:
-            _stop_helper()
-    if _helper is None:
-        if left is None:
-            _scipy_functions()  # imported once, before the fork, for both processes
-        _start_helper()
-    return _helper
-
-
-def _start_helper() -> None:
-    import signal
-    import warnings
-
-    global _helper
-    cpu = _cpu()
-    fds = os.pipe() + os.pipe() + os.pipe()
-    commands_r, commands_w, claims_r, claims_w, rows_r, rows_w = fds
-    try:
-        with warnings.catch_warnings():
-            # From Python 3.12 fork() warns whenever the process has another OS
-            # thread, and numpy's BLAS pool always is one. No other Python
-            # thread runs (see _helper_usable), and the helper calls only
-            # numpy and scipy ufuncs, pickle and os, never BLAS, so it never
-            # waits on a lock that a thread left behind by the fork held.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        raise
-    if pid == 0:
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for fd in (commands_w, claims_w, rows_r):
-                os.close(fd)
-            _leave_cpu(cpu)
-            _serve(commands_r, claims_r, rows_w)
-        finally:
-            os._exit(0)  # never flush the parent's buffers or run its atexit handlers
-    os.close(commands_r)
-    os.close(rows_w)
-    _helper = _Helper(pid, commands_w, claims_r, claims_w, rows_r)
-
-
-def _cpu() -> int | None:
-    """The CPU this process runs on, or None where the C library cannot tell."""
-    try:
-        import ctypes
-
-        getcpu = ctypes.CDLL(None).sched_getcpu
-        getcpu.argtypes, getcpu.restype = (), ctypes.c_int
-        return getcpu()
-    except (ImportError, OSError, AttributeError):
-        return None
-
-
-def _leave_cpu(cpu: int | None) -> None:
-    """Move this process off `cpu`, if it may run elsewhere, and leave it free to move back.
-
-    A forked child may start on its parent's CPU, and a scheduler wakes a
-    sleeping process where it last ran and may balance it away only late,
-    so a helper left there could share its parent's CPU run after run.
-    """
-    cpus = os.sched_getaffinity(0)
-    with contextlib.suppress(OSError):  # the helper serves wherever it runs
-        os.sched_setaffinity(0, cpus - {cpu} or cpus)
-        os.sched_setaffinity(0, cpus)
-
-
-def _forget_helper() -> None:
-    """Drop the helper and close this process's ends of its pipes; a forked child calls it."""
-    global _helper, _owed
-    if _helper is not None:
-        for fd in _helper[1:]:
-            os.close(fd)
-        _helper = _owed = None
-
-
-def _stop_helper() -> None:
-    """Kill and reap the helper, if there is one, and close its pipes."""
-    import signal
-
-    helper = _helper
-    _forget_helper()
-    if helper is not None:
-        with contextlib.suppress(ChildProcessError):
-            if not os.waitpid(helper.pid, os.WNOHANG)[0]:  # it has not ended already
-                os.kill(helper.pid, signal.SIGKILL)
-                os.waitpid(helper.pid, 0)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-atexit.register(_stop_helper)
-
-
-def _read(fd: int, size: int) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError("the helper process has ended")
-        data += chunk
-    return data
-
-
-def _read_int(fd: int) -> int:
-    return int.from_bytes(_read(fd, 8), "little", signed=True)
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _int_bytes(value: int) -> bytes:
-    return value.to_bytes(8, "little", signed=True)
-
-
-def _claims(blocks: int) -> list[range]:
-    """A run's claims: at most _CLAIMS runs of consecutive blocks, each as long as the first."""
-    per = -(-blocks // _CLAIMS)
-    return [range(first, min(first + per, blocks)) for first in range(0, blocks, per)]
-
-
-def _share(helper: _Helper, command: tuple, counts: list[int], space: dict, out) -> None:
-    """Compute a run's blocks here and in the helper, each claiming them until none is left.
-
-    `out(index)` gives the arrays that take block `index`'s outcomes. Once
-    no claim is left, the helper's blocks still to come are computed here if
-    the helper has sent nothing for _PATIENCE times the mean time of this
-    process's claims.
-    """
-    global _owed
-    scenarios, stage, paths, _, _ = command
-    claims = _claims(len(counts))
-    os.write(helper.claims_w, b"".join(map(_int_bytes, [*range(len(claims)), _END, _END])))
-    message = pickle.dumps(command)
-    _write(helper.commands, _int_bytes(len(message)) + message)
-
-    def receive() -> bool:  # one message of the helper: True when it has finished its share
-        nonlocal heard
-        index = _read_int(helper.rows)
-        heard = time.perf_counter()
-        if index == _END:
-            return True
-        for columns in out(index):
-            for column in columns:
-                column[...] = np.frombuffer(_read(helper.rows, column.nbytes), column.dtype)
-        have[index] = True
-        return False
-
-    def compute(index):
-        _block(scenarios, stage, index * paths, counts[index], space, out(index))
-        have[index] = True
-
-    have = [False] * len(counts)  # whether block `index`'s outcomes are in
-    took = []  # seconds each claim of this process took
-    heard = time.perf_counter()  # when the helper's last message came, or the command went
-    done = False
-    while (claim := _read_int(helper.claims_r)) != _END:
-        start = time.perf_counter()
-        for index in claims[claim]:
-            compute(index)
-        took.append(time.perf_counter() - start)
-        while not done and _readable(helper.rows):
-            done = receive()
-    # The helper claims its next blocks as it sends the last ones, so its last
-    # claim began before its last message came. With no claim of its own, this
-    # process has no measure of a claim and waits.
-    patience = _PATIENCE * sum(took) / len(took) if took else None
-    while not done:
-        timeout = None if patience is None else max(heard + patience - time.perf_counter(), 0.0)
-        if _readable(helper.rows, timeout):
-            done = receive()
-        elif all(have):  # only the helper's end marker is late
-            _owed = [sum(c.nbytes for columns in out(i) for c in columns) for i in range(len(counts))]
-            return
-        else:
-            for index in [i for i, got in enumerate(have) if not got]:
-                compute(index)
-
-
-def _serve(commands: int, claims: int, rows: int) -> None:
-    """The helper's life: its share of each run whose command arrives on `commands`."""
-    while True:
-        message = _read(commands, _read_int(commands))
-        scenarios, stage, paths, layout, left = pickle.loads(message)
+    charge = _expect_calls(counts, [2 * s.service_years + s.retirement_years - 1]
+                           + careers * [s.service_years - 1])
+    left = stochastic._port_left
+    job = functools.partial(_blocks, scenarios, stage, paths, layout, left)
+    compute, rows = job([column for outcome in outcomes for column in outcome[1:]])
+    if left is None:
+        _scipy_functions()  # imported before the helper is forked, once for both processes
+    if not _helper.share(job, len(counts), compute, rows):
         stochastic._port_left = left
-        num_paths = scenarios[0].num_paths
-        runs = _claims(-(-num_paths // paths))
-        space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
-        columns = [[np.empty(paths, kind) for kind in _OUTCOME_KINDS] for _ in scenarios]
-        with np.errstate(all="ignore"):
-            while (claim := _read_int(claims)) != _END:
-                for index in runs[claim]:
-                    first = index * paths
-                    count = min(paths, num_paths - first)
-                    out = [[column[:count] for column in outcome] for outcome in columns]
-                    _block(scenarios, stage, first, count, space, out)
-                    _write(rows, _int_bytes(index) + b"".join(c.tobytes() for o in out for c in o))
-        _write(rows, _int_bytes(_END))
-        del space, columns  # freed while the helper waits for the next run
+        for index in range(len(counts)):
+            compute(index)
+    elif stochastic._port_left is not None:
+        stochastic._port_left = left - charge  # charged as if every block ran here
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
@@ -758,8 +473,9 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
 
     The scenarios must agree on every field of the stages before `stage`,
     and each block computes those stages once for all of them. The blocks
-    may be shared with the helper process (see _fill), which gives the same
-    bits and, when a block fails, the error of the first failing block.
+    may be shared with the helper process (see _helper.share), which gives
+    the same bits and, when a block fails, the error of the first failing
+    block.
     When a block of several scenarios fails, each is rerun alone, in order,
     so the error raised is that of the first failing scenario, as if each
     ran alone.
@@ -779,8 +495,7 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         for _ in scenarios
     ]
     try:
-        with np.errstate(all="ignore"):  # a blow-up is reported below, by metric and path
-            _fill(scenarios, stage, outcomes)
+        _fill(scenarios, stage, outcomes)
     except (ValueError, ArithmeticError):
         if len(scenarios) == 1:
             raise
@@ -825,11 +540,10 @@ def _histogram_range(lo: float, hi: float) -> tuple[float, float, np.ndarray]:
     return lo, hi, np.linspace(lo, hi, _BIN_COUNT + 1)
 
 
-def _quantiles(arr: np.ndarray, ordered: np.ndarray) -> list[float]:
+def _quantiles(arr: np.ndarray, ordered: np.ndarray, mixed: bool) -> list[float]:
     """arr's quantiles at _QUANTILE_LEVELS by the rule summarize states,
-    from `ordered`, which is arr sorted."""
-    zeros = ordered[ordered.searchsorted(0.0, "left") : ordered.searchsorted(0.0, "right")]
-    if 0 < np.count_nonzero(np.signbit(zeros)) < zeros.size:
+    from `ordered`, which is arr sorted; `mixed`: arr holds 0.0 and -0.0."""
+    if mixed:
         return np.quantile(arr, _QUANTILE_LEVELS).tolist()
     last = ordered.size - 1
     virtual = [last * q for q in _QUANTILE_LEVELS]
@@ -873,8 +587,11 @@ def summarize(values, metric: str = "values") -> SummaryStats:
             "min": float(arr.min()),  # not the sorted ends: max may be -0.0 beside 0.0
             "max": float(arr.max()),
         }
+        # counted before the sort, which may give equal zeros one sign
+        negative_zeros = np.count_nonzero(np.signbit(arr)) - np.count_nonzero(arr < 0.0)
+        mixed = 0 < negative_zeros < np.count_nonzero(arr == 0.0)
         ordered = np.sort(arr)  # once std has freed its temporary, so the two never coexist
-        quantiles = dict(zip(QUANTILE_LABELS, _quantiles(arr, ordered)))
+        quantiles = dict(zip(QUANTILE_LABELS, _quantiles(arr, ordered, mixed)))
         first, last, edges = _histogram_range(moments["min"], moments["max"])
         named = {**moments, **quantiles, "first edge": first, "last edge": last}
         for stat, value in named.items():
@@ -926,9 +643,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     Paths run in blocks of at most _BLOCK_DRAWS draws, or of
     _MIN_BLOCK_PATHS paths when fewer fit; the outcomes equal
-    `run_path`'s bit for bit. A run of at least _HELPER_BLOCKS blocks is
-    computed in this process and a helper process forked once for all such
-    runs, when the process may use two CPUs and runs no other thread.
+    `run_path`'s bit for bit. A run of at least _helper._HELPER_BLOCKS
+    blocks is computed in this process and a helper process (see _helper),
+    when the process may use two CPUs and runs no other thread.
     Raises ValueError naming the metric when an outcome or a summary
     statistic is not finite (a numeric blow-up of the scenario's
     parameters). It runs sweep's blocks with one scenario, so a block's
@@ -946,7 +663,7 @@ def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
     the parameter change alone. The variants run together, block by block,
     and share every stage before the earliest stage of the overridden
     fields (see Field.stage). The blocks may be computed in two processes,
-    as run_scenario's are. The results equal separate run_scenario calls
+    as run_scenario's are (see _helper.share). The results equal separate run_scenario calls
     bit for bit. When a block fails, the variants are rerun one by one, so
     the error raised is that of the first variant, in the given order, that
     fails.

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from pensionsim import engine, stochastic
+from pensionsim import _helper, stochastic
 
 
 @pytest.fixture(autouse=True)
@@ -25,10 +25,10 @@ def fresh_switch(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def no_helper_after():
-    """Stop the engine's helper process after each test, so that the next test
-    forks its own, and no test's patches or switch state reach another's runs."""
+    """Stop the helper process after each test, so that the next test forks
+    its own, and no test's patches or switch state reach another's runs."""
     yield
-    engine._stop_helper()
+    _helper._stop_helper()
 
 
 @pytest.fixture

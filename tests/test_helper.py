@@ -2,12 +2,18 @@
 
 Each test here lowers the helper's block threshold to one block and treats
 the machine as if it had two usable CPUs (the `helper` fixture), so that
-small runs split into small blocks (`_small_blocks`) are shared.
+small runs split into small blocks (`_small_blocks`) are shared. A helper
+that is late is stopped, so that fixture also makes this process wait for
+the helper's blocks however late they come on a busy machine, unless a test
+holds the helper up on purpose (`late_helper`).
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -18,7 +24,7 @@ from unittest import mock
 
 import pytest
 
-from pensionsim import engine, stochastic
+from pensionsim import _helper, engine, stochastic
 from pensionsim.engine import Scenario, run_path, run_scenario, sweep
 from pensionsim.io_cli import cli_main
 from records import records
@@ -28,28 +34,27 @@ from test_golden import RUN_GOLDEN, SWEEP_GOLDEN, _digests
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is a forked process")
 
 
+_PATIENCE = _helper._PATIENCE
+_PATIENT = 1e4  # the `helper` fixture's _PATIENCE
+
+
 @pytest.fixture
 def helper(monkeypatch):
-    """Every run of the test shares its blocks with the helper."""
-    monkeypatch.setattr(engine, "_HELPER_BLOCKS", 1)
-    monkeypatch.setattr(engine, "_helper_usable", lambda: True)
-
-
-_PATIENCE = engine._PATIENCE
+    """Every run of the test shares its blocks with the helper, and waits
+    for the helper's blocks however late they come."""
+    monkeypatch.setattr(_helper, "_HELPER_BLOCKS", 1)
+    monkeypatch.setattr(_helper, "_helper_usable", lambda: True)
+    monkeypatch.setattr(_helper, "_PATIENCE", _PATIENT)
 
 
 @pytest.fixture
-def parent_blocks(monkeypatch):
+def parent_blocks(monkeypatch, helper):
     """The first path of each block this process computes. Before its first
     block of a shared run it waits for the helper's first rows, and before
     each block 5 ms, so that the helper computes some of every shared run's
-    blocks however late it starts; and it waits for the helper's blocks
-    however late they come on a busy machine. A test that sets _PATIENCE
-    back, to hold the helper up on purpose, waits for neither its first
-    rows nor its late blocks."""
-    patient = 1e4
-    monkeypatch.setattr(engine, "_PATIENCE", patient)
-    firsts, pid, block, share = [], os.getpid(), engine._block, engine._share
+    blocks however late it starts. A test that sets _PATIENCE back, to hold
+    the helper up on purpose, does not wait for its first rows."""
+    firsts, pid, block, share = [], os.getpid(), engine._block, _helper._share
     starting = []  # holds True from a shared run's start to this process's first block
 
     def sharing(*args):
@@ -61,20 +66,20 @@ def parent_blocks(monkeypatch):
 
     def waiting(scenarios, stage, first, *args):
         if os.getpid() == pid:
-            if starting and engine._PATIENCE == patient:
-                assert engine._readable(engine._helper.rows, 30.0)
+            if starting and _helper._PATIENCE == _PATIENT:
+                assert _helper._readable(_helper._helper.rows, 30.0)
             starting.clear()
             firsts.append(first)
             time.sleep(0.005)
         return block(scenarios, stage, first, *args)
 
-    monkeypatch.setattr(engine, "_share", sharing)
+    monkeypatch.setattr(_helper, "_share", sharing)
     monkeypatch.setattr(engine, "_block", waiting)
     return firsts
 
 
 def _serial():
-    return mock.patch.object(engine, "_helper_usable", lambda: False)
+    return mock.patch.object(_helper, "_helper_usable", lambda: False)
 
 
 def _blocks(scenario: Scenario) -> int:
@@ -133,20 +138,33 @@ def test_a_shared_run_keeps_the_golden_bytes(tmp_path, capsys, helper, special):
         argv = ["sweep", "--param", "service_years", "--values", "20,30,40"]
         assert cli_main([*argv, "--out", str(tmp_path / "sweep")]) == 0
     assert _digests(tmp_path / "sweep") == SWEEP_GOLDEN
-    assert engine._helper is not None
+    assert _helper._helper is not None
 
 
 def test_the_helper_takes_its_block_size_from_the_run(helper, parent_blocks):
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 7):
         run_scenario(scenario)  # forks the helper, whose module state has blocks of 7 paths
-    pid = engine._helper.pid
+    pid = _helper._helper.pid
     parent_blocks.clear()
     with _small_blocks(scenario, 3):
         result = run_scenario(scenario)
-    assert engine._helper.pid == pid
+    assert _helper._helper.pid == pid
     assert _equals_run_path(result)
     assert len(parent_blocks) < 14 and all(first % 3 == 0 for first in parent_blocks)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers the test forks, in order."""
+    pids, start = [], _helper._start_helper
+
+    def forking():
+        start()
+        pids.append(_helper._helper.pid)
+
+    monkeypatch.setattr(_helper, "_start_helper", forking)
+    return pids
 
 
 @pytest.fixture(params=["helper", "parent"])
@@ -159,14 +177,14 @@ def failing_share(request, monkeypatch, helper):
     """
     pid = os.getpid()
     if request.param == "helper":
-        read = engine._read_int
+        read = _helper._read_int
 
         def claims_none(fd):
-            if os.getpid() == pid and fd == engine._helper.claims_r:
-                return engine._END
+            if os.getpid() == pid and fd == _helper._helper.claims_r:
+                return _helper._END
             return read(fd)
 
-        monkeypatch.setattr(engine, "_read_int", claims_none)
+        monkeypatch.setattr(_helper, "_read_int", claims_none)
     else:
         block = engine._block
 
@@ -189,11 +207,8 @@ def failing_share(request, monkeypatch, helper):
     ],
     ids=["run", "sweep-second-fails", "sweep-first-fails"],
 )
-def test_a_failing_block_raises_the_serial_runs_error(monkeypatch, failing_share, base, overrides):
+def test_a_failing_block_raises_the_serial_runs_error(failing_share, forks, base, overrides):
     scenario = Scenario(num_paths=40, **base)
-    forks = []
-    start = engine._start_helper
-    monkeypatch.setattr(engine, "_start_helper", lambda: forks.append(start()))
 
     def call():
         return run_scenario(scenario) if overrides is None else sweep(scenario, overrides)
@@ -206,61 +221,108 @@ def test_a_failing_block_raises_the_serial_runs_error(monkeypatch, failing_share
     assert str(shared.value) == str(serial.value)
     assert forks  # the run was shared
     if overrides is None:
-        assert engine._helper is None  # stopped by the failure
+        assert _helper._helper is None  # stopped by the failure
 
 
 def test_a_helper_that_ended_between_runs_is_forked_again(helper, parent_blocks):
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 4):
         run_scenario(scenario)
-        pid = engine._helper.pid
+        pid = _helper._helper.pid
         os.kill(pid, signal.SIGINT)  # ignored
         parent_blocks.clear()
         assert _equals_run_path(run_scenario(scenario))
-        assert engine._helper.pid == pid and len(parent_blocks) < 10
+        assert _helper._helper.pid == pid and len(parent_blocks) < 10
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         parent_blocks.clear()
         assert _equals_run_path(run_scenario(scenario))
-    assert engine._helper.pid != pid and len(parent_blocks) < 10
+    assert _helper._helper.pid != pid and len(parent_blocks) < 10
 
 
-@pytest.mark.parametrize("then", ["released", "killed"])
-def test_a_late_helper_holds_up_no_run(monkeypatch, helper, parent_blocks, then):
-    # the helper's first block waits until the test writes to `release`
-    monkeypatch.setattr(engine, "_PATIENCE", _PATIENCE)
-    release_r, release_w = os.pipe()
-    pid, block, held = os.getpid(), engine._block, []
+@pytest.fixture
+def late_helper(monkeypatch, helper, parent_blocks):
+    """The first helper the test forks holds its first block until it is
+    killed. This process's first block waits until the helper holds it, and
+    this process waits for the helper's blocks as long as _PATIENCE says."""
+    monkeypatch.setattr(_helper, "_PATIENCE", _PATIENCE)
+    held_r, held_w = os.pipe()
+    pid, block, started = os.getpid(), engine._block, []
 
     def late(*args):
-        if os.getpid() != pid and not held:
-            held.append(os.read(release_r, 1))
+        if not started:  # a helper forked after this process's first block starts with it set
+            started.append(True)
+            if os.getpid() == pid:
+                assert _helper._readable(held_r, 30.0)
+            else:
+                os.write(held_w, b"x")
+                time.sleep(3600)
         return block(*args)
 
     monkeypatch.setattr(engine, "_block", late)
+    yield
+    os.close(held_r)
+    os.close(held_w)
+
+
+def test_a_late_helper_is_stopped_and_the_next_run_forks_another(
+    monkeypatch, late_helper, parent_blocks, forks
+):
     scenario = Scenario(num_paths=40)
-    try:
-        with _small_blocks(scenario, 1):
-            assert _equals_run_path(run_scenario(scenario))  # the helper's block computed here
-            helper_pid = engine._helper.pid
-            assert engine._owed is not None and len(parent_blocks) == 40
-            parent_blocks.clear()
-            assert _equals_run_path(run_scenario(scenario))  # serial: the helper is busy
-            assert engine._helper.pid == helper_pid and len(parent_blocks) == 40
-            if then == "killed":
-                os.kill(helper_pid, signal.SIGKILL)
-                os.waitpid(helper_pid, 0)
-            os.write(release_w, b"x")  # releases the helper, or the one forked next
-            deadline = time.monotonic() + 60
-            while then == "released" and not engine._drained() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            parent_blocks.clear()
-            assert _equals_run_path(run_scenario(scenario))  # shared again
-    finally:
-        os.close(release_r)
-        os.close(release_w)
-    assert (engine._helper.pid == helper_pid) == (then == "released")
-    assert len(parent_blocks) < 40
+    with _small_blocks(scenario, 1):
+        assert _equals_run_path(run_scenario(scenario))
+        assert len(parent_blocks) == 40  # the late helper's block was computed here
+        assert _helper._helper is None
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(forks[0], os.WNOHANG)
+        monkeypatch.setattr(_helper, "_PATIENCE", _PATIENT)
+        parent_blocks.clear()
+        assert _equals_run_path(run_scenario(scenario))
+    assert len(forks) == 2 and _helper._helper.pid == forks[1]
+    assert len(parent_blocks) < 40  # shared again
+
+
+@pytest.mark.parametrize(
+    "ending", ["normal", "late", "helper fails", "parent fails", "interrupted"]
+)
+def test_a_shared_run_leaves_its_helper_idle_or_gone(request, monkeypatch, helper, forks, ending):
+    if ending == "late":
+        request.getfixturevalue("late_helper")
+    else:
+        request.getfixturevalue("parent_blocks")
+    pid, block = os.getpid(), engine._block
+
+    def ends(*args):
+        here = os.getpid() == pid
+        if ending == "helper fails" and not here or ending == "parent fails" and here:
+            raise ValueError("a failing block")
+        if ending == "interrupted" and here:
+            raise KeyboardInterrupt
+        return block(*args)
+
+    monkeypatch.setattr(engine, "_block", ends)
+    scenario = Scenario(num_paths=40)
+    with _small_blocks(scenario, 4), contextlib.suppress(ValueError, KeyboardInterrupt):
+        run_scenario(scenario)
+    [served] = forks
+    if ending == "normal":
+        assert _helper._helper.pid == served
+        assert not _helper._readable(_helper._helper.rows)
+        assert not _helper._readable(_helper._helper.claims_r)
+    else:
+        assert _helper._helper is None
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(served, os.WNOHANG)
+
+
+def test_the_helper_module_imports_nothing_of_the_package():
+    tree = ast.parse(pathlib.Path(_helper.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert "os" in imported
+    assert [name for name in imported if name.startswith((".", "pensionsim"))] == []
 
 
 def test_an_interrupted_run_stops_its_helper(monkeypatch, helper):
@@ -274,22 +336,23 @@ def test_an_interrupted_run_stops_its_helper(monkeypatch, helper):
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 4):
         run_scenario(scenario)
-        pid = engine._helper.pid
+        pid = _helper._helper.pid
         monkeypatch.setattr(engine, "_block", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_scenario(scenario)
-    assert engine._helper is None
+    assert _helper._helper is None
     with pytest.raises(ChildProcessError):  # killed and reaped
         os.waitpid(pid, os.WNOHANG)
 
 
 def test_one_usable_cpu_or_a_second_thread_keeps_a_run_serial(monkeypatch):
-    monkeypatch.setattr(engine, "_HELPER_BLOCKS", 1)
+    monkeypatch.setattr(_helper, "_HELPER_BLOCKS", 1)
+    monkeypatch.setattr(_helper, "_PATIENCE", _PATIENT)  # the helper, however late, is kept
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 4):
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
             assert _equals_run_path(run_scenario(scenario))
-        assert engine._helper is None
+        assert _helper._helper is None
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
@@ -298,32 +361,32 @@ def test_one_usable_cpu_or_a_second_thread_keeps_a_run_serial(monkeypatch):
         finally:
             stop.set()
             thread.join()
-        assert engine._helper is None
+        assert _helper._helper is None
         if len(os.sched_getaffinity(0)) >= 2:
             run_scenario(scenario)
             # the helper left this process's CPU and may run on all of them again
-            assert os.sched_getaffinity(engine._helper.pid) == os.sched_getaffinity(0)
+            assert os.sched_getaffinity(_helper._helper.pid) == os.sched_getaffinity(0)
 
 
 def test_a_forked_child_does_not_use_its_parents_helper(helper):
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 4):
         expected = _bits(records(run_scenario(scenario).outcomes))
-        ours = engine._helper
+        ours = _helper._helper
         pid = os.fork()
         if pid == 0:  # the child: exit 0 when it forgot the helper and forked its own
             code = 1
             try:
-                forgot = engine._helper is None
+                forgot = _helper._helper is None
                 got = _bits(records(run_scenario(scenario).outcomes))
-                if forgot and got == expected and engine._helper.pid != ours.pid:
+                if forgot and got == expected and _helper._helper.pid != ours.pid:
                     code = 0
-                engine._stop_helper()
+                _helper._stop_helper()
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert engine._helper is ours
+        assert _helper._helper is ours
         assert _bits(records(run_scenario(scenario).outcomes)) == expected
 
 
@@ -343,15 +406,16 @@ def test_the_fork_warning_of_newer_pythons_is_ignored(monkeypatch, helper):
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 4):
         assert _equals_run_path(run_scenario(scenario))
-    assert engine._helper is not None
+    assert _helper._helper is not None
 
 
 _RUN_AND_EXIT = """
-from pensionsim import Scenario, engine, run_scenario
+from pensionsim import Scenario, _helper, run_scenario
 
-engine._helper_usable = lambda: True
+_helper._helper_usable = lambda: True
+_helper._PATIENCE = 1e4  # the helper, however late, is kept
 run_scenario(Scenario(num_paths=10_000))
-print(engine._helper.pid)
+print(_helper._helper.pid)
 """
 
 
