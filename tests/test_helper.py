@@ -243,10 +243,12 @@ def test_a_helper_that_ended_between_runs_is_forked_again(helper, parent_blocks)
 @pytest.fixture
 def late_helper(monkeypatch, helper, parent_blocks):
     """The first helper the test forks holds its first block until it is
-    killed. This process's first block waits until the helper holds it, and
-    this process waits for the helper's blocks as long as _PATIENCE says."""
+    killed, or until a byte is written to the fd the fixture yields. This
+    process's first block waits until the helper holds it, and this process
+    waits for the helper's blocks as long as _PATIENCE says."""
     monkeypatch.setattr(_helper, "_PATIENCE", _PATIENCE)
     held_r, held_w = os.pipe()
+    release_r, release_w = os.pipe()
     pid, block, started = os.getpid(), engine._block, []
 
     def late(*args):
@@ -256,18 +258,31 @@ def late_helper(monkeypatch, helper, parent_blocks):
                 assert _helper._readable(held_r, 30.0)
             else:
                 os.write(held_w, b"x")
-                time.sleep(3600)
+                _helper._readable(release_r, 3600.0)
         return block(*args)
 
     monkeypatch.setattr(engine, "_block", late)
-    yield
-    os.close(held_r)
-    os.close(held_w)
+    yield release_w
+    for fd in (held_r, held_w, release_r, release_w):
+        os.close(fd)
 
 
-def test_a_late_helper_is_stopped_and_the_next_run_forks_another(
-    monkeypatch, late_helper, parent_blocks, forks
-):
+@pytest.mark.parametrize("then", ["released", "killed"])
+def test_a_late_helper_holds_up_no_run(monkeypatch, late_helper, parent_blocks, forks, then):
+    # killed: the late helper holds its block until the run kills it. released:
+    # it is let go as the run gives up on it, and its block's rows are in the
+    # rows pipe before the run drops the pipe, so the next run must not read them
+    if then == "released":
+        forget = _helper._forget_helper
+
+        def releasing():
+            helper = _helper._helper
+            if helper is not None and helper.pid == forks[0]:
+                os.write(late_helper, b"x")
+                assert _helper._readable(helper.rows, 30.0)
+            forget()
+
+        monkeypatch.setattr(_helper, "_forget_helper", releasing)
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 1):
         assert _equals_run_path(run_scenario(scenario))
