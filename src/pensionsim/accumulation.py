@@ -68,24 +68,26 @@ def dearness_allowance(basic, inflation_pct) -> np.ndarray:
     return da
 
 
-def growth_factors(log_returns, out=None) -> np.ndarray:
+def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
     """One-year growth factor exp(r) for each log-return, in the input's shape.
 
     The factors come from the C library's exp, the one Python's math module
     calls, so they are bit-identical to a plain scalar reimplementation: a
     math.exp map while the process is young, then scipy's inv_boxcox(r, 0),
     which is exp(r) by definition and calls that libm exp in one compiled
-    loop (see stochastic._special_functions). np.exp is not used: its SIMD
-    exp differs from libm in the last bit on about 3.6% of log-returns. As
-    in the math module, only a finite log-return whose exp overflows is an
-    error; inf gives inf, -inf gives 0.0 and NaN gives NaN. The factors are
-    written to `out` if given, a float array of the input's shape.
+    loop: a run's `exp` (see stochastic._special_functions), or else one
+    charged to this call alone. np.exp is not used: its SIMD exp differs
+    from libm in the last bit on about 3.6% of log-returns. As in the math
+    module, only a finite log-return whose exp overflows is an error; inf
+    gives inf, -inf gives 0.0 and NaN gives NaN. The factors are written to
+    `out` if given, a float array of the input's shape.
     """
     r = np.asarray(log_returns, dtype=float)
     overflow = ValueError(
         "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
     )
-    _, exp = _special_functions(r.size)
+    if exp is None:
+        _, exp = _special_functions(r.size)
     try:
         growth = exp(r, out=np.empty(r.shape) if out is None else out)
     except OverflowError:  # math.exp's way of saying so

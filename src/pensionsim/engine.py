@@ -25,7 +25,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from . import _helper, stochastic
+from . import _helper
 from .accumulation import (
     CareerYear,
     accumulate_corpus,
@@ -45,8 +45,7 @@ from .retirement import (
 from .stochastic import (
     _WORD,
     RandomStream,
-    _expect_calls,
-    _scipy_functions,
+    _special_functions,
     gbm_drift,
     gbm_log_returns,
     inflation_series,
@@ -328,13 +327,13 @@ def _block_layout(scenario: Scenario) -> tuple[int, dict[str, tuple[tuple[int, .
     }
 
 
-def _career(scenario: Scenario, z: np.ndarray, space: dict):
+def _career(scenario: Scenario, z: np.ndarray, space: dict, exp):
     """The career half of a block of paths, on year-major normals `z`.
 
     Row t of `z` holds draw t of each path (see stream_normals), one column
-    a path. Computes in `space`'s career arrays, never in `z`, and returns
-    the final corpus, the final salary and the (n+m, paths) inflation
-    matrix, each as `run_path` computes them.
+    a path. Computes in `space`'s career arrays, never in `z`, with the
+    run's `exp`, and returns the final corpus, the final salary and the
+    (n+m, paths) inflation matrix, each as `run_path` computes them.
     """
     n, m = scenario.service_years, scenario.retirement_years
     # inflation_series and gbm_log_returns, column-wise
@@ -350,7 +349,7 @@ def _career(scenario: Scenario, z: np.ndarray, space: dict):
     salary[1:] /= 100.0
     salary += basic
     corpus = np.multiply(salary, scenario.contribution_rate, out=space["corpus"])
-    growth = growth_factors(rets, out=space["growth"])
+    growth = growth_factors(rets, out=space["growth"], exp=exp)
     for t in range(1, n):  # row t: the contribution, then the corpus, of year t + 1
         corpus[t - 1] *= growth[t - 1]
         corpus[t] += corpus[t - 1]
@@ -388,19 +387,23 @@ def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> N
     np.sum(sufficient, axis=0, out=shortfall)
 
 
-def _block(scenarios: list[Scenario], stage: str, first: int, count: int, space: dict, out) -> None:
+def _block(scenarios: list[Scenario], stage: str, first: int, count: int, space: dict, out,
+           special) -> None:
     """Compute paths first..first+count-1 of `scenarios` in `space`'s leading columns.
 
     `out` holds the arrays of count entries that take the outcomes: four
     for each scenario, in PathOutcome's field order after path_index.
+    `special` is the run's `(ndtri, exp)` (see _fill).
     """
     s = scenarios[0]
+    ndtri, exp = special
     block = {name: array[..., :count] for name, array in space.items()}
-    z = stream_normals(s.seed, first, count, 2 * s.service_years + s.retirement_years - 1, block).T
-    shared = _career(s, z, block) if stage == "retirement" else None
+    size = 2 * s.service_years + s.retirement_years - 1
+    z = stream_normals(s.seed, first, count, size, block, ndtri).T
+    shared = _career(s, z, block, exp) if stage == "retirement" else None
     kinds = len(_OUTCOME_KINDS)
     for number, scenario in enumerate(scenarios):
-        career = _career(scenario, z, block) if shared is None else shared
+        career = _career(scenario, z, block, exp) if shared is None else shared
         _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
 
 
@@ -409,18 +412,18 @@ def _counts(num_paths: int, paths: int) -> list[int]:
     return [min(paths, num_paths - first) for first in range(0, num_paths, paths)]
 
 
-def _blocks(scenarios: list[Scenario], stage: str, paths: int, layout: dict, left, columns=None):
+def _blocks(scenarios: list[Scenario], stage: str, paths: int, layout: dict, special,
+            columns=None):
     """`(compute, rows)` of a run in this process: `compute(index)` computes
     block `index` into the arrays `rows(index)`.
 
     Bound to all but `columns`, this is the job a run gives the helper
     process (see _helper.share): `paths` and `layout` are the run's
-    _block_layout, and `left` the special-functions switch's state at its
-    start, which every block is computed with. A block's rows are its
+    _block_layout, and `special` the `(ndtri, exp)` pair that computes
+    every block, which pickles by reference. A block's rows are its
     entries of `columns`, each scenario's outcome columns after path_index,
     or else of one block's columns, allocated here as the block arrays are.
     """
-    stochastic._port_left = left
     counts = _counts(scenarios[0].num_paths, paths)
     space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     step = paths  # block `index`'s rows start at index * step
@@ -432,7 +435,7 @@ def _blocks(scenarios: list[Scenario], stage: str, paths: int, layout: dict, lef
 
     def compute(index):
         with np.errstate(all="ignore"):  # a blow-up is reported by metric and path (see _run)
-            _block(scenarios, stage, index * paths, counts[index], space, rows(index))
+            _block(scenarios, stage, index * paths, counts[index], space, rows(index), special)
 
     return compute, rows
 
@@ -440,12 +443,13 @@ def _blocks(scenarios: list[Scenario], stage: str, paths: int, layout: dict, lef
 def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) -> None:
     """Compute `scenarios`' outcomes into their columns, one block of paths at a time.
 
-    Every block is computed in one set of arrays, and the last, shorter one
-    in their leading columns; they are freed when this returns. A run of
-    many blocks is shared with the helper process (see _helper.share); if a
-    block fails there or here, or the helper ends, every block is computed
-    again here, in order, so the error raised is that of the first failing
-    block.
+    The special-functions switch is charged once, for every block's calls,
+    and each block is computed with the `(ndtri, exp)` it gives, in one set
+    of arrays, the last in their leading columns; they are freed when this
+    returns. A run of many blocks is shared with the helper process (see
+    _helper.share); if a block fails there or here, or the helper ends,
+    every block is computed again here, in order, so the error raised is
+    that of the first failing block.
     """
     s = scenarios[0]
     paths, layout = _block_layout(s)
@@ -453,19 +457,13 @@ def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) ->
     # the calls on ndtri and exp a block makes: its normals, then the growth
     # factors of each career it computes
     careers = 1 if stage == "retirement" else len(scenarios)
-    charge = _expect_calls(counts, [2 * s.service_years + s.retirement_years - 1]
-                           + careers * [s.service_years - 1])
-    left = stochastic._port_left
-    job = functools.partial(_blocks, scenarios, stage, paths, layout, left)
+    sizes = [2 * s.service_years + s.retirement_years - 1] + careers * [s.service_years - 1]
+    special = _special_functions(*(count * size for count in counts for size in sizes))
+    job = functools.partial(_blocks, scenarios, stage, paths, layout, special)
     compute, rows = job([column for outcome in outcomes for column in outcome[1:]])
-    if left is None:
-        _scipy_functions()  # imported before the helper is forked, once for both processes
     if not _helper.share(job, len(counts), compute, rows):
-        stochastic._port_left = left
         for index in range(len(counts)):
             compute(index)
-    elif stochastic._port_left is not None:
-        stochastic._port_left = left - charge  # charged as if every block ran here
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:

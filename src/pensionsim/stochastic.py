@@ -93,9 +93,10 @@ class RandomStream:
         return _normals(self._gen.random(count))
 
 
-def _normals(u: np.ndarray, out=None) -> np.ndarray:
+def _normals(u: np.ndarray, out=None, ndtri=None) -> np.ndarray:
     u = np.maximum(u, _UNIFORM_FLOOR, out=out)
-    ndtri, _ = _special_functions(u.size)
+    if ndtri is None:
+        ndtri, _ = _special_functions(u.size)
     return ndtri(u, out=u)
 
 
@@ -109,9 +110,9 @@ def _normals(u: np.ndarray, out=None) -> np.ndarray:
 # 2-core Xeon VM (Python 3.11, numpy 2.4, scipy 1.17): a port call costs
 # 60-95 us more than scipy's, and each value about 115 ns more for ndtri and
 # 60 ns more for exp. So each call is charged at least 2**9 values, about
-# its fixed cost in values, by _special_functions or, for a whole run
-# before its first block, by _expect_calls; the 2**20 values the port may
-# serve cost at most about 0.12 s more than scipy would, half the import.
+# its fixed cost in values, and a run charges all of its calls before its
+# first block (see _special_functions); the 2**20 values the port may serve
+# cost at most about 0.12 s more than scipy would, half the import.
 _PORT_BUDGET = 2**20
 _PORT_CALL = 2**9
 
@@ -120,44 +121,40 @@ _PORT_CALL = 2**9
 _port_left: int | None = _PORT_BUDGET
 
 
-def _expect_calls(counts, sizes) -> int:
-    """Serve every later call from scipy.special, unless the port's budget
-    covers a run of blocks of `counts` paths, each block making one call on
-    each of `sizes` values a path. A run tells its calls before its first
-    block, so one implementation serves all of it: a run that spent the
-    budget part way would pay for both the port and the import. Returns
-    what the run's calls will charge."""
-    global _port_left
-    charge = sum(max(count * size, _PORT_CALL) for count in counts for size in sizes)
-    if _port_left is not None and charge > _port_left:
-        _port_left = None
-    return charge
+def _special_functions(*calls: int):
+    """`(ndtri, exp)` for calls on `calls` values each, charged to the switch.
 
-
-def _special_functions(values: int):
-    """`(ndtri, exp)` for a call on `values` values, each taking `(x, out)`.
-
-    They are the numpy port until the process has charged _PORT_BUDGET
-    values to it, a run expects more than is left (see _expect_calls) or
-    scipy.special is loaded, and scipy's from then on.
+    Each takes `(x, out)` and pickles by reference. They are the numpy port
+    while the calls fit in what is left of its _PORT_BUDGET values and
+    scipy.special is not loaded, and scipy's from then on. A run charges all
+    of its calls at once, so it never pays for both the port and the import.
     """
     global _port_left
     if _port_left is not None:
-        _port_left -= max(values, _PORT_CALL)
+        _port_left -= sum(max(values, _PORT_CALL) for values in calls)
         if _port_left >= 0 and "scipy.special" not in sys.modules:
             return _ndtri_port, _exp_port
         _port_left = None
-    return _scipy_functions()
+    _scipy_special()  # loaded here: before a run's first block and any fork of a helper
+    return _ndtri_scipy, _exp_scipy
 
 
 @functools.cache
-def _scipy_functions():
-    from scipy.special import inv_boxcox, ndtri
+def _scipy_special():
+    import scipy.special
 
-    def exp(r, out=None):
-        return inv_boxcox(r, 0.0, out=out)  # exp(r) by definition, with the C library's exp
+    return scipy.special
 
-    return ndtri, exp
+
+# scipy's functions by module-level names, which a run's job pickles by
+# reference; a ufunc pickles by a search of sys.modules, about 0.4 ms
+def _ndtri_scipy(y, out=None) -> np.ndarray:
+    return _scipy_special().ndtri(y, out=out)
+
+
+def _exp_scipy(r, out=None) -> np.ndarray:
+    # exp(r) by definition, with the C library's exp
+    return _scipy_special().inv_boxcox(r, 0.0, out=out)
 
 
 # Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
@@ -363,12 +360,14 @@ def philox_uniforms(master_seed: int, first: int, count: int, size: int, space=N
     return uniforms[:size].T
 
 
-def stream_normals(master_seed: int, first: int, count: int, size: int, space=None) -> np.ndarray:
+def stream_normals(master_seed: int, first: int, count: int, size: int, space=None,
+                   ndtri=None) -> np.ndarray:
     """`RandomStream(master_seed, k).standard_normal(size)` for each stream k in
     first..first+count-1, as one (count, size) array: a view of year-major
-    normals, computed in `space` as philox_uniforms computes its uniforms."""
+    normals, computed in `space` as philox_uniforms computes its uniforms,
+    with a run's `ndtri` (see _special_functions), or else charged alone."""
     u = philox_uniforms(master_seed, first, count, size, space)
-    return _normals(u, out=u)
+    return _normals(u, out=u, ndtri=ndtri)
 
 
 def gbm_drift(scenario: Scenario) -> float:

@@ -18,7 +18,7 @@ def fresh_switch(monkeypatch):
     so the test's first calls go to the port. scipy's functions are loaded
     before the test, so that a test that turns to scipy never pays the import.
     """
-    stochastic._scipy_functions()
+    stochastic._scipy_special()
     monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
     monkeypatch.setattr(stochastic, "_port_left", stochastic._PORT_BUDGET)
 

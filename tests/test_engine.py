@@ -403,9 +403,10 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     assert paths == scenario.num_paths  # one block
     space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     columns = [np.empty(paths), np.empty(paths), np.empty(paths, int), np.empty(paths)]
+    ndtri, exp = stochastic._special_functions(paths * size, paths * (scenario.service_years - 1))
     with np.errstate(all="ignore"):
-        z = stream_normals(scenario.seed, 0, paths, size, space).T
-        engine._retirement(scenario, *engine._career(scenario, z, space), space, columns)
+        z = stream_normals(scenario.seed, 0, paths, size, space, ndtri).T
+        engine._retirement(scenario, *engine._career(scenario, z, space, exp), space, columns)
         expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
     outcomes = records(engine.PathOutcome(np.arange(scenario.num_paths), *columns))
     assert _bits(outcomes) == _bits(expected)
@@ -420,9 +421,9 @@ def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
     career = engine._career
     blocks = []
 
-    def spy(scenario, z, space):
+    def spy(scenario, z, space, exp):
         blocks.append(z.shape[1])  # year-major: one column a path
-        return career(scenario, z, space)
+        return career(scenario, z, space, exp)
 
     monkeypatch.setattr(engine, "_career", spy)
     outcomes = records(run_scenario(scenario).outcomes)
@@ -657,9 +658,9 @@ def test_failing_scenario_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size, space):
+    def spy(seed, first, count, size, space, ndtri):
         drawn.append(first)
-        return normals(seed, first, count, size, space)
+        return normals(seed, first, count, size, space, ndtri)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     with pytest.raises(ValueError, match="growth factor"):
@@ -671,9 +672,9 @@ def test_sweep_whose_first_variant_fails_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size, space):
+    def spy(seed, first, count, size, space, ndtri):
         drawn.append(first)
-        return normals(seed, first, count, size, space)
+        return normals(seed, first, count, size, space, ndtri)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     overrides = [("gbm_mu", value) for value in (800.0, 0.09, 0.1)]

@@ -126,6 +126,30 @@ def test_a_shared_sweep_equals_run_path(helper, parent_blocks, key, values):
     assert len(parent_blocks) < blocks
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "serial"])
+@pytest.mark.parametrize(
+    "overrides, careers", [([], 1), ([("gbm_sigma", value) for value in (0.0, 0.05, 0.1)], 3)],
+    ids=["run", "gbm_sigma-sweep"],
+)
+def test_a_run_charges_the_switch_once_with_every_block(
+    monkeypatch, parent_blocks, shared, overrides, careers
+):
+    charged, switch = [], engine._special_functions
+
+    def spy(*calls):
+        charged.append(calls)
+        return switch(*calls)
+
+    monkeypatch.setattr(engine, "_special_functions", spy)
+    base = Scenario(num_paths=10_000)  # 24 blocks of 414 paths and one of 64
+    with contextlib.nullcontext() if shared else _serial():
+        sweep(base, overrides) if overrides else run_scenario(base)
+    counts = [414] * 24 + [64]
+    # each block's normals, then the growth factors of each career it computes
+    assert charged == [tuple(count * size for count in counts for size in [79] + careers * [29])]
+    assert len(parent_blocks) < 25 if shared else len(parent_blocks) == 25
+
+
 @pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
 def test_a_shared_run_keeps_the_golden_bytes(tmp_path, capsys, helper, special):
     with _small_blocks(Scenario(), 100):  # ten blocks of the 1000 paths

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
+import pickle
 import sys
 
 import numpy as np
@@ -321,14 +324,48 @@ def test_the_switch_charges_each_call_at_least_its_fixed_cost(special):
     assert stochastic._special_functions(1000) == port
     assert stochastic._port_left == 2048 - 512 - 1000
     scipy_functions = stochastic._special_functions(537)  # one value past the budget
-    assert scipy_functions[0] is ndtri and scipy_functions != port
+    assert scipy_functions == (stochastic._ndtri_scipy, stochastic._exp_scipy)
     assert stochastic._port_left is None
     assert stochastic._special_functions(1) == scipy_functions  # for good
+
+
+def test_either_pair_of_special_functions_pickles_by_reference(monkeypatch):
+    # a run hands its pair to the helper process in a pickled job
+    port = stochastic._special_functions(1)
+    assert port == (stochastic._ndtri_port, stochastic._exp_port)
+    monkeypatch.setattr(stochastic, "_port_left", None)
+    scipy_functions = stochastic._special_functions(1)
+    assert scipy_functions == (stochastic._ndtri_scipy, stochastic._exp_scipy)
+    for pair in (port, scipy_functions):
+        assert pickle.loads(pickle.dumps(pair)) == pair
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            yield from node.names
+
+
+def test_only_the_stochastic_module_names_the_switch_state():
+    switch = {"_port_left", "_expect_calls"}
+    named = {
+        path.name: switch.intersection(_names(ast.parse(path.read_text())))
+        for path in pathlib.Path(stochastic.__file__).parent.glob("*.py")
+    }
+    assert named.pop("stochastic.py") == {"_port_left"}
+    assert {"engine.py", "_helper.py", "accumulation.py"} <= named.keys()
+    assert {name: found for name, found in named.items() if found} == {}
 
 
 @pytest.mark.parametrize("special", [2048], indirect=True)
 def test_the_switch_uses_scipy_once_it_is_loaded(special, monkeypatch):
     assert stochastic._special_functions(1)[0] is stochastic._ndtri_port
     monkeypatch.setitem(sys.modules, "scipy.special", sys.modules["scipy"].special)
-    assert stochastic._special_functions(1)[0] is ndtri
+    assert stochastic._special_functions(1)[0] is stochastic._ndtri_scipy
     assert stochastic._port_left is None
