@@ -11,12 +11,13 @@ is left, this process waits for the helper's last blocks only about as
 long as one of its own claims takes (_PATIENCE), so a helper that the
 machine delays holds a run up by about two claims at most.
 
-A helper that runs out of patience, fails or ends is killed, and the next
-shared run forks a new one. A late helper is killed before this process
-computes its missing blocks and reaped after them, so the reap never waits
-on a helper that has no CPU. So every run starts with an idle helper and
-empty pipes. The helper ignores SIGINT and ends only through os._exit:
-when a pipe to its parent closes, or when killed.
+A helper that runs out of patience, fails or ends is killed, and this
+process computes the blocks it did not send, as it computes those of a run
+not shared; a late one is reaped after them, so the reap never waits on a
+helper that has no CPU. The next shared run forks a new helper, so every
+run starts with an idle helper and empty pipes. The helper ignores SIGINT
+and ends only through os._exit: when a pipe to its parent closes, or when
+killed.
 """
 
 from __future__ import annotations
@@ -65,29 +66,35 @@ def _helper_usable() -> bool:
     )
 
 
-def share(job, blocks: int, compute, rows) -> bool:
-    """Compute a run's blocks 0..blocks-1 here and in the helper, each claiming them in turn.
+def share(job, blocks: int, compute, rows) -> None:
+    """Compute a run's blocks 0..blocks-1, each once, here and perhaps in the helper.
 
     `compute(index)` computes block `index` here into the arrays
     `rows(index)`, which the helper's rows of a block are read into. The
     helper computes with `job()`'s `(compute, rows)`, so `job` must be
     picklable and take nothing a run sets from the helper's module state, a
-    copy from the fork, perhaps stale. Returns False when the run is not
-    shared: it has fewer than _HELPER_BLOCKS blocks, the helper is not
-    usable, a block raises ValueError or ArithmeticError in either process,
-    or the helper ends. Then the caller computes every block itself.
+    copy from the fork, perhaps stale. A run of _HELPER_BLOCKS blocks or
+    more is shared when the helper is usable (see _share). Then this process
+    computes each block whose rows are not in, so a block that fails in the
+    helper fails here too: its error must not depend on the block. An
+    exception here stops the helper and is raised as it stands.
     """
-    if blocks < _HELPER_BLOCKS or not _helper_usable():
-        return False
+    have = [False] * blocks  # whether block `index`'s rows are in
+    late = None  # the pid of a helper killed as late, reaped once every block is in
+    if blocks >= _HELPER_BLOCKS and _helper_usable():
+        try:
+            late = _share(job, blocks, compute, rows, have)
+        except (EOFError, OSError):  # the helper ended, or could not be forked
+            _stop_helper()
+        except BaseException:
+            _stop_helper()
+            raise
     try:
-        _share(job, blocks, compute, rows)
-    except (ValueError, ArithmeticError, EOFError, OSError):
-        _stop_helper()
-        return False
-    except BaseException:
-        _stop_helper()
-        raise
-    return True
+        for index in [i for i, got in enumerate(have) if not got]:
+            compute(index)
+    finally:
+        if late is not None:
+            os.waitpid(late, 0)
 
 
 def _readable(fd: int, timeout: float | None = 0.0) -> bool:
@@ -212,9 +219,10 @@ def _claims(blocks: int) -> list[range]:
     return [range(first, min(first + per, blocks)) for first in range(0, blocks, per)]
 
 
-def _share(job, blocks: int, compute, rows) -> None:
-    """Compute a run's blocks here and in the helper (see share), which is
-    forked first if there is none or it has ended since the last run."""
+def _share(job, blocks: int, compute, rows, have: list[bool]) -> int | None:
+    """Compute a run's blocks here and in the helper (see share), which is forked
+    first if there is none or it has ended since the last run. Sets have[i] once
+    block i's rows are in; returns the pid of a helper killed as late, or None."""
     if _helper is not None and _readable(_helper.rows):  # between runs it is empty, unless closed
         _stop_helper()
     if _helper is None:
@@ -237,7 +245,6 @@ def _share(job, blocks: int, compute, rows) -> None:
         have[index] = True
         return False
 
-    have = [False] * blocks  # whether block `index`'s rows are in
     took = []  # seconds each claim of this process took
     heard = time.perf_counter()  # when the helper's last message came, or the job went
     done = False
@@ -260,12 +267,8 @@ def _share(job, blocks: int, compute, rows) -> None:
         else:  # the helper is late; unreaped, its pid is not reused
             _forget_helper()
             os.kill(helper.pid, signal.SIGKILL)
-            try:
-                for index in [i for i, got in enumerate(have) if not got]:
-                    compute(index)
-            finally:
-                os.waitpid(helper.pid, 0)
-            return
+            return helper.pid
+    return None
 
 
 def _serve(commands: int, claims: int, rows: int) -> None:

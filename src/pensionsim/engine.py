@@ -446,10 +446,10 @@ def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) ->
     The special-functions switch is charged once, for every block's calls,
     and each block is computed with the `(ndtri, exp)` it gives, in one set
     of arrays, the last in their leading columns; they are freed when this
-    returns. A run of many blocks is shared with the helper process (see
-    _helper.share); if a block fails there or here, or the helper ends,
-    every block is computed again here, in order, so the error raised is
-    that of the first failing block.
+    returns. _helper.share computes each block once, here or in the
+    helper; a block that fails in the helper fails again here. The error a
+    block raises depends only on the scenarios (their fields, or the growth
+    overflow's fixed message), never on the block, so it is a serial run's.
     """
     s = scenarios[0]
     paths, layout = _block_layout(s)
@@ -460,10 +460,8 @@ def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) ->
     sizes = [2 * s.service_years + s.retirement_years - 1] + careers * [s.service_years - 1]
     special = _special_functions(*(count * size for count in counts for size in sizes))
     job = functools.partial(_blocks, scenarios, stage, paths, layout, special)
-    compute, rows = job([column for outcome in outcomes for column in outcome[1:]])
-    if not _helper.share(job, len(counts), compute, rows):
-        for index in range(len(counts)):
-            compute(index)
+    columns = [column for outcome in outcomes for column in outcome[1:]]
+    _helper.share(job, len(counts), *job(columns))
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
@@ -471,9 +469,8 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
 
     The scenarios must agree on every field of the stages before `stage`,
     and each block computes those stages once for all of them. The blocks
-    may be shared with the helper process (see _helper.share), which gives
-    the same bits and, when a block fails, the error of the first failing
-    block.
+    may be shared with the helper process (see _fill), which gives the
+    same bits and, when a block fails, the error a serial run raises.
     When a block of several scenarios fails, each is rerun alone, in order,
     so the error raised is that of the first failing scenario, as if each
     ran alone.
@@ -646,9 +643,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     when the process may use two CPUs and runs no other thread.
     Raises ValueError naming the metric when an outcome or a summary
     statistic is not finite (a numeric blow-up of the scenario's
-    parameters). It runs sweep's blocks with one scenario, so a block's
-    error is raised as computing the blocks in order in one process raises
-    it: that of the first failing block.
+    parameters). It runs sweep's blocks with one scenario, each computed
+    once in either process; every block that fails raises the same error,
+    so the error raised is the one a serial run raises.
     """
     return _run([scenario])[0]
 
@@ -661,7 +658,7 @@ def sweep(base: Scenario, overrides) -> list[ScenarioResult]:
     the parameter change alone. The variants run together, block by block,
     and share every stage before the earliest stage of the overridden
     fields (see Field.stage). The blocks may be computed in two processes,
-    as run_scenario's are (see _helper.share). The results equal separate run_scenario calls
+    as run_scenario's are. The results equal separate run_scenario calls
     bit for bit. When a block fails, the variants are rerun one by one, so
     the error raised is that of the first variant, in the given order, that
     fails.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pensionsim import engine, stochastic
+from pensionsim import _helper, engine, stochastic
 from pensionsim.accumulation import accumulate_corpus, dearness_allowance, project_basic
 from pensionsim.engine import (
     DEFAULTS,
@@ -682,6 +682,37 @@ def test_sweep_whose_first_variant_fails_draws_no_further_blocks(monkeypatch):
         sweep(Scenario(), overrides)  # 1000 paths: three blocks
     # block 0 once for the sweep, once more for the first variant alone
     assert drawn == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "overrides, failing",
+    [
+        ({"gbm_sigma": 1e200}, 10),  # the drift
+        ({"increment_rate": 1e11}, 10),  # basic pay
+        ({"risk_free_rate": 1e10}, 10),  # the discount
+        ({"gbm_mu": 707.78, "gbm_sigma": 1.0}, 3),  # growth, on paths 21, 31, 38 and 39 only
+    ],
+    ids=["drift", "basic-pay", "discount", "partial-growth"],
+)
+def test_every_failing_block_raises_the_serial_runs_error(overrides, failing):
+    # a shared run raises the error of whichever block fails first, in
+    # either process (see _helper.share), so it must not depend on the block
+    scenario = Scenario(num_paths=40, **overrides)
+    with _small_blocks(scenario, 4), mock.patch.object(_helper, "_helper_usable", lambda: False):
+        with pytest.raises(ValueError) as serial:
+            run_scenario(scenario)
+        paths, layout = engine._block_layout(scenario)
+        special = stochastic._special_functions()
+        compute, _ = engine._blocks([scenario], "retirement", paths, layout, special)
+        errors = []
+        for index in range(10):
+            try:
+                compute(index)
+            except ValueError as error:
+                errors.append(error)
+    assert len(errors) == failing
+    expected = (type(serial.value), str(serial.value))
+    assert {(type(error), str(error)) for error in errors} == {expected}
 
 
 def _first_error(scenarios):

@@ -248,6 +248,71 @@ def test_a_failing_block_raises_the_serial_runs_error(failing_share, forks, base
         assert _helper._helper is None  # stopped by the failure
 
 
+def test_a_helper_killed_mid_run_leaves_each_of_its_blocks_here_once(
+    monkeypatch, helper, parent_blocks, forks
+):
+    pid, block, computed = os.getpid(), engine._block, []
+
+    def dies(*args):  # the helper kills itself as its second block starts
+        if os.getpid() != pid:
+            computed.append(True)
+            if len(computed) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return block(*args)
+
+    monkeypatch.setattr(engine, "_block", dies)
+    scenario = Scenario(num_paths=40)
+    with _small_blocks(scenario, 4):
+        assert _equals_run_path(run_scenario(scenario))
+    # the helper sent its first block; this process computed the other nine, once each
+    assert len(set(parent_blocks)) == len(parent_blocks) == 9
+    assert _helper._helper is None
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("fails_in", ["parent", "helper"])
+def test_a_failing_shared_run_computes_no_block_twice(monkeypatch, helper, forks, fails_in):
+    # at seed 42 only paths 21, 31, 38 and 39 overflow: blocks 5, 7 and 9 of 4 paths fail
+    scenario = Scenario(num_paths=40, gbm_mu=707.78, gbm_sigma=1.0)
+    with _small_blocks(scenario, 4), _serial(), pytest.raises(ValueError) as serial:
+        run_scenario(scenario)
+    firsts, pid, block = [], os.getpid(), engine._block
+    go_r, go_w = os.pipe()  # written once this process has computed its first block
+
+    def blocks(scenarios, stage, first, *args):
+        if os.getpid() == pid:
+            firsts.append(first)
+        elif fails_in == "parent":  # the helper ends at the first block it claims
+            raise RuntimeError("the helper computes no block")
+        else:  # the helper holds its first block until this process has computed one
+            assert _helper._readable(go_r, 30.0)
+        return block(scenarios, stage, first, *args)
+
+    if fails_in == "helper":  # this process computes one block and leaves the rest to the helper
+        read = _helper._read_int
+
+        def one_claim(fd):
+            if os.getpid() == pid and fd == _helper._helper.claims_r and firsts:
+                os.write(go_w, b"x")
+                return _helper._END
+            return read(fd)
+
+        monkeypatch.setattr(_helper, "_read_int", one_claim)
+    monkeypatch.setattr(engine, "_block", blocks)
+    try:
+        with _small_blocks(scenario, 4), pytest.raises(ValueError) as shared:
+            run_scenario(scenario)
+    finally:
+        os.close(go_r)
+        os.close(go_w)
+    assert str(shared.value) == str(serial.value)
+    assert forks and _helper._helper is None  # shared, then stopped by the failure
+    assert len(set(firsts)) == len(firsts)
+    if fails_in == "helper":  # its first block, then block 5, which failed in the helper
+        assert firsts[1:] == [20]
+
+
 def test_a_helper_that_ended_between_runs_is_forked_again(helper, parent_blocks):
     scenario = Scenario(num_paths=40)
     with _small_blocks(scenario, 4):
@@ -364,24 +429,30 @@ def test_the_helper_module_imports_nothing_of_the_package():
     assert [name for name in imported if name.startswith((".", "pensionsim"))] == []
 
 
-def test_an_interrupted_run_stops_its_helper(monkeypatch, helper):
-    block = engine._block
+def test_an_interrupted_run_stops_its_helper(monkeypatch, helper, forks):
+    pid, block, computed = os.getpid(), engine._block, []
+    second_r, second_w = os.pipe()  # written as this process starts its second block
 
-    def interrupted(scenarios, stage, first, *args):
-        if first:  # this process's second block at the latest
+    def interrupted(*args):
+        if os.getpid() != pid:  # the helper holds its first block until then, so
+            assert _helper._readable(second_r, 30.0)  # this process gets a second
+        elif computed:
+            os.write(second_w, b"x")
             raise KeyboardInterrupt
-        return block(scenarios, stage, first, *args)
+        computed.append(True)
+        return block(*args)
 
+    monkeypatch.setattr(engine, "_block", interrupted)
     scenario = Scenario(num_paths=40)
-    with _small_blocks(scenario, 4):
-        run_scenario(scenario)
-        pid = _helper._helper.pid
-        monkeypatch.setattr(engine, "_block", interrupted)
-        with pytest.raises(KeyboardInterrupt):
+    try:
+        with _small_blocks(scenario, 4), pytest.raises(KeyboardInterrupt):
             run_scenario(scenario)
+    finally:
+        os.close(second_r)
+        os.close(second_w)
     assert _helper._helper is None
     with pytest.raises(ChildProcessError):  # killed and reaped
-        os.waitpid(pid, os.WNOHANG)
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 def test_one_usable_cpu_or_a_second_thread_keeps_a_run_serial(monkeypatch):
