@@ -10,9 +10,10 @@ functions; they are the reference. `run_scenario` and `sweep` compute
 blocks of paths as year-major (years, paths) arrays with the same
 operations in the same order, so their outcomes equal `run_path`'s bit for
 bit; `sweep` computes each stage of a block once for the variants that
-share it. A run computes every block in one set of arrays, and a large
-run shares its blocks with a helper process (see _helper), through the
-one function that computes a block in either process (see _blocks).
+share it. A run works out its shape once, as the plan every block reads
+(see _Plan), and computes every block in one set of arrays; a large run
+shares its blocks with a helper process (see _helper), through the one
+function that computes a block in either process (see _blocks).
 """
 
 from __future__ import annotations
@@ -305,8 +306,8 @@ _BLOCK_DRAWS = 2**15
 _MIN_BLOCK_PATHS = 8
 
 
-def _block_layout(scenario: Scenario) -> tuple[int, dict[str, tuple[tuple[int, ...], type]]]:
-    """The paths in a block of `scenario`'s run, and the arrays a block is computed in.
+def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ...], type]]]:
+    """A path's draws, the paths in a block, and the arrays a block is computed in.
 
     The arrays are (shape, dtype) by name, each year-major with one column a
     path: the draws (see normals_layout), then the arrays of _career and of
@@ -315,7 +316,7 @@ def _block_layout(scenario: Scenario) -> tuple[int, dict[str, tuple[tuple[int, .
     n, m = scenario.service_years, scenario.retirement_years
     size = 2 * n + m - 1
     paths = min(max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size), scenario.num_paths)
-    return paths, {
+    return size, paths, {
         **normals_layout(paths, size),
         "infl": ((n + m, paths), np.float64),
         "rets": ((n - 1, paths), np.float64),
@@ -387,90 +388,71 @@ def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> N
     np.sum(sufficient, axis=0, out=shortfall)
 
 
-def _block(scenarios: list[Scenario], stage: str, first: int, count: int, space: dict, out,
-           special) -> None:
-    """Compute paths first..first+count-1 of `scenarios` in `space`'s leading columns.
+class _Plan(NamedTuple):
+    """A run's shape, worked out once in _run and read by each block in either process."""
+
+    scenarios: list[Scenario]
+    stage: str  # the first stage the scenarios do not share (see _run)
+    size: int  # a path's draws
+    counts: list[int]  # the paths in each block, all but the last as many as the first
+    layout: dict  # the arrays a block is computed in (see _layout)
+    special: tuple  # the `(ndtri, exp)` pair that computes every block
+
+
+def _block(plan: _Plan, first: int, count: int, space: dict, out) -> None:
+    """Compute paths first..first+count-1 of the plan's scenarios in `space`'s leading columns.
 
     `out` holds the arrays of count entries that take the outcomes: four
     for each scenario, in PathOutcome's field order after path_index.
-    `special` is the run's `(ndtri, exp)` (see _fill).
     """
-    s = scenarios[0]
-    ndtri, exp = special
+    s = plan.scenarios[0]
+    ndtri, exp = plan.special
     block = {name: array[..., :count] for name, array in space.items()}
-    size = 2 * s.service_years + s.retirement_years - 1
-    z = stream_normals(s.seed, first, count, size, block, ndtri).T
-    shared = _career(s, z, block, exp) if stage == "retirement" else None
+    z = stream_normals(s.seed, first, count, plan.size, block, ndtri).T
+    shared = _career(s, z, block, exp) if plan.stage == "retirement" else None
     kinds = len(_OUTCOME_KINDS)
-    for number, scenario in enumerate(scenarios):
+    for number, scenario in enumerate(plan.scenarios):
         career = _career(scenario, z, block, exp) if shared is None else shared
         _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
 
 
-def _counts(num_paths: int, paths: int) -> list[int]:
-    """The paths in each block of a run of `num_paths` paths, `paths` in all but the last."""
-    return [min(paths, num_paths - first) for first in range(0, num_paths, paths)]
-
-
-def _blocks(scenarios: list[Scenario], stage: str, paths: int, layout: dict, special,
-            columns=None):
+def _blocks(plan: _Plan, columns=None):
     """`(compute, rows)` of a run in this process: `compute(index)` computes
     block `index` into the arrays `rows(index)`.
 
-    Bound to all but `columns`, this is the job a run gives the helper
-    process (see _helper.share): `paths` and `layout` are the run's
-    _block_layout, and `special` the `(ndtri, exp)` pair that computes
-    every block, which pickles by reference. A block's rows are its
-    entries of `columns`, each scenario's outcome columns after path_index,
-    or else of one block's columns, allocated here as the block arrays are.
+    Bound to `plan`, this is the job a run gives the helper process (see
+    _helper.share); the plan pickles, its `(ndtri, exp)` pair by
+    reference. A block's rows are its entries of `columns`, each scenario's
+    outcome columns after path_index, or else of one block's columns,
+    allocated here as the block arrays are.
     """
-    counts = _counts(scenarios[0].num_paths, paths)
-    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
-    step = paths  # block `index`'s rows start at index * step
+    counts = plan.counts
+    space = {name: np.empty(*shape_kind) for name, shape_kind in plan.layout.items()}
+    step = paths = counts[0]  # block `index`'s rows start at index * step
     if columns is None:
-        columns, step = [np.empty(paths, kind) for _ in scenarios for kind in _OUTCOME_KINDS], 0
+        columns, step = [np.empty(paths, k) for _ in plan.scenarios for k in _OUTCOME_KINDS], 0
 
     def rows(index):
         return [column[index * step : index * step + counts[index]] for column in columns]
 
     def compute(index):
         with np.errstate(all="ignore"):  # a blow-up is reported by metric and path (see _run)
-            _block(scenarios, stage, index * paths, counts[index], space, rows(index), special)
+            _block(plan, index * paths, counts[index], space, rows(index))
 
     return compute, rows
-
-
-def _fill(scenarios: list[Scenario], stage: str, outcomes: list[PathOutcome]) -> None:
-    """Compute `scenarios`' outcomes into their columns, one block of paths at a time.
-
-    The special-functions switch is charged once, for every block's calls,
-    and each block is computed with the `(ndtri, exp)` it gives, in one set
-    of arrays, the last in their leading columns; they are freed when this
-    returns. _helper.share computes each block once, here or in the
-    helper; a block that fails in the helper fails again here. The error a
-    block raises depends only on the scenarios (their fields, or the growth
-    overflow's fixed message), never on the block, so it is a serial run's.
-    """
-    s = scenarios[0]
-    paths, layout = _block_layout(s)
-    counts = _counts(s.num_paths, paths)
-    # the calls on ndtri and exp a block makes: its normals, then the growth
-    # factors of each career it computes
-    careers = 1 if stage == "retirement" else len(scenarios)
-    sizes = [2 * s.service_years + s.retirement_years - 1] + careers * [s.service_years - 1]
-    special = _special_functions(*(count * size for count in counts for size in sizes))
-    job = functools.partial(_blocks, scenarios, stage, paths, layout, special)
-    columns = [column for outcome in outcomes for column in outcome[1:]]
-    _helper.share(job, len(counts), *job(columns))
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
     """The results of `scenarios`, in order, computed one block of paths at a time.
 
     The scenarios must agree on every field of the stages before `stage`,
-    and each block computes those stages once for all of them. The blocks
-    may be shared with the helper process (see _fill), which gives the
-    same bits and, when a block fails, the error a serial run raises.
+    and each block computes those stages once for all of them. The
+    special-functions switch is charged once, for every block's calls, and
+    each block is computed with the `(ndtri, exp)` it gives, in one set of
+    arrays. _helper.share computes each block once, here or in the helper; a
+    block that fails in the helper fails again here. The error a block
+    raises depends only on the scenarios (their fields, or the growth
+    overflow's fixed message), never on the block, so it is a serial run's.
     When a block of several scenarios fails, each is rerun alone, in order,
     so the error raised is that of the first failing scenario, as if each
     ran alone.
@@ -479,8 +461,9 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         return [_run([scenario])[0] for scenario in scenarios]
     s = scenarios[0]
     # each scenario's outcome columns, which the blocks fill, then the arrays
-    # of a block; a run too large to hold fails before its first draw
-    _, layout = _block_layout(s)
+    # of a block; a run too large to hold fails before its first draw, and
+    # before it charges the switch or lists its blocks
+    size, paths, layout = _layout(s)
     _check_bytes(
         8 * len(PathOutcome._fields) * s.num_paths * len(scenarios)
         + sum(math.prod(shape) * np.dtype(kind).itemsize for shape, kind in layout.values())
@@ -489,8 +472,16 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         PathOutcome(np.arange(s.num_paths), *(np.empty(s.num_paths, k) for k in _OUTCOME_KINDS))
         for _ in scenarios
     ]
+    counts = [min(paths, s.num_paths - first) for first in range(0, s.num_paths, paths)]
+    # the calls on ndtri and exp a block makes: its normals, then the growth
+    # factors of each career it computes
+    careers = 1 if stage == "retirement" else len(scenarios)
+    sizes = [size] + careers * [s.service_years - 1]
+    special = _special_functions(*(count * calls for count in counts for calls in sizes))
+    job = functools.partial(_blocks, _Plan(scenarios, stage, size, counts, layout, special))
+    columns = [column for outcome in outcomes for column in outcome[1:]]
     try:
-        _fill(scenarios, stage, outcomes)
+        _helper.share(job, len(counts), *job(columns))
     except (ValueError, ArithmeticError):
         if len(scenarios) == 1:
             raise
@@ -643,9 +634,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     when the process may use two CPUs and runs no other thread.
     Raises ValueError naming the metric when an outcome or a summary
     statistic is not finite (a numeric blow-up of the scenario's
-    parameters). It runs sweep's blocks with one scenario, each computed
-    once in either process; every block that fails raises the same error,
-    so the error raised is the one a serial run raises.
+    parameters). It runs sweep's blocks with one scenario, from one plan
+    of the run (see _run), each computed once in either process; every
+    block that fails raises the same error, so the error raised is the one
+    a serial run raises.
     """
     return _run([scenario])[0]
 

@@ -170,14 +170,17 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
     the temporary files go, and so do the directories of `out` that this
     call created.
     """
+    created = []  # the directories of `out` this call makes, deepest first
     for directory in (out, *out.parents):  # only the nearest that exists can be a non-directory
-        if directory.exists() and not directory.is_dir():
+        if directory.exists():
+            if directory.is_dir():
+                break
             raise NotADirectoryError(f"cannot write into {out}: {directory} is not a directory")
+        created.append(directory)
     targets = [out / name for name in files]
-    for path in targets:
+    for path in [] if created else targets:  # a directory still to make holds no file
         if path.exists() and not path.is_file():
             raise FileExistsError(f"cannot write {path}: it exists and is not a regular file")
-    created = [directory for directory in (out, *out.parents) if not directory.exists()]
     temps: list[Path] = []
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -242,8 +242,10 @@ def test_a_run_too_large_to_hold_fails_before_its_first_draw(monkeypatch, run):
         raise AssertionError("drew normals for outcomes that cannot be held")
 
     monkeypatch.setattr(engine, "stream_normals", no_draws)
+    budget = stochastic._port_left
     with pytest.raises(MemoryError):
         run(Scenario(num_paths=2**55))  # 256 PiB a column: no 64-bit machine maps it
+    assert stochastic._port_left == budget  # charged only once the columns are held
 
 
 # sizes whose arrays pass 2**63 - 1 bytes, where numpy raises ValueError, not MemoryError
@@ -262,8 +264,10 @@ def test_a_run_past_what_numpy_indexes_is_out_of_memory(monkeypatch, run, sizes)
         raise AssertionError("drew normals for outcomes that cannot be held")
 
     monkeypatch.setattr(engine, "stream_normals", no_draws)
+    budget = stochastic._port_left
     with pytest.raises(MemoryError):
         run(Scenario(**sizes))
+    assert stochastic._port_left == budget
 
 
 @pytest.mark.parametrize("sizes", [{"retirement_years": 2**62}, {"service_years": 2**61}], ids=repr)
@@ -398,8 +402,7 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     # run_scenario rejects such outcomes, but each block must still agree
     # with run_path field by field (a NaN requirement counts as a miss)
     scenario = Scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
-    size = 2 * scenario.service_years + scenario.retirement_years - 1
-    paths, layout = engine._block_layout(scenario)
+    size, paths, layout = engine._layout(scenario)
     assert paths == scenario.num_paths  # one block
     space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     columns = [np.empty(paths), np.empty(paths), np.empty(paths, int), np.empty(paths)]
@@ -654,6 +657,30 @@ def test_sweep_computes_each_shared_stage_once_per_block(monkeypatch, overrides,
     assert sweep(base, []) == []
 
 
+@pytest.mark.parametrize(
+    "overrides, plans",
+    [
+        ([], 1),
+        ([("annuity_rate", value) for value in (0.05, 0.07, 0.09)], 1),
+        ([("gbm_sigma", value) for value in (0.0, 0.05, 0.1)], 1),
+        ([("service_years", value) for value in (25, 30, 35)], 3),  # each variant runs apart
+    ],
+    ids=["run_scenario", "annuity_rate", "gbm_sigma", "service_years"],
+)
+def test_a_run_works_out_its_shape_once(monkeypatch, overrides, plans):
+    calls = []
+    layout = engine._layout
+
+    def spy(scenario):
+        calls.append(scenario)
+        return layout(scenario)
+
+    monkeypatch.setattr(engine, "_layout", spy)
+    base = Scenario(num_paths=1000)
+    results = sweep(base, overrides) if overrides else [run_scenario(base)]
+    assert calls == [result.scenario for result in results][:plans]
+
+
 def test_failing_scenario_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
@@ -701,9 +728,11 @@ def test_every_failing_block_raises_the_serial_runs_error(overrides, failing):
     with _small_blocks(scenario, 4), mock.patch.object(_helper, "_helper_usable", lambda: False):
         with pytest.raises(ValueError) as serial:
             run_scenario(scenario)
-        paths, layout = engine._block_layout(scenario)
+        size, paths, layout = engine._layout(scenario)
+        counts = [paths] * 10
         special = stochastic._special_functions()
-        compute, _ = engine._blocks([scenario], "retirement", paths, layout, special)
+        plan = engine._Plan([scenario], "retirement", size, counts, layout, special)
+        compute, _ = engine._blocks(plan)
         errors = []
         for index in range(10):
             try:

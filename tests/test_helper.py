@@ -64,14 +64,14 @@ def parent_blocks(monkeypatch, helper):
         finally:
             starting.clear()
 
-    def waiting(scenarios, stage, first, *args):
+    def waiting(plan, first, *args):
         if os.getpid() == pid:
             if starting and _helper._PATIENCE == _PATIENT:
                 assert _helper._readable(_helper._helper.rows, 30.0)
             starting.clear()
             firsts.append(first)
             time.sleep(0.005)
-        return block(scenarios, stage, first, *args)
+        return block(plan, first, *args)
 
     monkeypatch.setattr(_helper, "_share", sharing)
     monkeypatch.setattr(engine, "_block", waiting)
@@ -83,7 +83,7 @@ def _serial():
 
 
 def _blocks(scenario: Scenario) -> int:
-    paths, _ = engine._block_layout(scenario)
+    _, paths, _ = engine._layout(scenario)
     return -(-scenario.num_paths // paths)
 
 
@@ -107,6 +107,22 @@ def test_a_shared_run_equals_run_path(helper, parent_blocks, special, num_paths,
         with _serial():
             run_scenario(scenario)
     assert left == stochastic._port_left  # the switch is charged as for a serial run
+    assert _equals_run_path(result)
+
+
+def test_a_shared_run_works_out_its_shape_once_here(monkeypatch, helper, parent_blocks):
+    calls, layout = [], engine._layout
+
+    def spy(scenario):
+        calls.append(scenario)  # in the helper, into its own copy of the list
+        return layout(scenario)
+
+    monkeypatch.setattr(engine, "_layout", spy)
+    scenario = Scenario(num_paths=40)
+    with _small_blocks(scenario, 4):
+        result = run_scenario(scenario)
+    assert calls == [scenario]  # the helper's blocks read the plan it was sent
+    assert len(parent_blocks) < 10  # the helper computed the others
     assert _equals_run_path(result)
 
 
@@ -280,14 +296,14 @@ def test_a_failing_shared_run_computes_no_block_twice(monkeypatch, helper, forks
     firsts, pid, block = [], os.getpid(), engine._block
     go_r, go_w = os.pipe()  # written once this process has computed its first block
 
-    def blocks(scenarios, stage, first, *args):
+    def blocks(plan, first, *args):
         if os.getpid() == pid:
             firsts.append(first)
         elif fails_in == "parent":  # the helper ends at the first block it claims
             raise RuntimeError("the helper computes no block")
         else:  # the helper holds its first block until this process has computed one
             assert _helper._readable(go_r, 30.0)
-        return block(scenarios, stage, first, *args)
+        return block(plan, first, *args)
 
     if fails_in == "helper":  # this process computes one block and leaves the rest to the helper
         read = _helper._read_int

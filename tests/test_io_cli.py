@@ -233,6 +233,23 @@ def test_emit_summary_bytes_stable():
     assert first == second
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["mean", "quantile", "edge"])
+def test_emit_summary_rejects_a_statistic_that_is_not_finite(value, where):
+    # strict JSON has no NaN or Infinity; summarize raises before it would
+    # give one, so the statistics are set by hand
+    result = run_scenario(Scenario(num_paths=10))
+    stats = result.pv_support
+    changed = {
+        "mean": {"mean": value},
+        "quantile": {"quantiles": {**stats.quantiles, "p50": value}},
+        "edge": {"bin_edges": (*stats.bin_edges[:-1], value)},
+    }[where]
+    bad = dataclasses.replace(result, pv_support=dataclasses.replace(stats, **changed))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_summary(bad)
+
+
 def test_single_path_summary_has_zero_sd():
     result = run_scenario(Scenario(num_paths=1))
     doc = json.loads(emit_summary(result))
