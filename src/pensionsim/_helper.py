@@ -108,9 +108,11 @@ def _readable(fd: int, timeout: float | None = 0.0) -> bool:
 def _start_helper() -> None:
     global _helper
     cpu = _cpu()
-    fds = os.pipe() + os.pipe() + os.pipe()
-    commands_r, commands_w, claims_r, claims_w, rows_r, rows_w = fds
+    fds = ()
     try:
+        while len(fds) < 6:  # each pipe made is closed if a later one fails
+            fds += os.pipe()
+        commands_r, commands_w, claims_r, claims_w, rows_r, rows_w = fds
         with warnings.catch_warnings():
             # From Python 3.12 fork() warns whenever the process has another OS
             # thread, and numpy's BLAS pool always is one. No other Python

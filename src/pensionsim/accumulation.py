@@ -1,4 +1,5 @@
-"""Career-phase arithmetic: basic pay, dearness allowance, contributions, corpus."""
+"""Career-phase arithmetic: basic pay, dearness allowance, contributions and the
+corpus, which compounds by the market growth factors of stochastic.growth_factors."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .stochastic import _special_functions
+from .stochastic import growth_factors
 
 if TYPE_CHECKING:
     from .engine import Scenario
@@ -15,7 +16,6 @@ __all__ = [
     "CareerYear",
     "accumulate_corpus",
     "dearness_allowance",
-    "growth_factors",
     "project_basic",
 ]
 
@@ -66,36 +66,6 @@ def dearness_allowance(basic, inflation_pct) -> np.ndarray:
     da[0] = 0.0
     da[1:] = basic[:-1] * infl[:-1] / 100.0
     return da
-
-
-def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
-    """One-year growth factor exp(r) for each log-return, in the input's shape.
-
-    The factors come from the C library's exp, the one Python's math module
-    calls, so they are bit-identical to a plain scalar reimplementation: a
-    math.exp map while the process is young, then scipy's inv_boxcox(r, 0),
-    which is exp(r) by definition and calls that libm exp in one compiled
-    loop: a run's `exp` (see stochastic._special_functions), or else one
-    charged to this call alone. np.exp is not used: its SIMD exp differs
-    from libm in the last bit on about 3.6% of log-returns. As in the math
-    module, only a finite log-return whose exp overflows is an error; inf
-    gives inf, -inf gives 0.0 and NaN gives NaN. The factors are written to
-    `out` if given, a float array of the input's shape.
-    """
-    r = np.asarray(log_returns, dtype=float)
-    overflow = ValueError(
-        "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
-    )
-    if exp is None:
-        _, exp = _special_functions(r.size)
-    try:
-        growth = exp(r, out=np.empty(r.shape) if out is None else out)
-    except OverflowError:  # math.exp's way of saying so
-        raise overflow from None
-    inf = np.isinf(growth)
-    if inf.any() and np.isfinite(r[inf]).any():
-        raise overflow
-    return growth
 
 
 def accumulate_corpus(contributions, log_returns) -> np.ndarray:

@@ -31,7 +31,6 @@ from .accumulation import (
     CareerYear,
     accumulate_corpus,
     dearness_allowance,
-    growth_factors,
     project_basic,
 )
 from .retirement import (
@@ -49,6 +48,7 @@ from .stochastic import (
     _special_functions,
     gbm_drift,
     gbm_log_returns,
+    growth_factors,
     inflation_series,
     normals_layout,
     stream_normals,
@@ -371,7 +371,8 @@ def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> N
     discount = discount_factors(scenario.risk_free_rate, n, m)
     # requirement_series column-wise: the requirements and the sum of the
     # top-ups run year by year, as run_path does, so the bits match (np.sum
-    # would sum pairwise)
+    # does too over two or more paths, but pairwise over a block of one
+    # path, which a run's last block may be)
     req = np.divide(infl[n - 1 : n + m - 1], 100.0, out=space["req"])
     req += 1.0
     req[0] *= scenario.guarantee_fraction * salary

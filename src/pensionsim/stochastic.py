@@ -34,6 +34,7 @@ __all__ = [
     "RandomStream",
     "gbm_drift",
     "gbm_log_returns",
+    "growth_factors",
     "inflation_series",
     "normals_layout",
     "philox_uniforms",
@@ -115,6 +116,7 @@ def _normals(u: np.ndarray, out=None, ndtri=None) -> np.ndarray:
 # cost at most about 0.12 s more than scipy would, half the import.
 _PORT_BUDGET = 2**20
 _PORT_CALL = 2**9
+_EXP_MAX = 709.782712893384  # the largest float whose exp is finite
 
 # the switch's state: how many values the port may still serve in this
 # process, or None once scipy.special serves; process-wide, as the import is
@@ -245,10 +247,12 @@ def _ndtri_port(y0, out=None) -> np.ndarray:
 
 def _exp_port(r, out=None) -> np.ndarray:
     """exp(r) from the C library through math.exp, as scipy's inv_boxcox(r, 0)
-    gives it; a finite r whose exp overflows raises OverflowError."""
+    gives it: inf past _EXP_MAX, where math.exp raises. `out` may be `r`."""
     r = np.asarray(r, dtype=float)
-    out = np.empty(r.shape) if out is None else out
-    out[...] = np.fromiter(map(math.exp, r.ravel().tolist()), float, r.size).reshape(r.shape)
+    over = r > _EXP_MAX  # taken before `out`, which may be r, is written
+    out = np.minimum(r, _EXP_MAX, out=np.empty(r.shape) if out is None else out)
+    out[...] = np.fromiter(map(math.exp, out.ravel().tolist()), float, r.size).reshape(r.shape)
+    out[over] = np.inf
     return out
 
 
@@ -390,6 +394,28 @@ def gbm_log_returns(stream: RandomStream, scenario: Scenario, count: int) -> np.
     """
     z = stream.standard_normal(count)
     return gbm_drift(scenario) + scenario.gbm_sigma * z
+
+
+def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
+    """One-year growth factor exp(r) for each log-return, in the input's shape.
+
+    The factors are the C library's exp, which Python's math module calls, so
+    they match a plain scalar reimplementation bit for bit: a run's `exp` (see
+    _special_functions), or else one charged to this call alone; either gives
+    inf past log(DBL_MAX). np.exp differs from libm in the last bit on about
+    3.6% of log-returns. Only a finite log-return whose factor is inf is an
+    error; inf gives inf, -inf 0.0 and NaN NaN. Written to `out` if given.
+    """
+    r = np.asarray(log_returns, dtype=float)
+    if exp is None:
+        _, exp = _special_functions(r.size)
+    growth = exp(r, out=np.empty(r.shape) if out is None else out)
+    inf = np.isinf(growth)
+    if inf.any() and np.isfinite(r[inf]).any():
+        raise ValueError(
+            "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
+        )
+    return growth
 
 
 def inflation_series(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import errno
 import os
 import pathlib
 import signal
@@ -123,6 +124,41 @@ def test_a_shared_run_works_out_its_shape_once_here(monkeypatch, helper, parent_
         result = run_scenario(scenario)
     assert calls == [scenario]  # the helper's blocks read the plan it was sent
     assert len(parent_blocks) < 10  # the helper computed the others
+    assert _equals_run_path(result)
+
+
+def test_a_shared_run_of_more_blocks_than_claims_computes_each_block_once(
+    monkeypatch, helper, parent_blocks
+):
+    monkeypatch.setattr(_helper, "_CLAIMS", 3)  # before the run forks the helper
+    scenario = Scenario(num_paths=40)
+    with _small_blocks(scenario, 1):  # 40 blocks in claims of 14, 14 and 12
+        result = run_scenario(scenario)
+    claims = _helper._claims(40)
+    assert [len(claim) for claim in claims] == [14, 14, 12]
+    here = set(parent_blocks)
+    assert len(here) == len(parent_blocks) < 40  # the helper computed the others
+    assert all(here.isdisjoint(claim) or here.issuperset(claim) for claim in claims)
+    assert _equals_run_path(result)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_a_helper_whose_pipes_fail_leaves_no_descriptor_open(monkeypatch, helper):
+    pipe, calls = os.pipe, []
+
+    def second_fails():
+        calls.append(True)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_fails)
+    scenario = Scenario(num_paths=40)
+    fds = len(os.listdir("/proc/self/fd"))
+    with _small_blocks(scenario, 4):
+        result = run_scenario(scenario)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert len(calls) == 2 and _helper._helper is None  # the run was not shared
     assert _equals_run_path(result)
 
 

@@ -154,6 +154,11 @@ def test_missing_separator_rejected():
         parse_scenario("annuity_rate 0.05\n")
 
 
+def test_missing_value_rejected():
+    with pytest.raises(ConfigError, match="^line 1: missing value for seed$"):
+        parse_scenario("seed =\n")
+
+
 def test_scenario_text_round_trips():
     scenario = Scenario(gbm_mu=0.11, seed=9, basic_start=250.0)
     assert parse_scenario(scenario_text(scenario)) == scenario
@@ -351,6 +356,13 @@ def test_cli_sweep_bad_value_names_the_flag(tmp_path, capsys):
     )
     assert rc == 1
     assert "--values: num_paths must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sweep_without_a_value_is_config_error(tmp_path, capsys):
+    rc = cli_main(["sweep", "--param", "seed", "--values", " , ", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --values must list at least one value\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -558,6 +570,16 @@ def test_module_entry_point_exits_with_the_code(
         assert all(name in done.stderr for name in names) and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1 and "RuntimeWarning" not in done.stderr
         assert not out.exists()
+
+
+def test_module_entry_point_prints_what_cli_main_prints(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "pensionsim", "path", "--index", "0"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert cli_main(["path", "--index", "0"]) == 0 == done.returncode
+    assert done.stdout == capsys.readouterr().out.encode() and done.stderr == b""
 
 
 @pytest.mark.parametrize("command", ["run", "path"])

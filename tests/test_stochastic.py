@@ -11,11 +11,11 @@ import pytest
 from scipy.special import inv_boxcox, ndtri
 
 from pensionsim import stochastic
-from pensionsim.accumulation import growth_factors
 from pensionsim.engine import Scenario
 from pensionsim.stochastic import (
     RandomStream,
     gbm_log_returns,
+    growth_factors,
     inflation_series,
     philox_uniforms,
     stream_normals,
@@ -304,12 +304,32 @@ def test_exp_port_equals_inv_boxcox_and_math_exp_bitwise(family):
     assert _same_bits(got, expected).all()
 
 
+OVERFLOW = [709.7827128933841, 710.0, 1e308, np.finfo(float).max]
+
+
+def test_exp_max_is_the_largest_float_whose_exp_is_finite():
+    assert math.isfinite(math.exp(stochastic._EXP_MAX))
+    with pytest.raises(OverflowError):
+        math.exp(np.nextafter(stochastic._EXP_MAX, np.inf))
+    assert OVERFLOW[0] == np.nextafter(stochastic._EXP_MAX, np.inf)
+
+
+@pytest.mark.parametrize("family", list(EXP_INPUTS))
+def test_exp_port_gives_inf_past_overflow_as_inv_boxcox_does(family):
+    r = np.concatenate([EXP_INPUTS[family](np.random.default_rng(5)).ravel(), OVERFLOW])
+    want = inv_boxcox(r, 0.0)
+    assert np.isinf(want[-len(OVERFLOW):]).all()
+    assert _same_bits(stochastic._exp_port(r), want).all()
+    got = stochastic._exp_port(r, out=r)  # in place, as inv_boxcox may be called
+    assert got is r and _same_bits(r, want).all()
+
+
 @pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
 @pytest.mark.parametrize("value", [709.8, 1e308, np.finfo(float).max])
 def test_growth_factor_overflow_message_is_the_same_from_either(special, value):
-    if special == "port":
-        with pytest.raises(OverflowError):
-            stochastic._exp_port(np.array([value]))
+    if special == "port":  # inf, as from inv_boxcox: neither exp raises
+        got = stochastic._exp_port(np.array([value]))
+        assert got[0] == np.inf and _same_bits(got, inv_boxcox(np.array([value]), 0.0)).all()
     message = r"^market growth factor exp\(log_return\) overflows: gbm_mu or gbm_sigma is too large$"
     with pytest.raises(ValueError, match=message):
         growth_factors([0.0, np.nan, value, np.inf])
@@ -361,6 +381,14 @@ def test_only_the_stochastic_module_names_the_switch_state():
     assert named.pop("stochastic.py") == {"_port_left"}
     assert {"engine.py", "_helper.py", "accumulation.py"} <= named.keys()
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_the_accumulation_module_imports_no_private_name():
+    tree = ast.parse(pathlib.Path(stochastic.__file__).with_name("accumulation.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert "growth_factors" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 @pytest.mark.parametrize("special", [2048], indirect=True)
