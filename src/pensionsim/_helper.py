@@ -71,7 +71,9 @@ def share(job, blocks: int, compute, rows) -> None:
 
     `compute(index)` computes block `index` here into the arrays
     `rows(index)`, which the helper's rows of a block are read into. The
-    helper computes with `job()`'s `(compute, rows)`, so `job` must be
+    helper computes with `job()`, a context manager that gives its
+    `(compute, rows)` and is left when its share of the run ends, so that
+    what it allocated can serve the helper's next run. `job` must be
     picklable and take nothing a run sets from the helper's module state, a
     copy from the fork, perhaps stale. A run of _HELPER_BLOCKS blocks or
     more is shared when the helper is usable (see _share). Then this process
@@ -277,11 +279,10 @@ def _serve(commands: int, claims: int, rows: int) -> None:
     """The helper's life: its share of each run whose job arrives on `commands`."""
     while True:
         job, blocks = pickle.loads(_read(commands, _read_int(commands)))
-        compute, block_rows = job()
         runs = _claims(blocks)
-        while (claim := _read_int(claims)) != _END:
-            for index in runs[claim]:
-                compute(index)
-                _write(rows, _int_bytes(index) + b"".join(block_rows(index)))
+        with job() as (compute, block_rows):
+            while (claim := _read_int(claims)) != _END:
+                for index in runs[claim]:
+                    compute(index)
+                    _write(rows, _int_bytes(index) + b"".join(block_rows(index)))
         _write(rows, _int_bytes(_END))
-        del compute, block_rows  # the run's arrays are freed while the helper waits for the next

@@ -307,24 +307,33 @@ _MIN_BLOCK_PATHS = 8
 
 
 def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ...], type]]]:
-    """A path's draws, the paths in a block, and the arrays a block is computed in.
+    """A path's draws, the paths in a block, and the arrays blocks are computed in.
 
-    The arrays are (shape, dtype) by name, each year-major with one column a
-    path: the draws (see normals_layout), then the arrays of _career and of
-    _retirement.
+    A run takes as few blocks as hold at most _BLOCK_DRAWS draws each, or
+    _MIN_BLOCK_PATHS paths when fewer fit, and spreads its paths evenly
+    over them: every block holds as many paths as the first, except the
+    last, which holds fewer by less than the number of blocks unless
+    _MIN_BLOCK_PATHS binds. A block's time grows with its paths, so two
+    processes that share a run finish their last blocks at about the same
+    time. The arrays are (shape, dtype) by name, each year-major with a
+    column for each path the largest block of the career may hold, or for
+    each of the run's paths if fewer: the draws (see normals_layout), then
+    the arrays of _career and of _retirement.
     """
     n, m = scenario.service_years, scenario.retirement_years
     size = 2 * n + m - 1
-    paths = min(max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size), scenario.num_paths)
+    cap = min(max(_MIN_BLOCK_PATHS, _BLOCK_DRAWS // size), scenario.num_paths)
+    blocks = -(-scenario.num_paths // cap)
+    paths = min(cap, max(_MIN_BLOCK_PATHS, -(-scenario.num_paths // blocks)))
     return size, paths, {
-        **normals_layout(paths, size),
-        "infl": ((n + m, paths), np.float64),
-        "rets": ((n - 1, paths), np.float64),
-        "growth": ((n - 1, paths), np.float64),
-        "salary": ((n, paths), np.float64),
-        "corpus": ((n, paths), np.float64),
-        "req": ((m, paths), np.float64),
-        "sufficient": ((m, paths), np.bool_),
+        **normals_layout(cap, size),
+        "infl": ((n + m, cap), np.float64),
+        "rets": ((n - 1, cap), np.float64),
+        "growth": ((n - 1, cap), np.float64),
+        "salary": ((n, cap), np.float64),
+        "corpus": ((n, cap), np.float64),
+        "req": ((m, cap), np.float64),
+        "sufficient": ((m, cap), np.bool_),
     }
 
 
@@ -372,7 +381,8 @@ def _retirement(scenario: Scenario, corpus, salary, infl, space: dict, out) -> N
     # requirement_series column-wise: the requirements and the sum of the
     # top-ups run year by year, as run_path does, so the bits match (np.sum
     # does too over two or more paths, but pairwise over a block of one
-    # path, which a run's last block may be)
+    # path, which a run of one path has, and so may a run's last block where
+    # _MIN_BLOCK_PATHS binds: 17 paths of a 4000-year career take 8, 8 and 1)
     req = np.divide(infl[n - 1 : n + m - 1], 100.0, out=space["req"])
     req += 1.0
     req[0] *= scenario.guarantee_fraction * salary
@@ -400,15 +410,15 @@ class _Plan(NamedTuple):
     special: tuple  # the `(ndtri, exp)` pair that computes every block
 
 
-def _block(plan: _Plan, first: int, count: int, space: dict, out) -> None:
-    """Compute paths first..first+count-1 of the plan's scenarios in `space`'s leading columns.
+def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
+    """Compute paths first..first+count-1 of the plan's scenarios in the arrays `block`.
 
-    `out` holds the arrays of count entries that take the outcomes: four
-    for each scenario, in PathOutcome's field order after path_index.
+    `block` holds the plan's layout with count columns. `out` holds the
+    arrays of count entries that take the outcomes: four for each scenario,
+    in PathOutcome's field order after path_index.
     """
     s = plan.scenarios[0]
     ndtri, exp = plan.special
-    block = {name: array[..., :count] for name, array in space.items()}
     z = stream_normals(s.seed, first, count, plan.size, block, ndtri).T
     shared = _career(s, z, block, exp) if plan.stage == "retirement" else None
     kinds = len(_OUTCOME_KINDS)
@@ -417,7 +427,34 @@ def _block(plan: _Plan, first: int, count: int, space: dict, out) -> None:
         _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
 
 
-def _blocks(plan: _Plan, columns=None):
+# the block arrays of this process's last run, as [(layout, arrays)], and
+# empty while a run holds them (see _blocks)
+_kept: list = []
+
+
+class _Blocks:
+    """`(compute, rows)` of a run in this process (see _blocks), which unpacks as that pair.
+
+    Used as a context manager around the run, it keeps the run's block
+    arrays for the process's next run as the run ends, however it ends: a
+    block writes each array before it reads it, so what a failed block left
+    there is never read. Only the last run's arrays are kept.
+    """
+
+    def __init__(self, compute, rows, kept: tuple):
+        self.compute, self.rows, self._kept = compute, rows, kept
+
+    def __iter__(self):
+        return iter((self.compute, self.rows))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _kept[:] = [self._kept]
+
+
+def _blocks(plan: _Plan, columns=None) -> _Blocks:
     """`(compute, rows)` of a run in this process: `compute(index)` computes
     block `index` into the arrays `rows(index)`.
 
@@ -425,10 +462,28 @@ def _blocks(plan: _Plan, columns=None):
     _helper.share); the plan pickles, its `(ndtri, exp)` pair by
     reference. A block's rows are its entries of `columns`, each scenario's
     outcome columns after path_index, or else of one block's columns,
-    allocated here as the block arrays are.
+    allocated here. The block arrays are one flat buffer for each array of
+    the plan's layout: those this process kept from its last run if it had
+    the same layout, or else new ones. The run takes them, so that two runs
+    at once (in two threads) never share them. Each block computes in the
+    leading values of each buffer, shaped for its paths, so its arrays are
+    contiguous whatever its paths.
     """
     counts = plan.counts
-    space = {name: np.empty(*shape_kind) for name, shape_kind in plan.layout.items()}
+    try:
+        layout, space = _kept.pop()  # one call, so no two runs take the same buffers
+    except IndexError:
+        layout = None
+    if layout != plan.layout:
+        space = None  # those of another layout are freed before these are allocated
+        space = {name: np.empty(math.prod(shape), k) for name, (shape, k) in plan.layout.items()}
+    arrays = {  # by a block's paths: the first block's, and the last's
+        count: {
+            name: space[name][: math.prod(shape[:-1]) * count].reshape(*shape[:-1], count)
+            for name, (shape, _) in plan.layout.items()
+        }
+        for count in {counts[0], counts[-1]}
+    }
     step = paths = counts[0]  # block `index`'s rows start at index * step
     if columns is None:
         columns, step = [np.empty(paths, k) for _ in plan.scenarios for k in _OUTCOME_KINDS], 0
@@ -438,9 +493,9 @@ def _blocks(plan: _Plan, columns=None):
 
     def compute(index):
         with np.errstate(all="ignore"):  # a blow-up is reported by metric and path (see _run)
-            _block(plan, index * paths, counts[index], space, rows(index))
+            _block(plan, index * paths, counts[index], arrays[counts[index]], rows(index))
 
-    return compute, rows
+    return _Blocks(compute, rows, (plan.layout, space))
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
@@ -450,10 +505,11 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     and each block computes those stages once for all of them. The
     special-functions switch is charged once, for every block's calls, and
     each block is computed with the `(ndtri, exp)` it gives, in one set of
-    arrays. _helper.share computes each block once, here or in the helper; a
-    block that fails in the helper fails again here. The error a block
-    raises depends only on the scenarios (their fields, or the growth
-    overflow's fixed message), never on the block, so it is a serial run's.
+    arrays, kept for the process's next run (see _blocks). _helper.share
+    computes each block once, here or in the helper; a block that fails in
+    the helper fails again here. The error a block raises depends only on
+    the scenarios (their fields, or the growth overflow's fixed message),
+    never on the block, so it is a serial run's.
     When a block of several scenarios fails, each is rerun alone, in order,
     so the error raised is that of the first failing scenario, as if each
     ran alone.
@@ -482,7 +538,8 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     job = functools.partial(_blocks, _Plan(scenarios, stage, size, counts, layout, special))
     columns = [column for outcome in outcomes for column in outcome[1:]]
     try:
-        _helper.share(job, len(counts), *job(columns))
+        with job(columns) as blocks:
+            _helper.share(job, len(counts), *blocks)
     except (ValueError, ArithmeticError):
         if len(scenarios) == 1:
             raise

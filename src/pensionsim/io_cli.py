@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -135,28 +136,70 @@ def retirement_csv(rows) -> str:
     return _csv(RetirementYear, rows)
 
 
-def _stats_block(stats: SummaryStats) -> dict:
-    return {
-        "count": stats.count,
-        "mean": stats.mean,
-        "sd": stats.sd,
-        "min": stats.min,
-        "max": stats.max,
-        "quantiles": {label: stats.quantiles[label] for label in QUANTILE_LABELS},
-        "histogram": {
-            "edges": list(stats.bin_edges),
-            "counts": list(stats.bin_counts),
-        },
-    }
+# summary.json has the layout json.dumps(doc, indent=2, allow_nan=False)
+# gives its document, written here for its one schema in about half the
+# time of the pure-Python encoder that call runs. Numbers are
+# float.__repr__ and int.__repr__, as that encoder writes them; every key
+# is a plain identifier, which JSON quotes as it stands; CONVENTIONS is
+# rendered by json.dumps, once.
+_CONVENTIONS_JSON = json.dumps(CONVENTIONS, indent=2).replace("\n", "\n    ")
+
+
+def _json_object(items, indent: str) -> str:
+    """A JSON object of (key, value text) pairs, with its members at `indent` + 2 spaces."""
+    inner = ",\n" + indent + "  "
+    members = inner.join([f'"{key}": {text}' for key, text in items])
+    return "{" + inner[1:] + members + "\n" + indent + "}"
+
+
+def _json_list(texts: list[str], indent: str) -> str:
+    """A JSON list of value texts, with its items at `indent` + 2 spaces."""
+    if not texts:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[" + inner[1:] + inner.join(texts) + "\n" + indent + "]"
+
+
+def _floats(values) -> list[str]:
+    """Each value as the JSON encoder writes it; ValueError, as it raises, if one is not finite."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return list(map(float.__repr__, values))
+
+
+def _stats_json(stats: SummaryStats) -> str:
+    """One metric's block of summary.json, at the indent of a metric."""
+    moments = _floats((stats.mean, stats.sd, stats.min, stats.max))
+    quantiles = _floats([stats.quantiles[label] for label in QUANTILE_LABELS])
+    histogram = (
+        ("edges", _json_list(_floats(stats.bin_edges), " " * 8)),
+        ("counts", _json_list(list(map(int.__repr__, stats.bin_counts)), " " * 8)),
+    )
+    return _json_object(
+        (
+            ("count", int.__repr__(stats.count)),
+            *zip(("mean", "sd", "min", "max"), moments),
+            ("quantiles", _json_object(zip(QUANTILE_LABELS, quantiles), " " * 6)),
+            ("histogram", _json_object(histogram, " " * 6)),
+        ),
+        " " * 4,
+    )
 
 
 def emit_summary(result: ScenarioResult) -> str:
-    """Deterministic JSON report: resolved scenario echo plus per-metric summaries."""
-    doc = {
-        "scenario": {**asdict(result.scenario), "conventions": CONVENTIONS},
-        "metrics": {name: _stats_block(result.metric(name)) for name in METRICS},
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"  # strict JSON: no NaN or Infinity
+    """Deterministic JSON report: resolved scenario echo plus per-metric summaries.
+
+    The text is json.dumps(doc, indent=2, allow_nan=False) + "\n", strict JSON
+    with no NaN or Infinity, of the document {"scenario": {every scenario
+    field, then "conventions": CONVENTIONS}, "metrics": {each metric's
+    count, mean, sd, min, max, "quantiles" by label and "histogram" with
+    "edges" and "counts"}}.
+    """
+    fields = [(key, _fmt(getattr(result.scenario, key))) for key in DEFAULTS]
+    scenario = _json_object([*fields, ("conventions", _CONVENTIONS_JSON)], "  ")
+    metrics = _json_object([(name, _stats_json(result.metric(name))) for name in METRICS], "  ")
+    return _json_object((("scenario", scenario), ("metrics", metrics)), "") + "\n"
 
 
 def _write_files(out: Path, files: dict[str, str]) -> None:

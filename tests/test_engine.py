@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -308,6 +310,110 @@ def test_a_run_faults_its_block_arrays_in_once():
     assert faults < 1000, faults
 
 
+@pytest.fixture
+def allocated(monkeypatch):
+    """The (size, dtype) of each np.empty call while the test runs, which
+    starts with no block arrays kept from an earlier run."""
+    monkeypatch.setattr(engine, "_kept", [])
+    calls, empty = [], np.empty
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        calls.append((shape, np.dtype(dtype)))
+        return empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    return calls
+
+
+def _buffers(scenario):
+    # the (size, dtype) of each flat buffer of the scenario's block arrays (see _blocks)
+    _, _, layout = engine._layout(scenario)
+    return {(math.prod(shape), np.dtype(kind)) for shape, kind in layout.values()}
+
+
+def _serial():
+    return mock.patch.object(_helper, "_helper_usable", lambda: False)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "serial"])
+def test_a_second_run_of_a_layout_allocates_no_block_arrays(allocated, shared):
+    scenario = Scenario(num_paths=3000)  # 8 blocks: shared with the helper on two CPUs
+    with contextlib.nullcontext() if shared else _serial():
+        run_scenario(scenario)
+        assert _buffers(scenario) <= set(allocated)
+        allocated.clear()
+        result = run_scenario(with_field(scenario, "seed", 7))
+    assert _buffers(scenario).isdisjoint(allocated)
+    assert len(engine._kept) == 1
+    indices = range(0, scenario.num_paths, 271)
+    got = _bits(records(result.outcomes))
+    assert [got[i] for i in indices] == _bits(run_path(result.scenario, i) for i in indices)
+
+
+def test_a_run_of_another_layout_replaces_the_kept_arrays(allocated):
+    first, other = Scenario(num_paths=500), Scenario(num_paths=500, service_years=20)
+    assert _buffers(first) != _buffers(other)
+    with _serial():
+        run_scenario(first)
+        result = run_scenario(other)
+        assert _buffers(other) <= set(allocated)
+        [(layout, _)] = engine._kept  # only the last run's arrays
+        assert layout == engine._layout(other)[2]
+        allocated.clear()
+        run_scenario(first)
+    assert _buffers(first) <= set(allocated)
+    assert _bits(records(result.outcomes)) == _bits(run_path(other, i) for i in range(500))
+
+
+def test_runs_in_threads_at_once_each_compute_in_their_own_arrays(monkeypatch):
+    # more threads than CPUs, each held at its first block until all are in a run
+    threads, block, arrays = 3, engine._block, {}
+    started = threading.Barrier(threads, timeout=30)
+
+    def spy(plan, first, count, space, out):
+        if threading.get_ident() not in arrays:
+            arrays[threading.get_ident()] = space["normals"]
+            started.wait()
+        return block(plan, first, count, space, out)
+
+    scenarios = [Scenario(num_paths=300, seed=seed) for seed in range(threads)]
+    results = [None] * threads
+
+    def run(number):
+        results[number] = run_scenario(scenarios[number])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _small_blocks(scenarios[0], 100):  # three blocks a run
+            run_scenario(scenarios[0])  # keeps arrays of the layout, which one thread takes
+            monkeypatch.setattr(engine, "_block", spy)
+            workers = [threading.Thread(target=run, args=(n,)) for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(arrays) == threads
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays.values(), 2))
+    for scenario, result in zip(scenarios, results):
+        expected = _bits(run_path(scenario, i) for i in range(scenario.num_paths))
+        assert _bits(records(result.outcomes)) == expected
+
+
+def test_a_run_after_a_failing_block_equals_run_path():
+    # the failing run leaves its block arrays part written, and the next run of
+    # the layout computes in them
+    scenario = Scenario(num_paths=500)
+    with _serial():
+        with pytest.raises(ValueError, match="growth factor"):
+            run_scenario(with_field(scenario, "gbm_mu", 800.0))
+        result = run_scenario(scenario)
+    assert _bits(records(result.outcomes)) == _bits(run_path(scenario, i) for i in range(500))
+
+
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
     # scipy.special serves: the claim is its compiled exp's, as the port's is a math.exp map
     monkeypatch.setattr(stochastic, "_port_left", None)
@@ -433,6 +539,64 @@ def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
     assert blocks == [8, 8, 4]
     for i in (0, 11, 19):
         assert repr(outcomes[i]) == repr(run_path(scenario, i))
+
+
+@pytest.mark.parametrize(
+    "overrides, blocks",
+    [
+        ({"num_paths": 1}, [1]),
+        # _MIN_BLOCK_PATHS binds: 17 paths of 8019 draws take 8, 8 and 1
+        ({"service_years": 4000, "increment_rate": 0, "risk_free_rate": 0, "gbm_mu": 0,
+          "num_paths": 17}, [8, 8, 1]),
+    ],
+    ids=["one-path-run", "long-career"],
+)
+def test_a_one_path_block_equals_run_path(monkeypatch, overrides, blocks):
+    # numpy sums a (years, 1) block's top-ups pairwise, so _retirement keeps its year loop
+    scenario = Scenario(**overrides)
+    career, sizes = engine._career, []
+
+    def spy(scenario, z, space, exp):
+        sizes.append(z.shape[1])  # year-major: one column a path
+        return career(scenario, z, space, exp)
+
+    monkeypatch.setattr(engine, "_career", spy)
+    outcomes = records(run_scenario(scenario).outcomes)
+    assert sizes == blocks
+    assert _bits(outcomes) == _bits(run_path(scenario, i) for i in range(scenario.num_paths))
+
+
+def _block_counts(scenario):
+    # the paths of each block of a run, as _run lists them
+    _, paths, _ = engine._layout(scenario)
+    return [min(paths, scenario.num_paths - first) for first in range(0, scenario.num_paths, paths)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    service_years=st.integers(1, 20_000),
+    retirement_years=st.integers(1, 100),
+    num_paths=st.integers(1, 100_000),
+)
+@example(service_years=30, retirement_years=20, num_paths=3000)  # 8 blocks of 375
+@example(service_years=30, retirement_years=20, num_paths=10_000)  # 25 of 400
+@example(service_years=30, retirement_years=20, num_paths=3001)  # 7 of 376, then 369
+def test_a_run_spreads_its_paths_evenly_over_as_many_blocks_as_it_needs(
+    service_years, retirement_years, num_paths
+):
+    scenario = Scenario(
+        service_years=service_years, retirement_years=retirement_years, num_paths=num_paths
+    )
+    counts = _block_counts(scenario)
+    draws = 2 * service_years + retirement_years - 1
+    most = max(engine._MIN_BLOCK_PATHS, engine._BLOCK_DRAWS // draws)
+    assert sum(counts) == num_paths
+    assert len(counts) == -(-num_paths // most)  # the fewest blocks of at most `most` paths
+    assert counts[:-1] == [counts[0]] * (len(counts) - 1)
+    if counts[0] > engine._MIN_BLOCK_PATHS:
+        assert counts[0] - counts[-1] < len(counts)
+    _, _, layout = engine._layout(scenario)
+    assert layout["salary"][0] == (service_years, min(most, num_paths))  # room for any block
 
 
 _RANGES = {
@@ -585,21 +749,26 @@ def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, bl
 
 # A default run charges the switch 79_000 normals and 29_000 growth factors
 # in three blocks; the gbm_sigma sweep computes each block's career twice.
-# An 830-path run has blocks of 414, 414 and 2 paths: 2 * (414 * 79 + 414 * 29)
-# values, and the last block's two calls are charged 2**9 each.
-@pytest.mark.parametrize("special, paths, overrides, port", [
-    (108_000, 1000, [], 3),
-    (107_999, 1000, [], 0),
-    (137_000, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3),
-    (136_999, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 0),
-    (2**20, 10_000, [], 0),
-    (90_448, 830, [], 3),
-    (90_447, 830, [], 0),
+# 286 paths in blocks of at most 20 take 14 blocks of 20 paths and one of 6:
+# 14 * (20 * 79 + 20 * 29) values, and the last block's two calls, on 474
+# and 174 values, are charged 2**9 each.
+@pytest.mark.parametrize("special, paths, overrides, port, block_paths", [
+    (108_000, 1000, [], 3, None),
+    (107_999, 1000, [], 0, None),
+    (137_000, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3, None),
+    (136_999, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 0, None),
+    (2**20, 10_000, [], 0, None),
+    (31_264, 286, [], 15, 20),
+    (31_263, 286, [], 0, 20),
 ], ids=["run-fits", "run-over", "sweep-fits", "sweep-over", "10k-over", "small-last-block-fits",
         "small-last-block-over"], indirect=["special"])
-def test_one_implementation_serves_a_whole_run(special, paths, overrides, port, port_calls):
+def test_one_implementation_serves_a_whole_run(
+    special, paths, overrides, port, block_paths, port_calls
+):
     base = Scenario(num_paths=paths)
-    results = sweep(base, overrides) if overrides else [run_scenario(base)]
+    # serial, as the port's calls are counted in this process
+    with _small_blocks(base, block_paths) if block_paths else contextlib.nullcontext(), _serial():
+        results = sweep(base, overrides) if overrides else [run_scenario(base)]
     careers = 2 if overrides else 1
     assert port_calls == ({"_ndtri_port": port, "_exp_port": careers * port} if port else {})
     assert stochastic._port_left == (0 if port else None)

@@ -29,7 +29,7 @@ from pensionsim import _helper, engine, stochastic
 from pensionsim.engine import Scenario, run_path, run_scenario, sweep
 from pensionsim.io_cli import cli_main
 from records import records
-from test_engine import _bits, _small_blocks
+from test_engine import _bits, _serial, _small_blocks
 from test_golden import RUN_GOLDEN, SWEEP_GOLDEN, _digests
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is a forked process")
@@ -77,10 +77,6 @@ def parent_blocks(monkeypatch, helper):
     monkeypatch.setattr(_helper, "_share", sharing)
     monkeypatch.setattr(engine, "_block", waiting)
     return firsts
-
-
-def _serial():
-    return mock.patch.object(_helper, "_helper_usable", lambda: False)
 
 
 def _blocks(scenario: Scenario) -> int:
@@ -193,13 +189,39 @@ def test_a_run_charges_the_switch_once_with_every_block(
         return switch(*calls)
 
     monkeypatch.setattr(engine, "_special_functions", spy)
-    base = Scenario(num_paths=10_000)  # 24 blocks of 414 paths and one of 64
+    base = Scenario(num_paths=10_000)  # 25 blocks of 400 paths
     with contextlib.nullcontext() if shared else _serial():
         sweep(base, overrides) if overrides else run_scenario(base)
-    counts = [414] * 24 + [64]
+    counts = [400] * 25
     # each block's normals, then the growth factors of each career it computes
     assert charged == [tuple(count * size for count in counts for size in [79] + careers * [29])]
     assert len(parent_blocks) < 25 if shared else len(parent_blocks) == 25
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "serial"])
+def test_a_paths_bits_do_not_depend_on_its_block(monkeypatch, parent_blocks, shared):
+    scenario = Scenario(num_paths=1000)
+    layout = engine._layout
+
+    def capped(scenario):  # blocks of 414 paths, the most that fit: 414, 414 and 172
+        size, _, arrays = layout(scenario)
+        return size, 414, arrays
+
+    columns, firsts = [], []
+    for split in (layout, capped):
+        monkeypatch.setattr(engine, "_layout", split)
+        parent_blocks.clear()
+        with contextlib.nullcontext() if shared else _serial():
+            result = run_scenario(scenario)
+        columns.append([column.tobytes() for column in result.outcomes])
+        firsts.append(set(parent_blocks))
+    assert columns[0] == columns[1]
+    # the even split is 334, 334 and 332; shared, the helper computed at least one
+    blocks = [{0, 334, 668}, {0, 414, 828}]
+    assert all(here < every if shared else here == every for here, every in zip(firsts, blocks))
+    indices = [*range(0, 1000, 83), 999]
+    got = _bits(records(result.outcomes))
+    assert [got[i] for i in indices] == _bits(run_path(scenario, i) for i in indices)
 
 
 @pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
@@ -298,6 +320,17 @@ def test_a_failing_block_raises_the_serial_runs_error(failing_share, forks, base
     assert forks  # the run was shared
     if overrides is None:
         assert _helper._helper is None  # stopped by the failure
+
+
+def test_a_run_after_a_failing_block_equals_run_path(failing_share, forks):
+    # a failing block leaves its arrays part written: this process keeps
+    # them for its next run of the layout, and a helper whose block failed ends
+    scenario = Scenario(num_paths=40)
+    with _small_blocks(scenario, 4):
+        with pytest.raises(ValueError, match="growth factor"):
+            run_scenario(Scenario(num_paths=40, gbm_mu=800.0))
+        assert _equals_run_path(run_scenario(scenario))
+    assert len(forks) == 2  # the failure stopped the first helper
 
 
 def test_a_helper_killed_mid_run_leaves_each_of_its_blocks_here_once(

@@ -255,6 +255,71 @@ def test_emit_summary_rejects_a_statistic_that_is_not_finite(value, where):
         emit_summary(bad)
 
 
+def _summary_document(result):
+    # the document summary.json holds, for json.dumps to lay out
+    def stats_block(stats):
+        return {
+            "count": stats.count,
+            "mean": stats.mean,
+            "sd": stats.sd,
+            "min": stats.min,
+            "max": stats.max,
+            "quantiles": {label: stats.quantiles[label] for label in engine.QUANTILE_LABELS},
+            "histogram": {"edges": list(stats.bin_edges), "counts": list(stats.bin_counts)},
+        }
+
+    return {
+        "scenario": {**dataclasses.asdict(result.scenario), "conventions": io_cli.CONVENTIONS},
+        "metrics": {name: stats_block(result.metric(name)) for name in METRICS},
+    }
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.1, 1e16, 1e-7]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_COUNTS = st.integers(0, 2**80)
+
+
+@st.composite
+def _one_bin(draw):
+    # a histogram whose values all fall in one bin
+    counts = [0] * draw(st.integers(1, 30))
+    counts[draw(st.integers(0, len(counts) - 1))] = draw(_COUNTS)
+    return counts
+
+
+_SUMMARY_STATS = st.builds(
+    engine.SummaryStats,
+    count=_COUNTS,
+    mean=_FINITE,
+    sd=_FINITE,
+    min=_FINITE,
+    max=_FINITE,
+    quantiles=st.fixed_dictionaries({label: _FINITE for label in engine.QUANTILE_LABELS}),
+    bin_edges=st.lists(_FINITE, max_size=31).map(tuple),
+    bin_counts=st.one_of(st.lists(_COUNTS, max_size=30), _one_bin()).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    values=st.fixed_dictionaries({}, optional={
+        "employee_rate": st.sampled_from([0.0, -0.0, 5e-324, 0.5]),
+        "inflation_mean_pct": _FINITE,
+        "gbm_mu": _FINITE,
+        "num_paths": st.integers(1, 2**64),
+        "seed": st.integers(0, 2**64 - 1),
+    }),
+    stats=st.lists(_SUMMARY_STATS, min_size=3, max_size=3),
+)
+def test_emit_summary_is_json_dumps_of_its_document(values, stats):
+    result = engine.ScenarioResult(Scenario(**values), None, *stats)
+    expected = json.dumps(_summary_document(result), indent=2, allow_nan=False) + "\n"
+    assert emit_summary(result) == expected
+
+
 def test_single_path_summary_has_zero_sd():
     result = run_scenario(Scenario(num_paths=1))
     doc = json.loads(emit_summary(result))
