@@ -71,15 +71,13 @@ def share(job, blocks: int, compute, rows) -> None:
 
     `compute(index)` computes block `index` here into the arrays
     `rows(index)`, which the helper's rows of a block are read into. The
-    helper computes with `job()`, a context manager that gives its
-    `(compute, rows)` and is left when its share of the run ends, so that
-    what it allocated can serve the helper's next run. `job` must be
-    picklable and take nothing a run sets from the helper's module state, a
-    copy from the fork, perhaps stale. A run of _HELPER_BLOCKS blocks or
-    more is shared when the helper is usable (see _share). Then this process
-    computes each block whose rows are not in, so a block that fails in the
-    helper fails here too: its error must not depend on the block. An
-    exception here stops the helper and is raised as it stands.
+    helper computes with the `(compute, rows)` that `job()` gives it. `job`
+    must be picklable and take nothing a run sets from the helper's module
+    state, a copy from the fork, perhaps stale. A run of _HELPER_BLOCKS
+    blocks or more is shared when the helper is usable (see _share). Then
+    this process computes each block whose rows are not in, so a block that
+    fails in the helper fails here too: its error must not depend on the
+    block. An exception here stops the helper and is raised as it stands.
     """
     have = [False] * blocks  # whether block `index`'s rows are in
     late = None  # the pid of a helper killed as late, reaped once every block is in
@@ -280,9 +278,9 @@ def _serve(commands: int, claims: int, rows: int) -> None:
     while True:
         job, blocks = pickle.loads(_read(commands, _read_int(commands)))
         runs = _claims(blocks)
-        with job() as (compute, block_rows):
-            while (claim := _read_int(claims)) != _END:
-                for index in runs[claim]:
-                    compute(index)
-                    _write(rows, _int_bytes(index) + b"".join(block_rows(index)))
+        compute, block_rows = job()
+        while (claim := _read_int(claims)) != _END:
+            for index in runs[claim]:
+                compute(index)
+                _write(rows, _int_bytes(index) + b"".join(block_rows(index)))
         _write(rows, _int_bytes(_END))

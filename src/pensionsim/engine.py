@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
@@ -241,7 +242,7 @@ class PathDetail:
 
 
 # PathOutcome's types after path_index
-_OUTCOME_KINDS = (float, float, int, float)
+_OUTCOME_KINDS = tuple(map(get_type_hints(PathOutcome).get, PathOutcome._fields[1:]))
 
 # the most bytes numpy can index; larger arrays are a ValueError, not a MemoryError
 _MAX_BYTES = np.iinfo(np.intp).max
@@ -427,35 +428,12 @@ def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
         _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
 
 
-# the block arrays of this process's last run, as [(layout, arrays)], and
-# empty while a run holds them (see _blocks)
-_kept: list = []
+# this thread's block arrays of its last run, as `blocks`: (layout, arrays)
+_kept = threading.local()
 
 
-class _Blocks:
-    """`(compute, rows)` of a run in this process (see _blocks), which unpacks as that pair.
-
-    Used as a context manager around the run, it keeps the run's block
-    arrays for the process's next run as the run ends, however it ends: a
-    block writes each array before it reads it, so what a failed block left
-    there is never read. Only the last run's arrays are kept.
-    """
-
-    def __init__(self, compute, rows, kept: tuple):
-        self.compute, self.rows, self._kept = compute, rows, kept
-
-    def __iter__(self):
-        return iter((self.compute, self.rows))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _kept[:] = [self._kept]
-
-
-def _blocks(plan: _Plan, columns=None) -> _Blocks:
-    """`(compute, rows)` of a run in this process: `compute(index)` computes
+def _blocks(plan: _Plan, columns=None) -> tuple:
+    """`(compute, rows)` of a run in this thread: `compute(index)` computes
     block `index` into the arrays `rows(index)`.
 
     Bound to `plan`, this is the job a run gives the helper process (see
@@ -463,20 +441,21 @@ def _blocks(plan: _Plan, columns=None) -> _Blocks:
     reference. A block's rows are its entries of `columns`, each scenario's
     outcome columns after path_index, or else of one block's columns,
     allocated here. The block arrays are one flat buffer for each array of
-    the plan's layout: those this process kept from its last run if it had
-    the same layout, or else new ones. The run takes them, so that two runs
-    at once (in two threads) never share them. Each block computes in the
-    leading values of each buffer, shaped for its paths, so its arrays are
-    contiguous whatever its paths.
+    the plan's layout: those this thread kept from its last run if it had
+    the same layout, or else new ones, kept at once for its next run. Two
+    runs at once are in two threads, so they never share them; a thread's
+    are freed when it ends, and a forked helper starts with those of the
+    thread that forked it. A block writes each array before it reads it,
+    so what a failed run left there is never read. Each block computes in
+    the leading values of each buffer, shaped for its paths, so its arrays
+    are contiguous whatever its paths.
     """
     counts = plan.counts
-    try:
-        layout, space = _kept.pop()  # one call, so no two runs take the same buffers
-    except IndexError:
-        layout = None
+    layout, space = getattr(_kept, "blocks", (None, None))
     if layout != plan.layout:
-        space = None  # those of another layout are freed before these are allocated
+        space, _kept.blocks = None, (None, None)  # freed before the new are allocated
         space = {name: np.empty(math.prod(shape), k) for name, (shape, k) in plan.layout.items()}
+        _kept.blocks = plan.layout, space
     arrays = {  # by a block's paths: the first block's, and the last's
         count: {
             name: space[name][: math.prod(shape[:-1]) * count].reshape(*shape[:-1], count)
@@ -495,7 +474,7 @@ def _blocks(plan: _Plan, columns=None) -> _Blocks:
         with np.errstate(all="ignore"):  # a blow-up is reported by metric and path (see _run)
             _block(plan, index * paths, counts[index], arrays[counts[index]], rows(index))
 
-    return _Blocks(compute, rows, (plan.layout, space))
+    return compute, rows
 
 
 def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioResult]:
@@ -505,7 +484,7 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     and each block computes those stages once for all of them. The
     special-functions switch is charged once, for every block's calls, and
     each block is computed with the `(ndtri, exp)` it gives, in one set of
-    arrays, kept for the process's next run (see _blocks). _helper.share
+    arrays, kept for the thread's next run (see _blocks). _helper.share
     computes each block once, here or in the helper; a block that fails in
     the helper fails again here. The error a block raises depends only on
     the scenarios (their fields, or the growth overflow's fixed message),
@@ -538,8 +517,7 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     job = functools.partial(_blocks, _Plan(scenarios, stage, size, counts, layout, special))
     columns = [column for outcome in outcomes for column in outcome[1:]]
     try:
-        with job(columns) as blocks:
-            _helper.share(job, len(counts), *blocks)
+        _helper.share(job, len(counts), *job(columns))
     except (ValueError, ArithmeticError):
         if len(scenarios) == 1:
             raise
@@ -621,7 +599,9 @@ def summarize(values, metric: str = "values") -> SummaryStats:
     The counts are taken against exactly `bin_edges`. Raises ValueError
     naming `metric` and the statistic if one is not finite.
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind not in "iu":  # an int column, as shortfall_years, is read as it is
+        arr = arr.astype(float, copy=False)
     if arr.size == 0:
         raise ValueError("summarize needs at least one value")
     with np.errstate(all="ignore"):  # an overflow shows as a statistic that is not finite
@@ -634,7 +614,10 @@ def summarize(values, metric: str = "values") -> SummaryStats:
         # counted before the sort, which may give equal zeros one sign
         negative_zeros = np.count_nonzero(np.signbit(arr)) - np.count_nonzero(arr < 0.0)
         mixed = 0 < negative_zeros < np.count_nonzero(arr == 0.0)
-        ordered = np.sort(arr)  # once std has freed its temporary, so the two never coexist
+        # one float copy, sorted once std has freed its temporary, so the two
+        # never coexist; an int column holds no -0.0, so it is never mixed
+        ordered = arr.astype(float)
+        ordered.sort()
         quantiles = dict(zip(QUANTILE_LABELS, _quantiles(arr, ordered, mixed)))
         first, last, edges = _histogram_range(moments["min"], moments["max"])
         named = {**moments, **quantiles, "first edge": first, "last edge": last}

@@ -326,20 +326,21 @@ def _cmd_sweep(args) -> int:
     if not tokens:
         raise ConfigError("--values must list at least one value")
     parsed = [_parse_value(args.param, token, "--values") for token in tokens]
-    for i, value in enumerate(parsed):
-        if value in parsed[:i]:
+    names = list(map(_fmt, parsed))  # 0.0 and -0.0 are two variants, with two names
+    for i, name in enumerate(names):
+        if name in names[:i]:
             # a repeat would run the same variant twice and overwrite its summary
-            raise ConfigError(f"--values: {tokens[i]!r} repeats {args.param} = {value}")
+            raise ConfigError(f"--values: {tokens[i]!r} repeats {args.param} = {name}")
     results = sweep(scenario, [(args.param, value) for value in parsed])
 
     files = {}
     lines = ["variant,metric,mean,sd,p5,p95"]
-    for value, result in zip(parsed, results):
-        files[f"summary_{args.param}_{value}.json"] = emit_summary(result)
+    for name, result in zip(names, results):
+        files[f"summary_{args.param}_{name}.json"] = emit_summary(result)
         for metric in METRICS:
             stats = result.metric(metric)
             cells = (stats.mean, stats.sd, stats.quantiles["p5"], stats.quantiles["p95"])
-            lines.append(",".join((f"{args.param}={value}", metric, *map(_fmt, cells))))
+            lines.append(",".join((f"{args.param}={name}", metric, *map(_fmt, cells))))
     files["sweep.csv"] = "\n".join(lines) + "\n"
     _write_files(args.out, files)
     return 0

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -314,7 +315,7 @@ def test_a_run_faults_its_block_arrays_in_once():
 def allocated(monkeypatch):
     """The (size, dtype) of each np.empty call while the test runs, which
     starts with no block arrays kept from an earlier run."""
-    monkeypatch.setattr(engine, "_kept", [])
+    monkeypatch.setattr(engine, "_kept", threading.local())
     calls, empty = [], np.empty
 
     def spy(shape, dtype=float, *args, **kwargs):
@@ -344,7 +345,8 @@ def test_a_second_run_of_a_layout_allocates_no_block_arrays(allocated, shared):
         allocated.clear()
         result = run_scenario(with_field(scenario, "seed", 7))
     assert _buffers(scenario).isdisjoint(allocated)
-    assert len(engine._kept) == 1
+    layout, _ = engine._kept.blocks
+    assert layout == engine._layout(scenario)[2]
     indices = range(0, scenario.num_paths, 271)
     got = _bits(records(result.outcomes))
     assert [got[i] for i in indices] == _bits(run_path(result.scenario, i) for i in indices)
@@ -357,7 +359,7 @@ def test_a_run_of_another_layout_replaces_the_kept_arrays(allocated):
         run_scenario(first)
         result = run_scenario(other)
         assert _buffers(other) <= set(allocated)
-        [(layout, _)] = engine._kept  # only the last run's arrays
+        layout, _ = engine._kept.blocks  # only the last run's arrays
         assert layout == engine._layout(other)[2]
         allocated.clear()
         run_scenario(first)
@@ -403,6 +405,42 @@ def test_runs_in_threads_at_once_each_compute_in_their_own_arrays(monkeypatch):
         assert _bits(records(result.outcomes)) == expected
 
 
+def _run_in_a_thread(scenario):
+    # the result of a run in a new thread, and the block arrays that thread kept
+    done = []
+
+    def run():
+        done.append((run_scenario(scenario), engine._kept.blocks))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    [(result, kept)] = done
+    return result, kept
+
+
+def test_a_run_in_a_new_thread_keeps_its_own_arrays(allocated):
+    scenario = Scenario(num_paths=500)
+    run_scenario(scenario)
+    layout, space = engine._kept.blocks
+    arrays = list(space.values())
+    allocated.clear()
+    result, (their_layout, theirs) = _run_in_a_thread(scenario)
+    assert their_layout == layout and _buffers(scenario) <= set(allocated)
+    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, theirs.values()))
+    # this thread's arrays stay kept, the very same ones
+    assert all(a is b for a, b in zip(engine._kept.blocks[1].values(), arrays, strict=True))
+    assert _bits(records(result.outcomes)) == _bits(run_path(scenario, i) for i in range(500))
+
+
+def test_a_threads_kept_arrays_are_freed_when_it_ends():
+    _, (_, space) = _run_in_a_thread(Scenario(num_paths=500))
+    refs = [weakref.ref(array) for array in space.values()]
+    del space  # the last reference here: the ended thread holds none
+    assert refs and all(ref() is None for ref in refs)
+
+
 def test_a_run_after_a_failing_block_equals_run_path():
     # the failing run leaves its block arrays part written, and the next run of
     # the layout computes in them
@@ -412,6 +450,30 @@ def test_a_run_after_a_failing_block_equals_run_path():
             run_scenario(with_field(scenario, "gbm_mu", 800.0))
         result = run_scenario(scenario)
     assert _bits(records(result.outcomes)) == _bits(run_path(scenario, i) for i in range(500))
+
+
+def test_a_run_after_its_block_arrays_failed_to_allocate_equals_run_path(allocated, monkeypatch):
+    # the failed allocation has dropped the kept arrays of another layout, and
+    # the next run in this thread allocates afresh
+    first, other = Scenario(num_paths=500), Scenario(num_paths=500, service_years=20)
+    spy, failed = np.empty, []
+
+    def fail_once(shape, *args, **kwargs):
+        if not failed and (shape, np.dtype(args[0] if args else float)) in _buffers(other):
+            failed.append(shape)
+            raise MemoryError
+        return spy(shape, *args, **kwargs)
+
+    with _serial():
+        run_scenario(first)
+        monkeypatch.setattr(np, "empty", fail_once)
+        with pytest.raises(MemoryError):
+            run_scenario(other)
+        assert failed
+        allocated.clear()
+        result = run_scenario(other)
+    assert _buffers(other) <= set(allocated)
+    assert _bits(records(result.outcomes)) == _bits(run_path(other, i) for i in range(500))
 
 
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
@@ -1065,6 +1127,24 @@ def test_summarize_rejects_bad_input():
         summarize([-1.7e308, 1.7e308])
     with pytest.raises(ValueError, match="^values last edge is not finite: inf$"):
         summarize([1.7976931348623157e308])
+
+
+def test_summarize_peaks_no_higher_on_an_int_column_than_on_floats():
+    # an int column copied to floats first peaked at 16 B a value against 8 B
+    ints = np.random.default_rng(5).integers(0, 21, 100_000)  # as shortfall_years
+    floats = ints.astype(float)
+    summarize(ints), summarize(floats)  # warm-up: imports, caches and allocator pools
+    peaks, stats = [], []
+    for column in (ints, floats):
+        tracemalloc.start()
+        try:
+            stats.append(summarize(column))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the constant: about one cast buffer of a reduction over ints, 8192 values
+    assert peaks[0] <= peaks[1] + 2**17, peaks
+    assert stats[0] == stats[1]
 
 
 def _summary_oracle(values, metric):

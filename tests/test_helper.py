@@ -15,6 +15,7 @@ import contextlib
 import errno
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -512,6 +513,35 @@ def test_the_helper_module_imports_nothing_of_the_package():
                  if isinstance(node, ast.ImportFrom)]
     assert "os" in imported
     assert [name for name in imported if name.startswith((".", "pensionsim"))] == []
+
+
+def _squares():
+    # a job that is a plain function: block i's one row is i squared, 8 bytes
+    row = bytearray(8)
+
+    def compute(index):
+        row[:] = (index * index).to_bytes(8, "little")
+
+    return compute, lambda index: [row]
+
+
+def test_the_helper_serves_a_job_that_gives_compute_and_rows():
+    fds = [fd for _ in range(3) for fd in os.pipe()]
+    commands_r, commands_w, claims_r, claims_w, rows_r, rows_w = fds
+    blocks = [_helper._int_bytes(i) + (i * i).to_bytes(8, "little") for i in range(3)]
+    expected = b"".join(blocks) + _helper._int_bytes(_helper._END)
+    try:
+        message = pickle.dumps((_squares, 3))
+        os.write(commands_w, _helper._int_bytes(len(message)) + message)
+        os.close(fds.pop(1))  # commands_w: the helper's read of the next job finds it closed
+        os.write(claims_w, b"".join(map(_helper._int_bytes, [0, 1, 2, _helper._END])))
+        with pytest.raises(EOFError):
+            _helper._serve(commands_r, claims_r, rows_w)
+        assert _helper._read(rows_r, len(expected)) == expected
+        assert not _helper._readable(rows_r)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def test_an_interrupted_run_stops_its_helper(monkeypatch, helper, forks):

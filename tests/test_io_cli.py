@@ -440,6 +440,21 @@ def test_cli_sweep_repeated_value_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_sweep_runs_signed_zeros_as_two_variants(tmp_path):
+    # 0.0 and -0.0 are equal numbers but two variants whose files differ
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_paths = 20\n")
+    out = tmp_path / "out"
+    argv = ["sweep", "--param", "inflation_mean_pct", "--values", "0.0,-0.0"]
+    assert cli_main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    overrides = [("inflation_mean_pct", 0.0), ("inflation_mean_pct", -0.0)]
+    results = engine.sweep(Scenario(num_paths=20), overrides)
+    for name, result in zip(["0.0", "-0.0"], results):
+        written = (out / f"summary_inflation_mean_pct_{name}.json").read_text()
+        assert written == emit_summary(result)
+    assert emit_summary(results[0]) != emit_summary(results[1])
+
+
 @pytest.mark.parametrize(
     "values, code", [("-10,4", 0), ("-1e1,4", 0), ("-.5,4", 0), ("-1.7e+308", 2)]
 )
