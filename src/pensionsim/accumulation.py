@@ -21,7 +21,9 @@ __all__ = [
 
 
 class CareerYear(NamedTuple):
-    """One accumulation-phase year; log_return is 0.0 in year 1 (no prior year)."""
+    """A path's accumulation-phase table: each field is a column, a list with
+    one entry per service year, year 1 first; log_return is 0.0 in year 1
+    (no prior year)."""
 
     year: int
     inflation_pct: float
@@ -33,14 +35,12 @@ class CareerYear(NamedTuple):
     corpus: float
 
 
-def project_basic(scenario: Scenario) -> np.ndarray:
+def project_basic(scenario: Scenario) -> list[float]:
     """Basic pay for years 1..n: basic_start compounded at the fixed increment."""
     # scalar pow keeps values bit-identical to a plain reimplementation
     factor = 1.0 + scenario.increment_rate
     try:
-        return np.array(
-            [scenario.basic_start * factor**t for t in range(scenario.service_years)]
-        )
+        return [scenario.basic_start * factor**t for t in range(scenario.service_years)]
     except OverflowError:
         raise ValueError(
             "basic pay overflows: (1 + increment_rate)**(service_years - 1) is out of "
@@ -49,43 +49,38 @@ def project_basic(scenario: Scenario) -> np.ndarray:
         ) from None
 
 
-def dearness_allowance(basic, inflation_pct) -> np.ndarray:
+def dearness_allowance(basic, inflation_pct) -> list[float]:
     """Inflation supplement: zero in year 1, then prior basic times prior inflation.
 
-    da_t = basic_{t-1} * inflation_pct_{t-1} / 100 for t >= 2.
+    da_t = basic_{t-1} * inflation_pct_{t-1} / 100 for t >= 2, on sequences
+    of floats of one length.
     """
-    basic = np.asarray(basic, dtype=float)
-    infl = np.asarray(inflation_pct, dtype=float)
-    if basic.shape != infl.shape:
+    if len(basic) != len(inflation_pct):
         raise ValueError(
-            f"basic and inflation lengths differ: {basic.shape} vs {infl.shape}"
+            f"basic and inflation lengths differ: {len(basic)} vs {len(inflation_pct)}"
         )
-    if basic.size == 0:
+    if len(basic) == 0:
         raise ValueError("basic must be non-empty")
-    da = np.empty_like(basic)
-    da[0] = 0.0
-    da[1:] = basic[:-1] * infl[:-1] / 100.0
-    return da
+    return [0.0] + [pay * rate / 100.0 for pay, rate in zip(basic[:-1], inflation_pct)]
 
 
-def accumulate_corpus(contributions, log_returns) -> np.ndarray:
+def accumulate_corpus(contributions, log_returns) -> list[float]:
     """Corpus recursion with end-of-year contribution timing.
 
     corpus_1 = c_1; corpus_t = corpus_{t-1} * exp(r_{t-1}) + c_t. The year-t
     contribution arrives at year end and earns nothing in year t.
     """
-    c = np.asarray(contributions, dtype=float)
-    r = np.asarray(log_returns, dtype=float)
-    if c.size == 0:
+    if len(contributions) == 0:
         raise ValueError("contributions must be non-empty")
-    if r.shape != (c.size - 1,):
+    r = np.asarray(log_returns, dtype=float)
+    if r.shape != (len(contributions) - 1,):
         raise ValueError(
-            f"need {c.size - 1} log-returns for {c.size} contribution years, "
-            f"got shape {r.shape}"
+            f"need {len(contributions) - 1} log-returns for {len(contributions)} "
+            f"contribution years, got shape {r.shape}"
         )
-    growth = growth_factors(r)
-    corpus = np.empty_like(c)
-    corpus[0] = c[0]
-    for t in range(1, c.size):
-        corpus[t] = corpus[t - 1] * growth[t - 1] + c[t]
+    total = contributions[0]
+    corpus = [total]
+    for growth, contribution in zip(growth_factors(r).tolist(), contributions[1:]):
+        total = total * growth + contribution
+        corpus.append(total)
     return corpus

@@ -234,11 +234,11 @@ class PathOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class PathDetail:
-    """Year-by-year tables for one path, plus its outcome."""
+    """One path's outcome, with its career and retirement tables of columns."""
 
     outcome: PathOutcome
-    career: tuple[CareerYear, ...]
-    retirement: tuple[RetirementYear, ...]
+    career: CareerYear
+    retirement: RetirementYear
 
 
 # PathOutcome's types after path_index
@@ -260,7 +260,7 @@ def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
 
 
 def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
-    """One path through the scalar layer functions, with its year-by-year tables."""
+    """One path through the scalar layer functions, on Python floats, with its tables."""
     if not 0 <= path_index < scenario.num_paths:
         raise ConfigError(
             f"path_index must be in [0, {scenario.num_paths - 1}], got {path_index}"
@@ -271,32 +271,33 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
     with np.errstate(all="ignore"):  # as in run_scenario: a blow-up shows in the outcome
         stream = RandomStream(scenario.seed, path_index)
         # normative draw order: n+m inflations, then n-1 log-returns
-        infl = inflation_series(stream, scenario, n + m)
+        infl = inflation_series(stream, scenario, n + m).tolist()
         rets = gbm_log_returns(stream, scenario, n - 1)
 
+        career_infl, retirement_infl = infl[:n], infl[n:]
         basic = project_basic(scenario)
-        da = dearness_allowance(basic, infl[:n])
-        salary = basic + da
-        contributions = scenario.contribution_rate * salary
+        da = dearness_allowance(basic, career_infl)
+        salary = [pay + allowance for pay, allowance in zip(basic, da)]
+        rate = scenario.contribution_rate
+        contributions = [rate * pay for pay in salary]
         corpus = accumulate_corpus(contributions, rets)
-        pension = annual_pension(float(corpus[-1]), scenario.annuity_rate)
-        reqs = requirement_series(
-            float(salary[-1]),
-            float(infl[n - 1]),
-            infl[n:],
-            scenario.guarantee_fraction,
-        )
-        rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
+    pension = annual_pension(corpus[-1], scenario.annuity_rate)
+    reqs = requirement_series(
+        salary[-1], infl[n - 1], retirement_infl, scenario.guarantee_fraction
+    )
+    retirement = evaluate_retirement(pension, reqs, retirement_infl, start_year=n + 1)
     outcome = PathOutcome(
         path_index=path_index,
-        final_corpus=float(corpus[-1]),
+        final_corpus=corpus[-1],
         pension=pension,
-        shortfall_years=shortfall_years(rows),
-        pv_support=pv_support(rows, scenario.risk_free_rate, n),
+        shortfall_years=shortfall_years(retirement),
+        pv_support=pv_support(retirement, scenario.risk_free_rate, n),
     )
-    columns = (infl[:n], basic, da, salary, contributions, np.concatenate(([0.0], rets)), corpus)
-    career = tuple(map(CareerYear, range(1, n + 1), *(column.tolist() for column in columns)))
-    return PathDetail(outcome=outcome, career=career, retirement=tuple(rows))
+    log_returns = [0.0, *rets.tolist()]
+    career = CareerYear(
+        list(range(1, n + 1)), career_infl, basic, da, salary, contributions, log_returns, corpus
+    )
+    return PathDetail(outcome=outcome, career=career, retirement=retirement)
 
 
 # uniforms drawn per block of paths in run_scenario; bounds the block's
@@ -353,7 +354,7 @@ def _career(scenario: Scenario, z: np.ndarray, space: dict, exp):
     rets = np.multiply(z[n + m :], scenario.gbm_sigma, out=space["rets"])
     rets += gbm_drift(scenario)
 
-    basic = project_basic(scenario)[:, None]
+    basic = np.array(project_basic(scenario))[:, None]
     salary = space["salary"]  # the dearness allowance, then the salary
     salary[0] = 0.0
     np.multiply(infl[: n - 1], basic[:-1], out=salary[1:])

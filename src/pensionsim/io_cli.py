@@ -107,33 +107,32 @@ _CELLS = {
 }
 
 
-def _table(row_type) -> tuple[str, tuple]:
-    """CSV header and column converters of a year-row named tuple."""
-    kinds = get_type_hints(row_type)
-    return ",".join(row_type._fields), tuple(_CELLS[kinds[name]] for name in row_type._fields)
+def _table(table_type) -> tuple[str, tuple]:
+    """CSV header and column converters of a named tuple of columns."""
+    kinds = get_type_hints(table_type)
+    return ",".join(table_type._fields), tuple(_CELLS[kinds[name]] for name in table_type._fields)
 
 
-_TABLES = {row_type: _table(row_type) for row_type in (CareerYear, RetirementYear)}
+_TABLES = {table_type: _table(table_type) for table_type in (CareerYear, RetirementYear)}
 CAREER_CSV_HEADER = _TABLES[CareerYear][0]
 RETIREMENT_CSV_HEADER = _TABLES[RetirementYear][0]
 
 
-def _csv(row_type, rows) -> str:
-    """One line per row, one column per field of `row_type`, full precision."""
-    header, cells = _TABLES[row_type]
-    # each row is a tuple of row_type's fields, so zip(*rows) gives the columns
-    columns = [cell(column) for cell, column in zip(cells, zip(*rows))]
+def _csv(table_type, table) -> str:
+    """One line per year, one column per field of `table_type`, full precision."""
+    header, cells = _TABLES[table_type]
+    columns = [cell(column) for cell, column in zip(cells, table)]
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
-def career_csv(rows) -> str:
-    """Accumulation-phase table, one line per service year (CareerYear fields)."""
-    return _csv(CareerYear, rows)
+def career_csv(table) -> str:
+    """Accumulation-phase table, one line per service year (CareerYear's columns)."""
+    return _csv(CareerYear, table)
 
 
-def retirement_csv(rows) -> str:
-    """Payout-phase table, one line per retirement year (RetirementYear fields)."""
-    return _csv(RetirementYear, rows)
+def retirement_csv(table) -> str:
+    """Payout-phase table, one line per retirement year (RetirementYear's columns)."""
+    return _csv(RetirementYear, table)
 
 
 # summary.json has the layout json.dumps(doc, indent=2, allow_nan=False)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "RetirementYear",
@@ -18,7 +16,9 @@ __all__ = [
 
 
 class RetirementYear(NamedTuple):
-    """One payout year: the benchmark, the fixed pension, and any guarantee top-up."""
+    """A path's payout-phase table: each field is a column, a list with one
+    entry per retirement year, the first year first. Each year holds the
+    benchmark, the fixed pension and any guarantee top-up."""
 
     year: int
     inflation_pct: float
@@ -38,20 +38,18 @@ def requirement_series(
     final_year_inflation_pct: float,
     retirement_inflation_pct,
     fraction: float,
-) -> np.ndarray:
+) -> list[float]:
     """Benchmark income per retirement year.
 
     Starts at fraction * final_salary stepped up by the last working year's
     inflation; each later year steps the previous requirement up by the
     prior year's inflation.
     """
-    infl = np.asarray(retirement_inflation_pct, dtype=float)
-    req = np.empty(infl.shape[0])
-    if req.shape[0] == 0:
-        return req
-    req[0] = fraction * final_salary * (1.0 + final_year_inflation_pct / 100.0)
-    for k in range(1, req.shape[0]):
-        req[k] = req[k - 1] * (1.0 + infl[k - 1] / 100.0)
+    need = fraction * final_salary * (1.0 + final_year_inflation_pct / 100.0)
+    req = []
+    for rate in retirement_inflation_pct:  # the last year's step is never read
+        req.append(need)
+        need *= 1.0 + rate / 100.0
     return req
 
 
@@ -60,31 +58,33 @@ def evaluate_retirement(
     requirements,
     inflation_pct,
     start_year: int = 1,
-) -> list[RetirementYear]:
-    """Yearly sufficiency check; a tie counts as sufficient and needs no top-up."""
-    req = np.asarray(requirements, dtype=float)
-    infl = np.asarray(inflation_pct, dtype=float)
-    if req.shape != infl.shape:
+) -> RetirementYear:
+    """Yearly sufficiency check; a tie counts as sufficient and needs no top-up.
+
+    The table's inflation and requirement columns are the sequences given.
+    """
+    if len(requirements) != len(inflation_pct):
         raise ValueError(
-            f"requirements and inflation lengths differ: {req.shape} vs {infl.shape}"
+            f"requirements and inflation lengths differ: {len(requirements)} vs "
+            f"{len(inflation_pct)}"
         )
     pension = float(pension)
-    rows = []
-    for year, (rate, need) in enumerate(zip(infl.tolist(), req.tolist()), start_year):
-        ok = pension >= need
-        rows.append(RetirementYear(year, rate, need, pension, ok, 0.0 if ok else need - pension))
-    return rows
+    sufficient = [pension >= need for need in requirements]
+    top_up = [0.0 if ok else need - pension for ok, need in zip(sufficient, requirements)]
+    years = range(start_year, start_year + len(requirements))
+    pensions = [pension] * len(requirements)
+    return RetirementYear(list(years), inflation_pct, requirements, pensions, sufficient, top_up)
 
 
-def shortfall_years(rows: Sequence[RetirementYear]) -> int:
+def shortfall_years(table: RetirementYear) -> int:
     """Number of retirement years the pension misses the benchmark."""
-    return sum(1 for row in rows if not row.sufficient)
+    return len(table.sufficient) - sum(table.sufficient)
 
 
 def discount_factors(risk_free_rate: float, service_years: int, count: int) -> list[float]:
     """(1 + risk_free_rate)**(service_years + k) for k in 0..count-1.
 
-    Entry k discounts the top-up of retirement row k, counting from 0, to
+    Entry k discounts the top-up of retirement year k, counting from 0, to
     year 1 (see pv_support). Scalar float pow keeps the factors bit-identical
     in both engines.
     """
@@ -99,18 +99,18 @@ def discount_factors(risk_free_rate: float, service_years: int, count: int) -> l
 
 
 def pv_support(
-    rows: Sequence[RetirementYear],
+    table: RetirementYear,
     risk_free_rate: float,
     service_years: int,
 ) -> float:
     """Year-1 present value of the guarantee top-ups.
 
-    Row k covers calendar year service_years + k; its top-up is paid at year
-    end and discounted by (1 + risk_free_rate)^(service_years + k - 1), so a
-    payment at the end of year 1 would be undiscounted.
+    Entry k of the table covers calendar year service_years + k; its top-up
+    is paid at year end and discounted by (1 + risk_free_rate)^(service_years
+    + k - 1), so a payment at the end of year 1 would be undiscounted.
     """
-    discount = discount_factors(risk_free_rate, service_years, len(rows))
+    discount = discount_factors(risk_free_rate, service_years, len(table.top_up))
     total = 0.0
-    for row, factor in zip(rows, discount):
-        total += row.top_up / factor
+    for top_up, factor in zip(table.top_up, discount):
+        total += top_up / factor
     return total

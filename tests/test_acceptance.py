@@ -39,7 +39,7 @@ def test_criterion_1_salary_table_replay():
     inflations = [1.97, 2.92, 3.61, 4.69]
     basic = project_basic(params)
     da = dearness_allowance(basic[:4], inflations)
-    salary = basic[:4] + da
+    salary = [b + d for b, d in zip(basic, da)]
     contribution = [params.contribution_rate * float(s) for s in salary]
 
     expected = [

@@ -151,21 +151,21 @@ def test_run_path_replays_the_published_draw_order():
 
     basic = project_basic(scenario)
     da = dearness_allowance(basic, infl[:n])
-    salary = basic + da
+    salary = [b + d for b, d in zip(basic, da)]
     contributions = [scenario.contribution_rate * float(s) for s in salary]
     corpus = accumulate_corpus(contributions, rets)
     pension = annual_pension(float(corpus[-1]), scenario.annuity_rate)
     reqs = requirement_series(
         float(salary[-1]), float(infl[n - 1]), infl[n:], scenario.guarantee_fraction
     )
-    rows = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
+    table = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
 
     outcome = run_path(scenario, 3)
     assert outcome.final_corpus == corpus[-1]
     assert outcome.pension == pension
-    assert outcome.shortfall_years == shortfall_years(rows)
+    assert outcome.shortfall_years == shortfall_years(table)
     assert outcome.pv_support == pv_support(
-        rows, scenario.risk_free_rate, scenario.service_years
+        table, scenario.risk_free_rate, scenario.service_years
     )
 
 
@@ -173,15 +173,17 @@ def test_detail_agrees_with_outcome_and_tables_line_up():
     scenario = Scenario(num_paths=4, seed=5)
     detail = run_path_detail(scenario, 2)
     assert detail.outcome == run_path(scenario, 2)
-    assert len(detail.career) == 30
-    assert len(detail.retirement) == 20
-    assert [row.year for row in detail.career] == list(range(1, 31))
-    assert [row.year for row in detail.retirement] == list(range(31, 51))
-    assert detail.career[0].log_return == 0.0
-    assert detail.career[-1].corpus == detail.outcome.final_corpus
-    assert all(row.pension == detail.outcome.pension for row in detail.retirement)
+    career, retirement = detail.career, detail.retirement
+    assert [len(column) for column in career] == [30] * len(career)
+    assert [len(column) for column in retirement] == [20] * len(retirement)
+    assert career.year == list(range(1, 31))
+    assert retirement.year == list(range(31, 51))
+    assert career.log_return[0] == 0.0
+    assert career.corpus[-1] == detail.outcome.final_corpus
+    assert all(pension == detail.outcome.pension for pension in retirement.pension)
     assert all(
-        row.salary == pytest.approx(row.basic + row.da, rel=1e-15) for row in detail.career
+        salary == pytest.approx(basic + da, rel=1e-15)
+        for salary, basic, da in zip(career.salary, career.basic, career.da)
     )
 
 
@@ -551,6 +553,44 @@ def test_overflow_names_the_fields_in_both_engines(overrides, fields):
         assert all(field in str(info.value) for field in fields)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"gbm_sigma": 1e200, "increment_rate": 1e11},
+         "log-return drift overflows: gbm_sigma**2 is out of range for gbm_sigma=1e+200"),
+        ({"increment_rate": 1e11, "gbm_mu": 800.0, "risk_free_rate": 1e10},
+         "basic pay overflows: (1 + increment_rate)**(service_years - 1) is out of range "
+         "for service_years=30, increment_rate=100000000000.0"),
+        # 1.07**100000, the discount, overflows too
+        ({"service_years": 100000},
+         "basic pay overflows: (1 + increment_rate)**(service_years - 1) is out of range "
+         "for service_years=100000, increment_rate=0.03"),
+        ({"gbm_mu": 800.0, "risk_free_rate": 1e10},
+         "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"),
+        ({"risk_free_rate": 1e10},
+         "guarantee discount (1 + risk_free_rate)**year overflows for "
+         "risk_free_rate=10000000000.0, service_years=30"),
+    ],
+    ids=["drift", "basic-pay", "basic-pay-before-discount", "growth", "discount"],
+)
+def test_overflows_raise_in_pipeline_order_in_both_engines(overrides, message):
+    # the stages run drift, basic pay, growth, then the discount; where a
+    # scenario overflows at several, both engines raise the first one's error
+    scenario = Scenario(num_paths=3, **overrides)
+    for run in (lambda: run_path(scenario, 0), lambda: run_scenario(scenario)):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+def test_run_path_checks_the_index_then_the_size_before_any_overflow():
+    huge = Scenario(num_paths=3, service_years=2**61, increment_rate=1e11)
+    with pytest.raises(ConfigError, match=r"^path_index must be in \[0, 2\], got 3$"):
+        run_path(huge, 3)
+    with pytest.raises(MemoryError, match="more than numpy can index"):
+        run_path(huge, 0)
+
+
 def _bits(outcomes):
     # repr tells -0.0 from 0.0 and compares NaNs, which == does not
     return [repr(o) for o in outcomes]
@@ -715,6 +755,34 @@ def test_batch_engine_properties(scenario, block_paths):
             assert outcome.pv_support == 0.0
         if outcome.pv_support > 0:
             assert outcome.shortfall_years > 0
+
+
+# where run_path's list arithmetic on one path's Python floats and the
+# batch engine's array arithmetic on a block could part: a one-year career
+# (no log-returns), a one-year retirement, no market volatility, deflation
+# years, and a guarantee of nothing or of the whole benchmark
+_SCALAR_EDGES = st.one_of(
+    _scenarios(service_years=st.just(1)),
+    _scenarios(retirement_years=st.just(1)),
+    _scenarios(gbm_sigma=st.just(0.0)),
+    _scenarios(inflation_mean_pct=st.floats(-30.0, -1.0)),
+    _scenarios(guarantee_fraction=st.sampled_from([0.0, 1.0])),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scenario=_SCALAR_EDGES, block_paths=st.integers(1, 9))
+def test_batch_engine_equals_run_path_at_the_edges_of_the_scalar_code(scenario, block_paths):
+    with _small_blocks(scenario, block_paths):
+        outcomes = records(run_scenario(scenario).outcomes)
+    details = [run_path_detail(scenario, i) for i in range(scenario.num_paths)]
+    assert _bits(outcomes) == _bits(detail.outcome for detail in details)
+    n, m = scenario.service_years, scenario.retirement_years
+    for detail in details:
+        assert [len(column) for column in detail.career] == [n] * len(detail.career)
+        assert [len(column) for column in detail.retirement] == [m] * len(detail.retirement)
+        assert detail.career.log_return[0] == 0.0
+        assert detail.career.corpus[-1] == detail.outcome.final_corpus
 
 
 # float fields whose range holds zero, where a 0.0 and a -0.0 variant must

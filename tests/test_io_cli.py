@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pensionsim import engine, io_cli
+from pensionsim.accumulation import CareerYear
 from pensionsim.engine import (
     DEFAULTS,
     FIELDS,
@@ -42,6 +43,7 @@ from pensionsim.io_cli import (
     retirement_csv,
     scenario_text,
 )
+from pensionsim.retirement import RetirementYear
 from pensionsim.stochastic import RandomStream
 
 
@@ -173,11 +175,10 @@ def test_career_csv_layout_and_precision():
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[6]) == 0.0  # year 1 has no prior-year return
-    # full precision: every number round-trips to the row it came from
-    row = detail.career[7]
+    # full precision: every number round-trips to the table entry it came from
     cells = lines[8].split(",")
-    assert float(cells[2]) == row.basic
-    assert float(cells[7]) == row.corpus
+    assert float(cells[2]) == detail.career.basic[7]
+    assert float(cells[7]) == detail.career.corpus[7]
 
 
 def test_retirement_csv_layout_and_booleans():
@@ -193,22 +194,35 @@ def test_retirement_csv_layout_and_booleans():
     assert years == list(range(31, 51))
 
 
-def _numpy_scalars(row):
+def test_a_path_request_builds_one_table_of_each_kind(monkeypatch, capsys):
+    # the tables are columns over the years, not a named tuple per year
+    built = []
+    for table_type in (CareerYear, RetirementYear):
+        def counting(cls, *args, _new=table_type.__new__, **kwargs):
+            built.append(cls.__name__)
+            return _new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(table_type, "__new__", staticmethod(counting))
+    assert cli_main(["path", "--index", "3"]) == 0
+    assert sorted(built) == ["CareerYear", "RetirementYear"]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 30 + 1 + 1 + 20
+
+
+def _numpy_scalars(table):
     # np.float32, not np.float64: np.float64 is a float subclass and prints as one
     kinds = {int: np.int64, float: np.float32, bool: np.bool_}
-    return row._replace(**{k: kinds[type(v)](v) for k, v in row._asdict().items()})
+    return table._make([kinds[type(v)](v) for v in column] for column in table)
 
 
 def test_csv_renders_numpy_scalar_fields_as_plain_numbers():
     detail = run_path_detail(Scenario(num_paths=2, annuity_rate=0.04), 1)
-    for render, rows in ((career_csv, detail.career), (retirement_csv, detail.retirement)):
-        numpy_rows = [_numpy_scalars(row) for row in rows]
-        plain_rows = [
-            row._replace(**{k: v.item() for k, v in row._asdict().items()})
-            for row in numpy_rows
-        ]
-        text = render(numpy_rows)
-        assert text == render(plain_rows) == render(iter(plain_rows))
+    for render, table in ((career_csv, detail.career), (retirement_csv, detail.retirement)):
+        numpy_table = _numpy_scalars(table)
+        plain_table = numpy_table._make([v.item() for v in column] for column in numpy_table)
+        text = render(numpy_table)
+        # columns of numpy scalars, of plain numbers, as iterators and as arrays
+        assert text == render(plain_table) == render(map(iter, plain_table))
+        assert text == render(numpy_table._make(map(np.array, numpy_table)))
         assert "np." not in text
     cells = {line.split(",")[4] for line in text.splitlines()[1:]}
     assert cells == {"true", "false"}

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from pensionsim.engine import Scenario
@@ -29,13 +28,13 @@ def test_requirement_replays_published_rows():
 
 def test_requirement_flat_under_zero_inflation():
     req = requirement_series(200.0, 0.0, [0.0, 0.0, 0.0], 0.5)
-    assert np.all(req == 100.0)
+    assert req == [100.0, 100.0, 100.0]
 
 
 def test_requirement_steps_by_prior_year_inflation():
     # year k steps by the year k-1 inflation; the final year's inflation is unused
     req = requirement_series(200.0, 10.0, [50.0, 0.0, 99.0], 0.5)
-    assert req.tolist() == pytest.approx([110.0, 110.0 * 1.5, 110.0 * 1.5])
+    assert req == pytest.approx([110.0, 110.0 * 1.5, 110.0 * 1.5])
     assert req[1] == req[2]
 
 
@@ -45,22 +44,22 @@ def test_requirement_can_decline_with_deflation():
 
 
 def test_requirement_empty_horizon():
-    assert requirement_series(200.0, 4.0, [], 0.5).shape == (0,)
+    assert requirement_series(200.0, 4.0, [], 0.5) == []
 
 
 def test_evaluate_tie_counts_as_sufficient():
-    rows = evaluate_retirement(100.0, [100.0], [4.0])
-    assert rows[0].sufficient is True
-    assert rows[0].top_up == 0.0
+    table = evaluate_retirement(100.0, [100.0], [4.0])
+    assert table.sufficient[0] is True
+    assert table.top_up[0] == 0.0
 
 
 def test_evaluate_gap_becomes_top_up():
-    rows = evaluate_retirement(266.55, [126.52, 272.85], [5.26, 3.33], start_year=31)
-    assert [row.year for row in rows] == [31, 32]
-    assert rows[0].sufficient is True and rows[0].top_up == 0.0
-    assert rows[1].sufficient is False
-    assert rows[1].top_up == pytest.approx(272.85 - 266.55, abs=1e-9)
-    assert all(row.pension == 266.55 for row in rows)
+    table = evaluate_retirement(266.55, [126.52, 272.85], [5.26, 3.33], start_year=31)
+    assert table.year == [31, 32]
+    assert table.sufficient[0] is True and table.top_up[0] == 0.0
+    assert table.sufficient[1] is False
+    assert table.top_up[1] == pytest.approx(272.85 - 266.55, abs=1e-9)
+    assert all(pension == 266.55 for pension in table.pension)
 
 
 def test_evaluate_length_mismatch_rejected():
@@ -69,33 +68,33 @@ def test_evaluate_length_mismatch_rejected():
 
 
 def test_shortfall_counts_insufficient_years():
-    rows = evaluate_retirement(100.0, [90.0, 100.0, 110.0, 120.0], [4.0] * 4)
-    assert shortfall_years(rows) == 2
+    table = evaluate_retirement(100.0, [90.0, 100.0, 110.0, 120.0], [4.0] * 4)
+    assert shortfall_years(table) == 2
     assert shortfall_years(evaluate_retirement(1e9, [100.0] * 5, [4.0] * 5)) == 0
     assert shortfall_years(evaluate_retirement(0.0, [100.0] * 5, [4.0] * 5)) == 5
 
 
 def test_pv_zero_when_never_short():
-    rows = evaluate_retirement(500.0, [100.0, 104.0], [4.0, 4.0], start_year=31)
-    assert pv_support(rows, 0.07, 30) == 0.0
+    table = evaluate_retirement(500.0, [100.0, 104.0], [4.0, 4.0], start_year=31)
+    assert pv_support(table, 0.07, 30) == 0.0
 
 
 def test_pv_zero_rate_sums_the_top_ups():
-    rows = evaluate_retirement(90.0, [100.0, 110.0], [4.0, 4.0], start_year=31)
-    assert pv_support(rows, 0.0, 30) == pytest.approx(10.0 + 20.0)
+    table = evaluate_retirement(90.0, [100.0, 110.0], [4.0, 4.0], start_year=31)
+    assert pv_support(table, 0.0, 30) == pytest.approx(10.0 + 20.0)
 
 
 def test_pv_single_top_up_hand_value():
     # one 10-unit gap at the end of year 31, discounted 30 years at 7%
-    rows = evaluate_retirement(90.0, [100.0], [4.0], start_year=31)
-    pv = pv_support(rows, 0.07, 30)
+    table = evaluate_retirement(90.0, [100.0], [4.0], start_year=31)
+    pv = pv_support(table, 0.07, 30)
     assert pv == pytest.approx(10.0 / 1.07**30, rel=1e-12)
     assert pv == pytest.approx(1.3137, abs=5e-5)
 
 
 def test_pv_decreases_as_discount_rate_rises():
-    rows = evaluate_retirement(90.0, [100.0, 120.0, 140.0], [4.0] * 3, start_year=31)
-    pvs = [pv_support(rows, rate, 30) for rate in (0.0, 0.03, 0.07, 0.12)]
+    table = evaluate_retirement(90.0, [100.0, 120.0, 140.0], [4.0] * 3, start_year=31)
+    pvs = [pv_support(table, rate, 30) for rate in (0.0, 0.03, 0.07, 0.12)]
     assert all(a > b for a, b in zip(pvs, pvs[1:]))
 
 
@@ -105,8 +104,8 @@ def test_higher_annuity_weakly_improves_adequacy():
     corpus = 3807.78
     results = []
     for rate in (0.05, 0.06, 0.07, 0.08):
-        rows = evaluate_retirement(annual_pension(corpus, rate), req, infl, start_year=31)
-        results.append((shortfall_years(rows), pv_support(rows, 0.07, 30)))
+        table = evaluate_retirement(annual_pension(corpus, rate), req, infl, start_year=31)
+        results.append((shortfall_years(table), pv_support(table, 0.07, 30)))
     shortfalls = [r[0] for r in results]
     pvs = [r[1] for r in results]
     assert all(a >= b for a, b in zip(shortfalls, shortfalls[1:]))
