@@ -1,9 +1,9 @@
 """Scenario orchestration: per-path streams, career-to-retirement pipeline, sweeps.
 
 Each path owns the stream whose id equals its index, so any path can be
-recomputed in isolation and results never depend on scheduling. The draw
-order within a path is part of the output contract: first the n+m annual
-inflation values, then the n-1 log-returns, all from that one stream.
+recomputed in isolation and results never depend on scheduling. A path's
+2n+m-1 normals z are one draw of that stream, read by both engines as part
+of the output contract: z[:n+m] the inflations, z[n+m:] the log-returns.
 
 `run_path` and `run_path_detail` compute one path with the scalar layer
 functions; they are the reference. `run_scenario` and `sweep` compute
@@ -267,12 +267,12 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
         )
     n = scenario.service_years
     m = scenario.retirement_years
-    _check_bytes(8 * (2 * n + m - 1))  # the path's draws
+    size = 2 * n + m - 1  # the path's draws, read as _career reads a block's rows
+    _check_bytes(8 * size)
     with np.errstate(all="ignore"):  # as in run_scenario: a blow-up shows in the outcome
-        stream = RandomStream(scenario.seed, path_index)
-        # normative draw order: n+m inflations, then n-1 log-returns
-        infl = inflation_series(stream, scenario, n + m).tolist()
-        rets = gbm_log_returns(stream, scenario, n - 1)
+        z = RandomStream(scenario.seed, path_index).standard_normal(size)
+        infl = inflation_series(z[: n + m], scenario).tolist()
+        rets = gbm_log_returns(z[n + m :], scenario)
 
         career_infl, retirement_infl = infl[:n], infl[n:]
         basic = project_basic(scenario)

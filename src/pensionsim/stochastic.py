@@ -385,15 +385,10 @@ def gbm_drift(scenario: Scenario) -> float:
         ) from None
 
 
-def gbm_log_returns(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:
-    """Annual log-returns r = (gbm_mu - gbm_sigma^2/2) + gbm_sigma * z, z ~ N(0, 1).
-
-    The one-year growth factor is exp(r). The stream advances by `count`
-    draws even when gbm_sigma == 0, so downstream draws stay aligned across
-    parameter variants.
-    """
-    z = stream.standard_normal(count)
-    return gbm_drift(scenario) + scenario.gbm_sigma * z
+def gbm_log_returns(normals: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Annual log-returns r = (gbm_mu - gbm_sigma^2/2) + gbm_sigma * z, one for
+    each standard normal z of `normals`; the one-year growth factor is exp(r)."""
+    return gbm_drift(scenario) + scenario.gbm_sigma * normals
 
 
 def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
@@ -418,11 +413,11 @@ def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
     return growth
 
 
-def inflation_series(stream: RandomStream, scenario: Scenario, count: int) -> np.ndarray:
-    """Annual inflation percent, inflation_mean_pct + inflation_sd_pct * z; not truncated.
+def inflation_series(normals: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Annual inflation percent, inflation_mean_pct + inflation_sd_pct * z, one for
+    each standard normal z of `normals`; not truncated.
 
     Negative values are possible and deliberate: the model treats deflation
     years as valid draws.
     """
-    z = stream.standard_normal(count)
-    return scenario.inflation_mean_pct + scenario.inflation_sd_pct * z
+    return scenario.inflation_mean_pct + scenario.inflation_sd_pct * normals

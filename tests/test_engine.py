@@ -19,11 +19,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pensionsim import _helper, engine, stochastic
-from pensionsim.accumulation import accumulate_corpus, dearness_allowance, project_basic
+from pensionsim.accumulation import (
+    CareerYear,
+    accumulate_corpus,
+    dearness_allowance,
+    project_basic,
+)
 from pensionsim.engine import (
     DEFAULTS,
     METRICS,
     ConfigError,
+    PathDetail,
     PathOutcome,
     Scenario,
     check_outcome,
@@ -146,8 +152,8 @@ def test_run_path_replays_the_published_draw_order():
     n = scenario.service_years
     m = scenario.retirement_years
     stream = RandomStream(11, 3)
-    infl = inflation_series(stream, scenario, n + m)
-    rets = gbm_log_returns(stream, scenario, n - 1)
+    infl = inflation_series(stream.standard_normal(n + m), scenario)
+    rets = gbm_log_returns(stream.standard_normal(n - 1), scenario)
 
     basic = project_basic(scenario)
     da = dearness_allowance(basic, infl[:n])
@@ -783,6 +789,39 @@ def test_batch_engine_equals_run_path_at_the_edges_of_the_scalar_code(scenario, 
         assert [len(column) for column in detail.retirement] == [m] * len(detail.retirement)
         assert detail.career.log_return[0] == 0.0
         assert detail.career.corpus[-1] == detail.outcome.final_corpus
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scenario=_scenarios(), path_index=st.integers(0, 23))
+@example(scenario=Scenario(service_years=1, num_paths=3), path_index=2)  # no log-returns
+@example(scenario=Scenario(retirement_years=1, num_paths=3), path_index=0)
+def test_run_path_detail_is_the_layer_functions_on_one_draw(scenario, path_index):
+    # one draw of 2n+m-1 normals a path, read as the batch engine reads a
+    # block's rows: z[:n+m] the inflations, z[n+m:] the log-returns
+    path_index %= scenario.num_paths
+    n, m = scenario.service_years, scenario.retirement_years
+    z = RandomStream(scenario.seed, path_index).standard_normal(2 * n + m - 1)
+    infl = inflation_series(z[: n + m], scenario).tolist()
+    rets = gbm_log_returns(z[n + m :], scenario)
+    basic = project_basic(scenario)
+    da = dearness_allowance(basic, infl[:n])
+    salary = [b + d for b, d in zip(basic, da)]
+    contributions = [scenario.contribution_rate * s for s in salary]
+    corpus = accumulate_corpus(contributions, rets)
+    pension = annual_pension(corpus[-1], scenario.annuity_rate)
+    reqs = requirement_series(salary[-1], infl[n - 1], infl[n:], scenario.guarantee_fraction)
+    table = evaluate_retirement(pension, reqs, infl[n:], start_year=n + 1)
+    career = CareerYear(
+        list(range(1, n + 1)), infl[:n], basic, da, salary, contributions,
+        [0.0, *rets.tolist()], corpus,
+    )
+    outcome = PathOutcome(
+        path_index, corpus[-1], pension, shortfall_years(table),
+        pv_support(table, scenario.risk_free_rate, n),
+    )
+    # repr tells -0.0 from 0.0 and compares NaNs, which == does not
+    expected = repr(PathDetail(outcome, career, table))
+    assert repr(run_path_detail(scenario, path_index)) == expected
 
 
 # float fields whose range holds zero, where a 0.0 and a -0.0 variant must

@@ -676,6 +676,74 @@ def test_module_entry_point_prints_what_cli_main_prints(capsys):
     assert done.stdout == capsys.readouterr().out.encode() and done.stderr == b""
 
 
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python` with `args` in a fresh process, on this tree's src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, **kwargs)
+
+
+def test_console_script_target_prints_what_the_module_prints():
+    # an installed `pensionsim` calls the [project.scripts] target as
+    # sys.exit(target()); a regex reads it, since 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    script = re.search(
+        r'^\[project\.scripts\]\n(?:[^\[].*\n)*?pensionsim = "([\w.]+):(\w+)"$', pyproject, re.M
+    )
+    module, function = script.groups()
+    call = f"import sys; from {module} import {function}; sys.exit({function}())"
+    done = _python("-c", call, "path", "--index", "0")
+    expected = _python("-m", "pensionsim", "path", "--index", "0")
+    assert done.returncode == 0 == expected.returncode
+    assert done.stdout == expected.stdout and done.stderr == b""
+    assert done.stdout.startswith(CAREER_CSV_HEADER.encode() + b"\n")
+
+
+def _output_files(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="on one CPU a command never shares its blocks, so both schedules are serial",
+)
+def test_shared_and_serial_commands_write_the_same_bytes(tmp_path):
+    # a large run and sweeps as a user runs them: once as is, shared with the
+    # helper, and once pinned to one CPU in the child, which keeps a command
+    # serial. The annuity_rate variants share the draws and the career, the
+    # gbm_sigma variants the draws, and the service_years variants run
+    # apart. 3001 paths take 7 blocks of 376 and a short last block of 369
+    for paths in (10_000, 3001):
+        (tmp_path / f"sweep-{paths}.cfg").write_text(f"num_paths = {paths}\n")
+    sweeps = [
+        (10_000, "annuity_rate", "0.05,0.07,0.09"),
+        (10_000, "gbm_sigma", "0.0,0.05,0.1"),
+        (10_000, "service_years", "25,30,35"),
+        (3001, "annuity_rate", "0.05,0.07,0.09"),
+    ]
+    commands = {
+        "run": ["run", "--paths", "20000"],
+        "run-3001": ["run", "--paths", "3001"],
+        **{
+            f"sweep-{paths}-{param}": ["sweep", "--param", param, "--values", values,
+                                       "--config", str(tmp_path / f"sweep-{paths}.cfg")]
+            for paths, param, values in sweeps
+        },
+    }
+    cpu = min(os.sched_getaffinity(0))
+    for mode, pin in (("shared", None), ("serial", lambda: os.sched_setaffinity(0, {cpu}))):
+        for name, argv in commands.items():
+            done = _python("-m", "pensionsim", *argv, "--out", str(tmp_path / mode / name),
+                           preexec_fn=pin)
+            assert (done.returncode, done.stderr) == (0, b""), (mode, name)
+    shared, serial = _output_files(tmp_path / "shared"), _output_files(tmp_path / "serial")
+    assert list(shared) == list(serial)
+    assert len(shared) > len(commands)
+    for name, data in shared.items():
+        assert data == serial[name], name
+
+
 @pytest.mark.parametrize("command", ["run", "path"])
 def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys, command):
     config = tmp_path / "scenario.cfg"

@@ -89,20 +89,6 @@ def test_stream_block_rows_are_the_streams(seed, size):
         assert philox_uniforms(seed, 2**64 - 5, count, draws).shape == (count, draws)
 
 
-def test_stream_position_depends_only_on_draw_count():
-    # five zero-sigma log-returns must consume exactly five draws
-    consumed = RandomStream(7, 0)
-    gbm_log_returns(consumed, Scenario(gbm_mu=0.09, gbm_sigma=0.0), 5)
-    after_gbm = consumed.standard_normal(1)[0]
-
-    plain = RandomStream(7, 0)
-    plain.standard_normal(5)
-    after_plain = plain.standard_normal(1)[0]
-
-    assert after_gbm == after_plain
-    assert after_gbm == RandomStream(7, 0).standard_normal(6)[5]
-
-
 def test_one_draw_advances_the_stream_by_one():
     stream = RandomStream(3, 2)
     first = stream.standard_normal(1)[0]
@@ -114,26 +100,28 @@ def test_one_draw_advances_the_stream_by_one():
 
 def test_gbm_is_affine_in_the_normals():
     z = RandomStream(9, 3).standard_normal(7)
-    rets = gbm_log_returns(RandomStream(9, 3), BASE_GBM, 7)
+    rets = gbm_log_returns(z, BASE_GBM)
     expected = (BASE_GBM.gbm_mu - 0.5 * BASE_GBM.gbm_sigma**2) + BASE_GBM.gbm_sigma * z
     assert np.array_equal(rets, expected)
 
 
 def test_gbm_zero_sigma_is_exact_drift():
-    rets = gbm_log_returns(RandomStream(1, 0), Scenario(gbm_mu=0.09, gbm_sigma=0.0), 3)
+    z = RandomStream(1, 0).standard_normal(3)
+    rets = gbm_log_returns(z, Scenario(gbm_mu=0.09, gbm_sigma=0.0))
     assert np.all(rets == 0.09)
-    rets = gbm_log_returns(RandomStream(1, 0), Scenario(gbm_mu=0.0, gbm_sigma=0.0), 3)
+    rets = gbm_log_returns(z, Scenario(gbm_mu=0.0, gbm_sigma=0.0))
     assert np.all(rets == 0.0)
 
 
 def test_inflation_zero_sd_is_exact_mean():
-    infl = inflation_series(RandomStream(1, 0), Scenario(inflation_mean_pct=4.0, inflation_sd_pct=0.0), 5)
+    z = RandomStream(1, 0).standard_normal(5)
+    infl = inflation_series(z, Scenario(inflation_mean_pct=4.0, inflation_sd_pct=0.0))
     assert np.all(infl == 4.0)
 
 
 def test_zero_count_returns_empty():
-    assert gbm_log_returns(RandomStream(0, 0), BASE_GBM, 0).shape == (0,)
-    assert inflation_series(RandomStream(0, 0), BASE_INFL, 0).shape == (0,)
+    assert gbm_log_returns(RandomStream(0, 0).standard_normal(0), BASE_GBM).shape == (0,)
+    assert inflation_series(RandomStream(0, 0).standard_normal(0), BASE_INFL).shape == (0,)
 
 
 def test_normal_moments_at_a_million_draws():
@@ -144,13 +132,13 @@ def test_normal_moments_at_a_million_draws():
 
 
 def test_gbm_moments_at_a_million_draws():
-    rets = gbm_log_returns(RandomStream(42, 1), BASE_GBM, 1_000_000)
+    rets = gbm_log_returns(RandomStream(42, 1).standard_normal(1_000_000), BASE_GBM)
     assert abs(rets.mean() - 0.08875) <= 0.00015  # 3 sigma / sqrt(N)
     assert abs(rets.var(ddof=1) / BASE_GBM.gbm_sigma**2 - 1.0) <= 0.01
 
 
 def test_inflation_moments_at_a_million_draws():
-    infl = inflation_series(RandomStream(42, 2), BASE_INFL, 1_000_000)
+    infl = inflation_series(RandomStream(42, 2).standard_normal(1_000_000), BASE_INFL)
     assert abs(infl.mean() - 4.0) <= 0.003
     assert abs(infl.std(ddof=1) - 1.0) <= 0.005
 
