@@ -1,13 +1,13 @@
 """Career-phase arithmetic: basic pay, dearness allowance, contributions and the
-corpus, which compounds by the market growth factors of stochastic.growth_factors."""
+corpus, which compounds by the market growth factors exp(r): one at a time
+here, for arrays by stochastic.growth_factors, with the same bits."""
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .stochastic import growth_factors
+from .stochastic import GROWTH_OVERFLOW, growth_factors
 
 if TYPE_CHECKING:
     from .engine import Scenario
@@ -16,6 +16,7 @@ __all__ = [
     "CareerYear",
     "accumulate_corpus",
     "dearness_allowance",
+    "growth_factors",
     "project_basic",
 ]
 
@@ -68,19 +69,24 @@ def accumulate_corpus(contributions, log_returns) -> list[float]:
     """Corpus recursion with end-of-year contribution timing.
 
     corpus_1 = c_1; corpus_t = corpus_{t-1} * exp(r_{t-1}) + c_t. The year-t
-    contribution arrives at year end and earns nothing in year t.
+    contribution arrives at year end and earns nothing in year t. exp is
+    math.exp, the C library's, as in growth_factors: inf gives inf, -inf
+    0.0 and NaN NaN, and a finite log-return whose factor overflows raises
+    growth_factors' ValueError.
     """
     if len(contributions) == 0:
         raise ValueError("contributions must be non-empty")
-    r = np.asarray(log_returns, dtype=float)
-    if r.shape != (len(contributions) - 1,):
+    if len(log_returns) != len(contributions) - 1:
         raise ValueError(
             f"need {len(contributions) - 1} log-returns for {len(contributions)} "
-            f"contribution years, got shape {r.shape}"
+            f"contribution years, got {len(log_returns)}"
         )
     total = contributions[0]
     corpus = [total]
-    for growth, contribution in zip(growth_factors(r).tolist(), contributions[1:]):
-        total = total * growth + contribution
-        corpus.append(total)
+    try:
+        for r, contribution in zip(log_returns, contributions[1:]):
+            total = total * math.exp(r) + contribution
+            corpus.append(total)
+    except OverflowError:
+        raise ValueError(GROWTH_OVERFLOW) from None
     return corpus

@@ -272,7 +272,7 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
     with np.errstate(all="ignore"):  # as in run_scenario: a blow-up shows in the outcome
         z = RandomStream(scenario.seed, path_index).standard_normal(size)
         infl = inflation_series(z[: n + m], scenario).tolist()
-        rets = gbm_log_returns(z[n + m :], scenario)
+        rets = gbm_log_returns(z[n + m :], scenario).tolist()
 
         career_infl, retirement_infl = infl[:n], infl[n:]
         basic = project_basic(scenario)
@@ -293,7 +293,7 @@ def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
         shortfall_years=shortfall_years(retirement),
         pv_support=pv_support(retirement, scenario.risk_free_rate, n),
     )
-    log_returns = [0.0, *rets.tolist()]
+    log_returns = [0.0, *rets]
     career = CareerYear(
         list(range(1, n + 1)), career_infl, basic, da, salary, contributions, log_returns, corpus
     )
@@ -658,11 +658,17 @@ def check_outcome(outcome: PathOutcome) -> None:
 
     Each field holds one path's value, or a column over the paths `path_index` lists.
     """
+    if not isinstance(outcome.path_index, np.ndarray):  # one path's numbers
+        for name in METRICS:
+            value = getattr(outcome, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is not finite on path {outcome.path_index}: {value}")
+        return
     for name in METRICS:
-        column = np.atleast_1d(getattr(outcome, name))
+        column = getattr(outcome, name)
         col = int(np.isfinite(column).argmin())  # the first that is not finite, or else 0
         if not math.isfinite(column[col]):
-            path = np.atleast_1d(outcome.path_index)[col]
+            path = outcome.path_index[col]
             raise ValueError(f"{name} is not finite on path {path}: {column[col]}")
 
 

@@ -12,9 +12,11 @@ have been requested.
 Philox is counter-based (Salmon et al., "Parallel Random Numbers: As Easy
 as 1, 2, 3", SC'11): the j-th block of four 64-bit words of stream k is a
 pure function of the key [master_seed, 0] and the counter [j, 0, k, 0].
-`stream_normals` evaluates that function for many streams at once and
-gives, row by row, exactly the draws `RandomStream` makes one stream at a
-time.
+So a stream is only its key, its id and its position: `RandomStream`
+draws through one Philox generator per thread, pointed at its counter,
+and `stream_normals` evaluates that function for many streams at once
+and gives, row by row, exactly the draws `RandomStream` makes one stream
+at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import math
 import operator
 import sys
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +34,7 @@ if TYPE_CHECKING:
     from .engine import Scenario
 
 __all__ = [
+    "GROWTH_OVERFLOW",
     "RandomStream",
     "gbm_drift",
     "gbm_log_returns",
@@ -78,20 +82,55 @@ def _check_streams(master_seed, first, count) -> tuple[int, int, int]:
 
 
 class RandomStream:
-    """A single-owner draw sequence identified by (master_seed, stream_id)."""
+    """A single-owner draw sequence identified by (master_seed, stream_id).
+
+    It holds its key, its id and the count of uniforms drawn, and draws
+    through its thread's one Philox generator, so streams are cheap and may
+    be drawn from in any interleaving.
+    """
+
+    __slots__ = ("_key", "_stream_id", "_drawn")
 
     def __init__(self, master_seed: int, stream_id: int) -> None:
-        master_seed, stream_id, _ = _check_streams(master_seed, stream_id, 1)
-        # the counter of Philox(key=seed).jumped(k), set directly: k in the
-        # third 64-bit word (a list would pass k through float64)
-        bitgen = np.random.Philox(key=master_seed, counter=stream_id << 128)
-        self._gen = np.random.Generator(bitgen)
+        master_seed, self._stream_id, _ = _check_streams(master_seed, stream_id, 1)
+        self._key = (master_seed, 0)
+        self._drawn = 0
 
     def standard_normal(self, count: int) -> np.ndarray:
         """Draw `count` N(0, 1) variates, consuming exactly one uniform each."""
+        count = operator.index(count)
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return _normals(self._gen.random(count))
+        gen = _thread_generator()
+        # numpy's Philox increments the counter before it generates, so an
+        # empty buffer at counter j next yields block j + 1, uniforms 4j..4j+3
+        block, skip = divmod(self._drawn, 4)
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (block, 0, self._stream_id, 0), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if skip:
+            gen.bit_generator.random_raw(skip)
+        u = gen.random(count)
+        self._drawn += count
+        return _normals(u)
+
+
+# each thread's one generator, which every RandomStream points at its own
+# counter before it draws: building a Philox costs about ten times as much
+_thread = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    try:
+        return _thread.generator
+    except AttributeError:
+        _thread.generator = np.random.Generator(np.random.Philox(key=0))
+        return _thread.generator
 
 
 def _normals(u: np.ndarray, out=None, ndtri=None) -> np.ndarray:
@@ -117,6 +156,10 @@ def _normals(u: np.ndarray, out=None, ndtri=None) -> np.ndarray:
 _PORT_BUDGET = 2**20
 _PORT_CALL = 2**9
 _EXP_MAX = 709.782712893384  # the largest float whose exp is finite
+# the error of a finite log-return whose growth factor exp(r) is inf
+GROWTH_OVERFLOW = (
+    "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
+)
 
 # the switch's state: how many values the port may still serve in this
 # process, or None once scipy.special serves; process-wide, as the import is
@@ -407,9 +450,7 @@ def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
     growth = exp(r, out=np.empty(r.shape) if out is None else out)
     inf = np.isinf(growth)
     if inf.any() and np.isfinite(r[inf]).any():
-        raise ValueError(
-            "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
-        )
+        raise ValueError(GROWTH_OVERFLOW)
     return growth
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pensionsim import stochastic
 from pensionsim.accumulation import (
     accumulate_corpus,
     dearness_allowance,
@@ -226,3 +227,22 @@ def test_career_params_validation():
     with pytest.raises(ValueError):
         Scenario(employee_rate=0.60, employer_rate=0.60)
     assert Scenario(employee_rate=0.10, employer_rate=0.14).contribution_rate == pytest.approx(0.24)
+
+
+@pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
+@pytest.mark.parametrize("r", [0.0, -745.2, stochastic._EXP_MAX, math.inf, -math.inf, math.nan])
+def test_the_scalar_growth_rule_is_the_batch_rule(special, r):
+    scalar = accumulate_corpus([1.0, 1.0], [r])[1]
+    batch = 1.0 * growth_factors([r])[0] + 1.0
+    bits = np.array([scalar, batch]).view(np.int64)  # tells NaN payloads apart, as == does not
+    assert bits[0] == bits[1]
+
+
+@pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
+@pytest.mark.parametrize("r", [710.0, 1e308])
+def test_the_scalar_growth_overflow_is_the_batch_error(special, r):
+    with pytest.raises(ValueError) as scalar:
+        accumulate_corpus([1.0, 1.0], [r])
+    with pytest.raises(ValueError) as batch:
+        growth_factors([r])
+    assert str(scalar.value) == str(batch.value) == stochastic.GROWTH_OVERFLOW

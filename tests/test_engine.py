@@ -485,14 +485,14 @@ def test_a_run_after_its_block_arrays_failed_to_allocate_equals_run_path(allocat
 
 
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
-    # scipy.special serves: the claim is its compiled exp's, as the port's is a math.exp map
+    # scipy.special serves: the claim is its compiled exp's, as the port's is a math.exp map;
+    # the batch engine's only, as run_path compounds one year at a time by math.exp
     monkeypatch.setattr(stochastic, "_port_left", None)
     scenario = Scenario(num_paths=1000)
     runs = [
         lambda: records(run_scenario(scenario).outcomes),
         lambda: [records(r.outcomes) for r in sweep(scenario, [("annuity_rate", 0.05)] * 2)],
         lambda: [records(r.outcomes) for r in sweep(scenario, [("gbm_mu", 0.05), ("gbm_mu", 0.1)])],
-        lambda: [run_path(scenario, i) for i in (0, 1, 999)],
     ]
     expected = [_bits(run()) for run in runs]
 
@@ -523,6 +523,34 @@ def test_non_finite_outcome_names_the_first_metric_then_its_first_path():
     outcome = PathOutcome(np.arange(4), final_corpus, final_corpus, np.zeros(4, np.int64), pv)
     with pytest.raises(ValueError, match=r"^final_corpus is not finite on path 2: inf$"):
         check_outcome(outcome)
+
+
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("text", list(NON_FINITE))
+@pytest.mark.parametrize("name", METRICS)
+def test_a_path_outcome_that_is_not_finite_names_the_metric_and_path(name, text):
+    outcome = PathOutcome(3, 1.0, 0.05, 0, 1.0)._replace(**{name: NON_FINITE[text]})
+    with pytest.raises(ValueError) as info:
+        check_outcome(outcome)
+    assert str(info.value) == f"{name} is not finite on path 3: {text}"
+
+
+@pytest.mark.parametrize("text", list(NON_FINITE))
+@pytest.mark.parametrize("name", METRICS)
+def test_a_column_outcome_that_is_not_finite_names_its_first_path(name, text):
+    columns = {field: np.ones(5) for field in PathOutcome._fields[1:]}
+    columns[name][[2, 4]] = NON_FINITE[text]
+    with pytest.raises(ValueError) as info:
+        check_outcome(PathOutcome(np.arange(10, 15), **columns))
+    assert str(info.value) == f"{name} is not finite on path 12: {text}"
+
+
+def test_a_path_charges_the_switch_for_its_normals_only(port_calls):
+    run_path(Scenario(), 0)  # 79 normals, charged as one call's 2**9
+    assert port_calls == {"_ndtri_port": 1}
+    assert stochastic._port_left == stochastic._PORT_BUDGET - stochastic._PORT_CALL
 
 
 def test_check_outcome_makes_no_copy_of_the_columns():

@@ -928,6 +928,23 @@ def test_cli_out_of_memory_without_a_message_still_says_so(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", METRICS)
+def test_path_with_an_outcome_that_is_not_finite_exits_2_with_no_table(
+    monkeypatch, capsys, name, text
+):
+    def not_finite(scenario, path_index):
+        detail = run_path_detail(scenario, path_index)
+        outcome = detail.outcome._replace(**{name: float(text)})
+        return dataclasses.replace(detail, outcome=outcome)
+
+    monkeypatch.setattr(io_cli, "run_path_detail", not_finite)
+    assert cli_main(["path", "--index", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} is not finite on path 3: {text}\n"
+
+
 @pytest.mark.parametrize(
     "config, fields",
     [

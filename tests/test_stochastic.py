@@ -5,6 +5,7 @@ import math
 import pathlib
 import pickle
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +97,106 @@ def test_one_draw_advances_the_stream_by_one():
     fresh = RandomStream(3, 2).standard_normal(2)
     assert first == fresh[0]
     assert second == fresh[1]
+
+
+def _jumped_normals(seed, stream_id, size):
+    uniforms = np.random.Generator(np.random.Philox(key=seed).jumped(stream_id)).random(size)
+    return ndtri(np.maximum(uniforms, 2.0**-53))
+
+
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (42, 7), (2**64 - 1, 2**64 - 1)])
+def test_a_draw_split_at_every_offset_equals_one_draw(seed, stream_id):
+    # 13 draws span four Philox blocks: each split point is one of a
+    # block's four buffer positions, and 0, 4, 8 and 12 are block boundaries
+    whole = _jumped_normals(seed, stream_id, 13)
+    assert np.array_equal(RandomStream(seed, stream_id).standard_normal(13), whole)
+    for offset in range(14):
+        stream = RandomStream(seed, stream_id)
+        parts = [stream.standard_normal(offset), stream.standard_normal(13 - offset)]
+        assert np.array_equal(np.concatenate(parts), whole), offset
+    stream = RandomStream(seed, stream_id)
+    ones = [stream.standard_normal(1) for _ in range(13)]
+    assert np.array_equal(np.concatenate(ones), whole)
+
+
+def test_two_streams_drawn_alternately_equal_each_drawn_alone():
+    sizes = (3, 5, 1, 4, 7, 2)
+    streams, drawn = (RandomStream(7, 1), RandomStream(7, 2)), ([], [])
+    for size in sizes:
+        for stream, out in zip(streams, drawn):
+            out.append(stream.standard_normal(size))
+    for stream_id, out in zip((1, 2), drawn):
+        assert np.array_equal(np.concatenate(out), _jumped_normals(7, stream_id, sum(sizes)))
+
+
+def _draw_streams(first, count, out):
+    for stream_id in range(first, first + count):
+        stream = RandomStream(5, stream_id)
+        # split as a path's tables read them, and at a buffer position
+        out.append(np.concatenate([stream.standard_normal(s) for s in (1, 49, 29)]))
+
+
+def test_streams_drawn_in_two_threads_at_once_equal_serial_draws():
+    serial = [[], []]
+    for t in range(2):
+        _draw_streams(200 * t, 200, serial[t])
+    shared = [[], []]
+    barrier = threading.Barrier(2)
+
+    def work(t):
+        barrier.wait(timeout=60)
+        _draw_streams(200 * t, 200, shared[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between a stream's calls, not once in 5 ms
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(2):
+        assert len(shared[t]) == 200
+        assert all(map(np.array_equal, shared[t], serial[t]))
+
+
+def test_a_stream_builds_no_philox_once_its_thread_has_a_generator(monkeypatch):
+    builds = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    counts = []
+
+    def work():
+        for stream_id in range(3):
+            stream = RandomStream(11, stream_id)
+            stream.standard_normal(5)
+            stream.standard_normal(3)
+            counts.append(len(builds))
+
+    thread = threading.Thread(target=work)  # a new thread: no generator yet
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert counts == [1, 1, 1]
+
+
+def test_a_rejected_count_leaves_the_stream_where_it_was():
+    stream = RandomStream(3, 2)
+    first = stream.standard_normal(3)
+    with pytest.raises(TypeError):
+        stream.standard_normal(2.0)
+    with pytest.raises(ValueError, match="count"):
+        stream.standard_normal(-1)
+    rest = stream.standard_normal(np.int64(4))
+    assert np.array_equal(np.concatenate([first, rest]), _jumped_normals(3, 2, 7))
 
 
 def test_gbm_is_affine_in_the_normals():
