@@ -1,6 +1,7 @@
 """Career-phase arithmetic: basic pay, dearness allowance, contributions and the
 corpus, which compounds by the market growth factors exp(r): one at a time
-here, for arrays by stochastic.growth_factors, with the same bits."""
+here by math.exp, for arrays by stochastic.growth_factors through scipy's
+compiled inv_boxcox, both the C library's exp, so with the same bits."""
 
 from __future__ import annotations
 

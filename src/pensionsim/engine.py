@@ -46,7 +46,7 @@ from .retirement import (
 from .stochastic import (
     _WORD,
     RandomStream,
-    _special_functions,
+    _special,
     gbm_drift,
     gbm_log_returns,
     growth_factors,
@@ -182,7 +182,10 @@ def _coerce(field: Field, value) -> int | float:
         elif isinstance(value, bool) or not isinstance(value, numeric):
             noun = "an integer" if field.kind is int else "a number"
             raise ConfigError(f"{key} must be {noun}, got {value!r}")
-        value = field.kind(value)
+        try:
+            value = field.kind(value)
+        except OverflowError:  # an int past float's range; its str() may itself raise
+            raise ConfigError(f"{key} is out of range for a float") from None
     if field.kind is float and not math.isfinite(value):
         problem = "must be finite"
     elif field.low is not None and (value <= field.low if field.low_open else value < field.low):
@@ -339,13 +342,13 @@ def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ..
     }
 
 
-def _career(scenario: Scenario, z: np.ndarray, space: dict, exp):
+def _career(scenario: Scenario, z: np.ndarray, space: dict):
     """The career half of a block of paths, on year-major normals `z`.
 
     Row t of `z` holds draw t of each path (see stream_normals), one column
-    a path. Computes in `space`'s career arrays, never in `z`, with the
-    run's `exp`, and returns the final corpus, the final salary and the
-    (n+m, paths) inflation matrix, each as `run_path` computes them.
+    a path. Computes in `space`'s career arrays, never in `z`, and returns
+    the final corpus, the final salary and the (n+m, paths) inflation
+    matrix, each as `run_path` computes them.
     """
     n, m = scenario.service_years, scenario.retirement_years
     # inflation_series and gbm_log_returns, column-wise
@@ -361,7 +364,7 @@ def _career(scenario: Scenario, z: np.ndarray, space: dict, exp):
     salary[1:] /= 100.0
     salary += basic
     corpus = np.multiply(salary, scenario.contribution_rate, out=space["corpus"])
-    growth = growth_factors(rets, out=space["growth"], exp=exp)
+    growth = growth_factors(rets, out=space["growth"])
     for t in range(1, n):  # row t: the contribution, then the corpus, of year t + 1
         corpus[t - 1] *= growth[t - 1]
         corpus[t] += corpus[t - 1]
@@ -409,7 +412,6 @@ class _Plan(NamedTuple):
     size: int  # a path's draws
     counts: list[int]  # the paths in each block, all but the last as many as the first
     layout: dict  # the arrays a block is computed in (see _layout)
-    special: tuple  # the `(ndtri, exp)` pair that computes every block
 
 
 def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
@@ -420,12 +422,11 @@ def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
     in PathOutcome's field order after path_index.
     """
     s = plan.scenarios[0]
-    ndtri, exp = plan.special
-    z = stream_normals(s.seed, first, count, plan.size, block, ndtri).T
-    shared = _career(s, z, block, exp) if plan.stage == "retirement" else None
+    z = stream_normals(s.seed, first, count, plan.size, block).T
+    shared = _career(s, z, block) if plan.stage == "retirement" else None
     kinds = len(_OUTCOME_KINDS)
     for number, scenario in enumerate(plan.scenarios):
-        career = _career(scenario, z, block, exp) if shared is None else shared
+        career = _career(scenario, z, block) if shared is None else shared
         _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
 
 
@@ -438,18 +439,17 @@ def _blocks(plan: _Plan, columns=None) -> tuple:
     block `index` into the arrays `rows(index)`.
 
     Bound to `plan`, this is the job a run gives the helper process (see
-    _helper.share); the plan pickles, its `(ndtri, exp)` pair by
-    reference. A block's rows are its entries of `columns`, each scenario's
-    outcome columns after path_index, or else of one block's columns,
-    allocated here. The block arrays are one flat buffer for each array of
-    the plan's layout: those this thread kept from its last run if it had
-    the same layout, or else new ones, kept at once for its next run. Two
-    runs at once are in two threads, so they never share them; a thread's
-    are freed when it ends, and a forked helper starts with those of the
-    thread that forked it. A block writes each array before it reads it,
-    so what a failed run left there is never read. Each block computes in
-    the leading values of each buffer, shaped for its paths, so its arrays
-    are contiguous whatever its paths.
+    _helper.share); the plan pickles. A block's rows are its entries of
+    `columns`, each scenario's outcome columns after path_index, or else of
+    one block's columns, allocated here. The block arrays are one flat
+    buffer for each array of the plan's layout: those this thread kept from
+    its last run if it had the same layout, or else new ones, kept at once
+    for its next run. Two runs at once are in two threads, so they never
+    share them; a thread's are freed when it ends, and a forked helper
+    starts with those of the thread that forked it. A block writes each
+    array before it reads it, so what a failed run left there is never
+    read. Each block computes in the leading values of each buffer, shaped
+    for its paths, so its arrays are contiguous whatever its paths.
     """
     counts = plan.counts
     layout, space = getattr(_kept, "blocks", (None, None))
@@ -482,10 +482,8 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     """The results of `scenarios`, in order, computed one block of paths at a time.
 
     The scenarios must agree on every field of the stages before `stage`,
-    and each block computes those stages once for all of them. The
-    special-functions switch is charged once, for every block's calls, and
-    each block is computed with the `(ndtri, exp)` it gives, in one set of
-    arrays, kept for the thread's next run (see _blocks). _helper.share
+    and each block computes those stages once for all of them, in one set
+    of arrays, kept for the thread's next run (see _blocks). _helper.share
     computes each block once, here or in the helper; a block that fails in
     the helper fails again here. The error a block raises depends only on
     the scenarios (their fields, or the growth overflow's fixed message),
@@ -499,7 +497,7 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
     s = scenarios[0]
     # each scenario's outcome columns, which the blocks fill, then the arrays
     # of a block; a run too large to hold fails before its first draw, and
-    # before it charges the switch or lists its blocks
+    # before it loads scipy's ufuncs or lists its blocks
     size, paths, layout = _layout(s)
     _check_bytes(
         8 * len(PathOutcome._fields) * s.num_paths * len(scenarios)
@@ -510,12 +508,8 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         for _ in scenarios
     ]
     counts = [min(paths, s.num_paths - first) for first in range(0, s.num_paths, paths)]
-    # the calls on ndtri and exp a block makes: its normals, then the growth
-    # factors of each career it computes
-    careers = 1 if stage == "retirement" else len(scenarios)
-    sizes = [size] + careers * [s.service_years - 1]
-    special = _special_functions(*(count * calls for count in counts for calls in sizes))
-    job = functools.partial(_blocks, _Plan(scenarios, stage, size, counts, layout, special))
+    _special()  # loaded before _helper.share, so a helper it forks has the ufuncs
+    job = functools.partial(_blocks, _Plan(scenarios, stage, size, counts, layout))
     columns = [column for outcome in outcomes for column in outcome[1:]]
     try:
         _helper.share(job, len(counts), *job(columns))

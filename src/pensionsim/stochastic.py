@@ -7,7 +7,10 @@ generator; stream k is the master-keyed generator jumped ahead k * 2**128
 states, so distinct ids can never overlap. Normal variates come from the
 inverse CDF applied to 53-bit uniforms, exactly one uniform per variate,
 which keeps the stream position a pure function of how many variates
-have been requested.
+have been requested. The inverse CDF is Cephes' ndtri and the growth
+factors exp(r) are the C library's exp, each from one implementation in
+every process: scipy's compiled ufuncs, loaded without the rest of
+scipy.special (see _special).
 
 Philox is counter-based (Salmon et al., "Parallel Random Numbers: As Easy
 as 1, 2, 3", SC'11): the j-th block of four 64-bit words of stream k is a
@@ -21,11 +24,12 @@ at a time.
 
 from __future__ import annotations
 
-import functools
-import math
+import importlib
 import operator
+import os
 import sys
 import threading
+import types
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -133,170 +137,58 @@ def _thread_generator() -> np.random.Generator:
         return _thread.generator
 
 
-def _normals(u: np.ndarray, out=None, ndtri=None) -> np.ndarray:
+def _normals(u: np.ndarray, out=None) -> np.ndarray:
     u = np.maximum(u, _UNIFORM_FLOOR, out=out)
-    if ndtri is None:
-        ndtri, _ = _special_functions(u.size)
-    return ndtri(u, out=u)
+    return _special().ndtri(u, out=u)
 
 
-# --- special functions: ndtri and exp, without scipy until it pays ----------
-#
-# Importing scipy.special takes about 0.25 s, more than half the wall time
-# of a `path` command or a default `run`. So a process serves its first
-# values from a numpy port of the same Cephes ndtri and from a math.exp map,
-# and imports scipy.special only once the port has cost about as much as the
-# import would (a ski-rental rule). Both give the same bits. Measured on a
-# 2-core Xeon VM (Python 3.11, numpy 2.4, scipy 1.17): a port call costs
-# 60-95 us more than scipy's, and each value about 115 ns more for ndtri and
-# 60 ns more for exp. So each call is charged at least 2**9 values, about
-# its fixed cost in values, and a run charges all of its calls before its
-# first block (see _special_functions); the 2**20 values the port may serve
-# cost at most about 0.12 s more than scipy would, half the import.
-_PORT_BUDGET = 2**20
-_PORT_CALL = 2**9
-_EXP_MAX = 709.782712893384  # the largest float whose exp is finite
 # the error of a finite log-return whose growth factor exp(r) is inf
 GROWTH_OVERFLOW = (
     "market growth factor exp(log_return) overflows: gbm_mu or gbm_sigma is too large"
 )
 
-# the switch's state: how many values the port may still serve in this
-# process, or None once scipy.special serves; process-wide, as the import is
-_port_left: int | None = _PORT_BUDGET
+# the module that serves ndtri and inv_boxcox, once _special has loaded it
+_ufuncs = None
+_ufuncs_lock = threading.Lock()
 
 
-def _special_functions(*calls: int):
-    """`(ndtri, exp)` for calls on `calls` values each, charged to the switch.
+def _special():
+    """scipy's compiled ufuncs module, which serves `ndtri` and `inv_boxcox`.
 
-    Each takes `(x, out)` and pickles by reference. They are the numpy port
-    while the calls fit in what is left of its _PORT_BUDGET values and
-    scipy.special is not loaded, and scipy's from then on. A run charges all
-    of its calls at once, so it never pays for both the port and the import.
+    Loaded by the first thread that asks, once a process: scipy.special if
+    it is imported, or else scipy.special._ufuncs alone. Importing
+    scipy.special costs about 0.2 s more than its `_ufuncs`, most of it
+    scipy's array-API layer, and about 20 MB more memory. A later `import
+    scipy.special` re-uses the loaded `_ufuncs`, so either serves the same
+    ufunc objects.
     """
-    global _port_left
-    if _port_left is not None:
-        _port_left -= sum(max(values, _PORT_CALL) for values in calls)
-        if _port_left >= 0 and "scipy.special" not in sys.modules:
-            return _ndtri_port, _exp_port
-        _port_left = None
-    _scipy_special()  # loaded here: before a run's first block and any fork of a helper
-    return _ndtri_scipy, _exp_scipy
+    global _ufuncs
+    if _ufuncs is None:
+        with _ufuncs_lock:
+            if _ufuncs is None:
+                _ufuncs = _load_special()
+    return _ufuncs
 
 
-@functools.cache
-def _scipy_special():
+def _load_special():
+    if "scipy.special" not in sys.modules:
+        import scipy
+
+        # _ufuncs and the modules it imports find their package in this bare
+        # stub, so scipy.special's __init__ never runs; a later `import
+        # scipy.special` runs it, and it re-uses those modules
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        try:
+            return importlib.import_module("scipy.special._ufuncs")
+        except ImportError:  # a scipy laid out otherwise: the public package serves
+            pass
+        finally:
+            del sys.modules["scipy.special"]
     import scipy.special
 
     return scipy.special
-
-
-# scipy's functions by module-level names, which a run's job pickles by
-# reference; a ufunc pickles by a search of sys.modules, about 0.4 ms
-def _ndtri_scipy(y, out=None) -> np.ndarray:
-    return _scipy_special().ndtri(y, out=out)
-
-
-def _exp_scipy(r, out=None) -> np.ndarray:
-    # exp(r) by definition, with the C library's exp
-    return _scipy_special().inv_boxcox(r, 0.0, out=out)
-
-
-# Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
-# 1989), as scipy.special.ndtri computes it; each _Q table starts with the
-# leading 1 that Cephes' p1evl implies, so _polevl evaluates all six
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-# |y - 0.5| <= 3/8
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-# sqrt(-2 log y) in [2, 8): y in (exp(-32), exp(-2)]
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-# sqrt(-2 log y) in [8, 64): y in (exp(-2048), exp(-32)]
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x: np.ndarray, coefs) -> np.ndarray:
-    """Horner's rule, rounding each product and sum as Cephes' polevl does."""
-    ans = x * coefs[0]
-    ans += coefs[1]
-    for c in coefs[2:]:
-        ans *= x
-        ans += c
-    return ans
-
-
-def _tail(z: np.ndarray, p, q) -> np.ndarray:
-    return z * _polevl(z, p) / _polevl(z, q)
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    # the C library's log, as Cephes calls it; np.log differs in the last bit
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
-
-
-def _ndtri_port(y0, out=None) -> np.ndarray:
-    """scipy.special.ndtri's bits, in numpy: the inverse of the normal CDF.
-
-    Each branch is computed on its own elements only, so nothing warns; 0
-    gives -inf, 1 gives inf, and NaN or a value outside [0, 1] gives NaN.
-    `out` may be `y0` itself.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    x = np.empty(y0.shape) if out is None else out
-    high = y0 > 1.0 - _EXP_M2
-    y = np.where(high, 1.0 - y0, y0)  # Cephes' y; a copy, so x may be y0
-    central = y > _EXP_M2
-    tail = (y > 0.0) & ~central
-    rest = ~(central | tail)
-
-    c = y[central] - 0.5
-    c2 = c * c
-    xc = c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))
-    xc *= _SQRT_2PI
-
-    t = np.sqrt(-2.0 * _log(y[tail]))
-    x0 = t - _log(t) / t
-    z = 1.0 / t
-    near = t < 8.0  # y > exp(-32)
-    if near.all():
-        x1 = _tail(z, _P1, _Q1)
-    else:
-        x1 = np.empty_like(z)
-        x1[near] = _tail(z[near], _P1, _Q1)
-        x1[~near] = _tail(z[~near], _P2, _Q2)
-    xt = x0 - x1
-    np.negative(xt, out=xt, where=~high[tail])
-
-    xr = np.where(y[rest] == 0.0, np.where(high[rest], np.inf, -np.inf), np.nan)
-    x[central] = xc
-    x[tail] = xt
-    x[rest] = xr
-    return x
-
-
-def _exp_port(r, out=None) -> np.ndarray:
-    """exp(r) from the C library through math.exp, as scipy's inv_boxcox(r, 0)
-    gives it: inf past _EXP_MAX, where math.exp raises. `out` may be `r`."""
-    r = np.asarray(r, dtype=float)
-    over = r > _EXP_MAX  # taken before `out`, which may be r, is written
-    out = np.minimum(r, _EXP_MAX, out=np.empty(r.shape) if out is None else out)
-    out[...] = np.fromiter(map(math.exp, out.ravel().tolist()), float, r.size).reshape(r.shape)
-    out[over] = np.inf
-    return out
 
 
 def _mulhilo(x: np.ndarray, m, hi: np.ndarray, a, b, c) -> np.ndarray:
@@ -407,14 +299,12 @@ def philox_uniforms(master_seed: int, first: int, count: int, size: int, space=N
     return uniforms[:size].T
 
 
-def stream_normals(master_seed: int, first: int, count: int, size: int, space=None,
-                   ndtri=None) -> np.ndarray:
+def stream_normals(master_seed: int, first: int, count: int, size: int, space=None) -> np.ndarray:
     """`RandomStream(master_seed, k).standard_normal(size)` for each stream k in
     first..first+count-1, as one (count, size) array: a view of year-major
-    normals, computed in `space` as philox_uniforms computes its uniforms,
-    with a run's `ndtri` (see _special_functions), or else charged alone."""
+    normals, computed in `space` as philox_uniforms computes its uniforms."""
     u = philox_uniforms(master_seed, first, count, size, space)
-    return _normals(u, out=u, ndtri=ndtri)
+    return _normals(u, out=u)
 
 
 def gbm_drift(scenario: Scenario) -> float:
@@ -434,20 +324,18 @@ def gbm_log_returns(normals: np.ndarray, scenario: Scenario) -> np.ndarray:
     return gbm_drift(scenario) + scenario.gbm_sigma * normals
 
 
-def growth_factors(log_returns, out=None, exp=None) -> np.ndarray:
+def growth_factors(log_returns, out=None) -> np.ndarray:
     """One-year growth factor exp(r) for each log-return, in the input's shape.
 
     The factors are the C library's exp, which Python's math module calls, so
-    they match a plain scalar reimplementation bit for bit: a run's `exp` (see
-    _special_functions), or else one charged to this call alone; either gives
-    inf past log(DBL_MAX). np.exp differs from libm in the last bit on about
-    3.6% of log-returns. Only a finite log-return whose factor is inf is an
-    error; inf gives inf, -inf 0.0 and NaN NaN. Written to `out` if given.
+    they match a plain scalar reimplementation bit for bit: scipy's compiled
+    inv_boxcox(r, 0), which is exp(r) by definition and gives inf past
+    log(DBL_MAX). np.exp differs from libm in the last bit on about 3.6% of
+    log-returns. Only a finite log-return whose factor is inf is an error;
+    inf gives inf, -inf 0.0 and NaN NaN. Written to `out` if given.
     """
     r = np.asarray(log_returns, dtype=float)
-    if exp is None:
-        _, exp = _special_functions(r.size)
-    growth = exp(r, out=np.empty(r.shape) if out is None else out)
+    growth = _special().inv_boxcox(r, 0.0, out=np.empty(r.shape) if out is None else out)
     inf = np.isinf(growth)
     if inf.any() and np.isfinite(r[inf]).any():
         raise ValueError(GROWTH_OVERFLOW)

@@ -229,8 +229,9 @@ def test_career_params_validation():
     assert Scenario(employee_rate=0.10, employer_rate=0.14).contribution_rate == pytest.approx(0.24)
 
 
-@pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
-@pytest.mark.parametrize("r", [0.0, -745.2, stochastic._EXP_MAX, math.inf, -math.inf, math.nan])
+# 709.782712893384 is the largest float whose exp is finite
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
+@pytest.mark.parametrize("r", [0.0, -745.2, 709.782712893384, math.inf, -math.inf, math.nan])
 def test_the_scalar_growth_rule_is_the_batch_rule(special, r):
     scalar = accumulate_corpus([1.0, 1.0], [r])[1]
     batch = 1.0 * growth_factors([r])[0] + 1.0
@@ -238,7 +239,7 @@ def test_the_scalar_growth_rule_is_the_batch_rule(special, r):
     assert bits[0] == bits[1]
 
 
-@pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 @pytest.mark.parametrize("r", [710.0, 1e308])
 def test_the_scalar_growth_overflow_is_the_batch_error(special, r):
     with pytest.raises(ValueError) as scalar:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from unittest import mock
@@ -112,6 +113,25 @@ def test_scenario_rejects_what_scenario_from_values_rejects(values, key):
     for build in (lambda: Scenario(**values), lambda: scenario_from_values(values)):
         with pytest.raises(ConfigError, match=f"\\b{key}\\b"):
             build()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("basic_start", 10**400), ("gbm_mu", -(10**309)), ("annuity_rate", 10**5000)],
+    ids=["basic_start", "gbm_mu", "past-str-digits"],
+)
+def test_an_int_past_float_range_is_a_config_error_naming_the_key(key, value):
+    # the message leaves the value out: str() of an int over 4300 digits raises
+    builds = [
+        lambda: Scenario(**{key: value}),
+        lambda: engine.check_field(key, value),
+        lambda: with_field(Scenario(), key, value),
+        lambda: scenario_from_values({key: value}),
+    ]
+    for build in builds:
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == f"{key} is out of range for a float"
 
 
 def test_scenario_stores_coerced_values():
@@ -253,10 +273,8 @@ def test_a_run_too_large_to_hold_fails_before_its_first_draw(monkeypatch, run):
         raise AssertionError("drew normals for outcomes that cannot be held")
 
     monkeypatch.setattr(engine, "stream_normals", no_draws)
-    budget = stochastic._port_left
     with pytest.raises(MemoryError):
         run(Scenario(num_paths=2**55))  # 256 PiB a column: no 64-bit machine maps it
-    assert stochastic._port_left == budget  # charged only once the columns are held
 
 
 # sizes whose arrays pass 2**63 - 1 bytes, where numpy raises ValueError, not MemoryError
@@ -275,10 +293,8 @@ def test_a_run_past_what_numpy_indexes_is_out_of_memory(monkeypatch, run, sizes)
         raise AssertionError("drew normals for outcomes that cannot be held")
 
     monkeypatch.setattr(engine, "stream_normals", no_draws)
-    budget = stochastic._port_left
     with pytest.raises(MemoryError):
         run(Scenario(**sizes))
-    assert stochastic._port_left == budget
 
 
 @pytest.mark.parametrize("sizes", [{"retirement_years": 2**62}, {"service_years": 2**61}], ids=repr)
@@ -485,9 +501,7 @@ def test_a_run_after_its_block_arrays_failed_to_allocate_equals_run_path(allocat
 
 
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
-    # scipy.special serves: the claim is its compiled exp's, as the port's is a math.exp map;
     # the batch engine's only, as run_path compounds one year at a time by math.exp
-    monkeypatch.setattr(stochastic, "_port_left", None)
     scenario = Scenario(num_paths=1000)
     runs = [
         lambda: records(run_scenario(scenario).outcomes),
@@ -545,12 +559,6 @@ def test_a_column_outcome_that_is_not_finite_names_its_first_path(name, text):
     with pytest.raises(ValueError) as info:
         check_outcome(PathOutcome(np.arange(10, 15), **columns))
     assert str(info.value) == f"{name} is not finite on path 12: {text}"
-
-
-def test_a_path_charges_the_switch_for_its_normals_only(port_calls):
-    run_path(Scenario(), 0)  # 79 normals, charged as one call's 2**9
-    assert port_calls == {"_ndtri_port": 1}
-    assert stochastic._port_left == stochastic._PORT_BUDGET - stochastic._PORT_CALL
 
 
 def test_check_outcome_makes_no_copy_of_the_columns():
@@ -648,10 +656,9 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     assert paths == scenario.num_paths  # one block
     space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     columns = [np.empty(paths), np.empty(paths), np.empty(paths, int), np.empty(paths)]
-    ndtri, exp = stochastic._special_functions(paths * size, paths * (scenario.service_years - 1))
     with np.errstate(all="ignore"):
-        z = stream_normals(scenario.seed, 0, paths, size, space, ndtri).T
-        engine._retirement(scenario, *engine._career(scenario, z, space, exp), space, columns)
+        z = stream_normals(scenario.seed, 0, paths, size, space).T
+        engine._retirement(scenario, *engine._career(scenario, z, space), space, columns)
         expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
     outcomes = records(engine.PathOutcome(np.arange(scenario.num_paths), *columns))
     assert _bits(outcomes) == _bits(expected)
@@ -666,9 +673,9 @@ def test_long_career_blocks_hold_the_minimum_paths(monkeypatch):
     career = engine._career
     blocks = []
 
-    def spy(scenario, z, space, exp):
+    def spy(scenario, z, space):
         blocks.append(z.shape[1])  # year-major: one column a path
-        return career(scenario, z, space, exp)
+        return career(scenario, z, space)
 
     monkeypatch.setattr(engine, "_career", spy)
     outcomes = records(run_scenario(scenario).outcomes)
@@ -692,9 +699,9 @@ def test_a_one_path_block_equals_run_path(monkeypatch, overrides, blocks):
     scenario = Scenario(**overrides)
     career, sizes = engine._career, []
 
-    def spy(scenario, z, space, exp):
+    def spy(scenario, z, space):
         sizes.append(z.shape[1])  # year-major: one column a path
-        return career(scenario, z, space, exp)
+        return career(scenario, z, space)
 
     monkeypatch.setattr(engine, "_career", spy)
     outcomes = records(run_scenario(scenario).outcomes)
@@ -901,13 +908,8 @@ def test_sweep_of_each_field_equals_separate_runs(field):
 
 @pytest.mark.parametrize("key, values", [("gbm_sigma", (0.0, 0.05, 0.1)),
                                          ("annuity_rate", (0.05, 0.07, 0.09))])
-@pytest.mark.parametrize(  # ndtri and exp from scipy.special, then from the numpy port
-    "block_paths, special",
-    [(paths, kind) for kind in ("scipy", "port") for paths in (1, 7, 414)],
-    ids=["1", "7", "414", "1-port", "7-port", "414-port"],
-    indirect=["special"],
-)
-def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, block_paths, special):
+@pytest.mark.parametrize("block_paths", [1, 7, 414])
+def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, block_paths):
     # a career-stage and a retirement-stage sweep: each variant's stages run
     # in the arrays the block's draws and shared career live beside
     base = Scenario(num_paths=500 if block_paths == 414 else 30)
@@ -944,31 +946,46 @@ def test_blocks_reuse_their_arrays_without_aliasing(monkeypatch, key, values, bl
         assert [got[i] for i in paths] == _bits(run_path(result.scenario, i) for i in paths)
 
 
-# A default run charges the switch 79_000 normals and 29_000 growth factors
-# in three blocks; the gbm_sigma sweep computes each block's career twice.
-# 286 paths in blocks of at most 20 take 14 blocks of 20 paths and one of 6:
-# 14 * (20 * 79 + 20 * 29) values, and the last block's two calls, on 474
-# and 174 values, are charged 2**9 each.
-@pytest.mark.parametrize("special, paths, overrides, port, block_paths", [
-    (108_000, 1000, [], 3, None),
-    (107_999, 1000, [], 0, None),
-    (137_000, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3, None),
-    (136_999, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 0, None),
-    (2**20, 10_000, [], 0, None),
-    (31_264, 286, [], 15, 20),
-    (31_263, 286, [], 0, 20),
+# Each block draws its normals in one ndtri call and takes the growth factors
+# of each career it computes in one inv_boxcox call, all from the one module
+# the loader serves. A default run is 3 blocks, 10_000 paths 25, and 286
+# paths in blocks of at most 20 are 14 blocks of 20 and one of 6; the
+# gbm_sigma sweep computes each block's career twice. The ids are those of
+# the switch the loader replaced, which a run's values fit or went over:
+# "-fits" runs with the ufuncs loaded, "-over" loads them at the run's start.
+@pytest.mark.parametrize("loaded, paths, overrides, blocks, block_paths", [
+    (True, 1000, [], 3, None),
+    (False, 1000, [], 3, None),
+    (True, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3, None),
+    (False, 1000, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)], 3, None),
+    (False, 10_000, [], 25, None),
+    (True, 286, [], 15, 20),
+    (False, 286, [], 15, 20),
 ], ids=["run-fits", "run-over", "sweep-fits", "sweep-over", "10k-over", "small-last-block-fits",
-        "small-last-block-over"], indirect=["special"])
+        "small-last-block-over"])
 def test_one_implementation_serves_a_whole_run(
-    special, paths, overrides, port, block_paths, port_calls
+    monkeypatch, loaded, paths, overrides, blocks, block_paths
 ):
+    ufuncs, calls, loads = stochastic._special(), Counter(), []
+
+    def counted(name):
+        function = getattr(ufuncs, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    served = types.SimpleNamespace(ndtri=counted("ndtri"), inv_boxcox=counted("inv_boxcox"))
+    monkeypatch.setattr(stochastic, "_ufuncs", served if loaded else None)
+    monkeypatch.setattr(stochastic, "_load_special", lambda: loads.append(served) or served)
     base = Scenario(num_paths=paths)
-    # serial, as the port's calls are counted in this process
+    # serial, as the calls are counted in this process
     with _small_blocks(base, block_paths) if block_paths else contextlib.nullcontext(), _serial():
         results = sweep(base, overrides) if overrides else [run_scenario(base)]
     careers = 2 if overrides else 1
-    assert port_calls == ({"_ndtri_port": port, "_exp_port": careers * port} if port else {})
-    assert stochastic._port_left == (0 if port else None)
+    assert calls == {"ndtri": blocks, "inv_boxcox": careers * blocks}
+    assert stochastic._ufuncs is served and len(loads) == (0 if loaded else 1)
     indices = range(0, paths, 97)
     for result in results:
         got = _bits(records(result.outcomes))
@@ -1051,9 +1068,9 @@ def test_failing_scenario_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size, space, ndtri):
+    def spy(seed, first, count, size, space):
         drawn.append(first)
-        return normals(seed, first, count, size, space, ndtri)
+        return normals(seed, first, count, size, space)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     with pytest.raises(ValueError, match="growth factor"):
@@ -1065,9 +1082,9 @@ def test_sweep_whose_first_variant_fails_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size, space, ndtri):
+    def spy(seed, first, count, size, space):
         drawn.append(first)
-        return normals(seed, first, count, size, space, ndtri)
+        return normals(seed, first, count, size, space)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     overrides = [("gbm_mu", value) for value in (800.0, 0.09, 0.1)]
@@ -1096,8 +1113,7 @@ def test_every_failing_block_raises_the_serial_runs_error(overrides, failing):
             run_scenario(scenario)
         size, paths, layout = engine._layout(scenario)
         counts = [paths] * 10
-        special = stochastic._special_functions()
-        plan = engine._Plan([scenario], "retirement", size, counts, layout, special)
+        plan = engine._Plan([scenario], "retirement", size, counts, layout)
         compute, _ = engine._blocks(plan)
         errors = []
         for index in range(10):

@@ -4,8 +4,8 @@ The digests below were recorded from `run` and `sweep` when every path ran
 through `run_path`, and from `path` and `run --detail` before scenarios
 became one flat dataclass. Any engine that serves these commands must
 reproduce the bytes exactly; regenerate the digests only with a deliberate,
-documented change to the output contract. Each case runs with ndtri and exp
-served by scipy.special and by the numpy port (see the `special` fixture).
+documented change to the output contract. One implementation serves ndtri
+and exp in every process: scipy's compiled ufuncs (see stochastic._special).
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import numpy as np
 import pytest
 
 from pensionsim import stochastic
-from pensionsim.engine import Scenario, run_path, run_scenario, sweep
+from pensionsim.engine import Scenario, run_scenario
 from pensionsim.io_cli import cli_main, parse_scenario
 from pensionsim.stochastic import gbm_drift
-from records import records
 
 # scenario file text -> sha256 of summary.json (1000 paths, seed 42)
 RUN_GOLDEN = {
@@ -79,20 +78,9 @@ def _digests(directory) -> dict[str, str]:
     }
 
 
-def _each_special(argnames, cases, ids):
-    """Parametrize by `cases`, each served by scipy.special under its id and
-    by the numpy port under `<id>-port`."""
-    return pytest.mark.parametrize(
-        f"{argnames}, special",
-        [(*case, kind) for kind in ("scipy", "port") for case in cases],
-        ids=[*ids, *(f"{i}-port" for i in ids)],
-        indirect=["special"],
-    )
-
-
 # sha256 of the C library's exp and log, through math.exp and math.log, on
 # the inputs the golden runs give them: exp on the log-returns of the
-# RUN_GOLDEN scenarios, log on the ndtri port's tail inputs from the default
+# RUN_GOLDEN scenarios, log on Cephes ndtri's tail inputs from the default
 # run's uniforms, each y of the tail and then sqrt(-2 log y). The golden
 # bytes rest on these bits, and C libraries may differ in them; so a libm
 # that does fails a test named for the function. The log-returns come
@@ -121,17 +109,19 @@ def test_libm_exp_matches_recorded_bits():
 def test_libm_log_matches_recorded_bits():
     s = Scenario()
     u = stochastic.philox_uniforms(s.seed, 0, s.num_paths, 2 * s.service_years + s.retirement_years - 1)
-    y = np.maximum(u.ravel(), stochastic._UNIFORM_FLOOR)  # as _ndtri_port sees them
-    y = np.where(y > 1.0 - stochastic._EXP_M2, 1.0 - y, y)
-    tail = y[(y > 0.0) & (y <= stochastic._EXP_M2)].tolist()
+    y = np.maximum(u.ravel(), stochastic._UNIFORM_FLOOR)  # as ndtri sees them
+    edge = math.exp(-2.0)  # Cephes' tails: y, or 1 - y, at or below exp(-2)
+    y = np.where(y > 1.0 - edge, 1.0 - y, y)
+    tail = y[(y > 0.0) & (y <= edge)].tolist()
     log_y = list(map(math.log, tail))
     t = np.sqrt(-2.0 * np.array(log_y)).tolist()
     assert _bits_digest(log_y + list(map(math.log, t))) == LIBM_GOLDEN["log"]
 
-@_each_special(
-    "config", [(c,) for c in RUN_GOLDEN], ["baseline", "annuity_rate", "service_years", "gbm_sigma"]
+
+@pytest.mark.parametrize(
+    "config", list(RUN_GOLDEN), ids=["baseline", "annuity_rate", "service_years", "gbm_sigma"]
 )
-def test_run_summary_bytes_match_golden(tmp_path, capsys, config, special):
+def test_run_summary_bytes_match_golden(tmp_path, capsys, config):
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(config)
     out = tmp_path / "out"
@@ -139,15 +129,15 @@ def test_run_summary_bytes_match_golden(tmp_path, capsys, config, special):
     assert _digests(out) == {"summary.json": RUN_GOLDEN[config]}
 
 
-@pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 def test_sweep_bytes_match_golden(tmp_path, capsys, special):
     argv = ["sweep", "--param", "service_years", "--values", "20,30,40", "--out", str(tmp_path)]
     assert cli_main(argv) == 0
     assert _digests(tmp_path) == SWEEP_GOLDEN
 
 
-@_each_special("config, index", list(PATH_GOLDEN), ["baseline-1", "detail-77"])
-def test_path_stdout_matches_golden(tmp_path, capsys, config, index, special):
+@pytest.mark.parametrize("config, index", list(PATH_GOLDEN), ids=["baseline-1", "detail-77"])
+def test_path_stdout_matches_golden(tmp_path, capsys, config, index):
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(config)
     capsys.readouterr()
@@ -156,7 +146,7 @@ def test_path_stdout_matches_golden(tmp_path, capsys, config, index, special):
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == PATH_GOLDEN[config, index]
 
 
-@pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 def test_run_detail_bytes_match_golden(tmp_path, capsys, special):
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(DETAIL_CONFIG)
@@ -166,7 +156,7 @@ def test_run_detail_bytes_match_golden(tmp_path, capsys, special):
     assert _digests(out) == DETAIL_GOLDEN
 
 
-@pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 def test_run_summary_bytes_of_signed_zeros_match_golden(tmp_path, capsys, special):
     scenario = tmp_path / "scenario.txt"
     scenario.write_text("".join(f"{key} = {value}\n" for key, value in SIGNED_ZERO.items()))
@@ -174,35 +164,6 @@ def test_run_summary_bytes_of_signed_zeros_match_golden(tmp_path, capsys, specia
     assert _digests(tmp_path / "out") == {"summary.json": SIGNED_ZERO_GOLDEN}
     final_corpus = run_scenario(Scenario(**SIGNED_ZERO)).outcomes.final_corpus
     assert (final_corpus == 0.0).all() and np.signbit(final_corpus).sum() == 191
-
-
-# A default run charges the switch 108_000 values, 79_000 normals and 29_000
-# growth factors, and the gbm_sigma sweep, two careers a block, 137_000. Each
-# budget here would run out in the first or the second block, at its normals
-# or at its growth factors, so scipy.special serves every block from the first.
-@pytest.mark.parametrize("special", [40_000, 50_000, 80_000], indirect=True)
-def test_budget_spent_mid_run_keeps_the_bits(tmp_path, capsys, monkeypatch, special, port_calls):
-    def spending(call):
-        monkeypatch.setattr(stochastic, "_port_left", special)
-        result = call()
-        assert stochastic._port_left is None and not port_calls  # scipy.special served it all
-        return result
-
-    assert spending(lambda: cli_main(["run", "--out", str(tmp_path / "run")])) == 0
-    assert _digests(tmp_path / "run") == {"summary.json": RUN_GOLDEN[""]}
-    argv = ["sweep", "--param", "gbm_sigma", "--values", "0,0.05", "--out", str(tmp_path / "sweep")]
-    assert spending(lambda: cli_main(argv)) == 0
-    digests = _digests(tmp_path / "sweep")
-    assert digests["summary_gbm_sigma_0.0.json"] == RUN_GOLDEN["gbm_sigma = 0\n"]
-    assert digests["summary_gbm_sigma_0.05.json"] == RUN_GOLDEN[""]
-
-    base = Scenario()
-    results = [spending(lambda: run_scenario(base)),
-               *spending(lambda: sweep(base, [("gbm_sigma", 0.0), ("gbm_sigma", 0.05)]))]
-    paths = range(0, base.num_paths, 7)
-    for result in results:  # repr tells -0.0 from 0.0 and round-trips every float
-        got = list(map(repr, records(result.outcomes)))
-        assert [got[i] for i in paths] == [repr(run_path(result.scenario, i)) for i in paths]
 
 
 # A fresh interpreter: import pensionsim, report whether that loaded

@@ -90,21 +90,15 @@ def _equals_run_path(result) -> bool:
     return _bits(records(result.outcomes)) == _bits(run_path(result.scenario, i) for i in paths)
 
 
-@pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 @pytest.mark.parametrize(
     "num_paths, block_paths", [(40, 1), (40, 7), (23, 5)], ids=["1", "7", "short-last-block"]
 )
 def test_a_shared_run_equals_run_path(helper, parent_blocks, special, num_paths, block_paths):
     scenario = Scenario(num_paths=num_paths, seed=11)
-    budget = stochastic._port_left
     with _small_blocks(scenario, block_paths):
         result = run_scenario(scenario)
         assert len(parent_blocks) < _blocks(scenario)  # the helper computed the others
-        left = stochastic._port_left
-        stochastic._port_left = budget
-        with _serial():
-            run_scenario(scenario)
-    assert left == stochastic._port_left  # the switch is charged as for a serial run
     assert _equals_run_path(result)
 
 
@@ -175,28 +169,44 @@ def test_a_shared_sweep_equals_run_path(helper, parent_blocks, key, values):
     assert len(parent_blocks) < blocks
 
 
+# The switch is the loader's one-way state, from no ufuncs to scipy's. A run
+# throws it once, in this process, before it shares its first block, so that
+# the helper it forks inherits the ufuncs and never loads them itself; and
+# every block, the helper's too, is computed with them.
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "serial"])
 @pytest.mark.parametrize(
-    "overrides, careers", [([], 1), ([("gbm_sigma", value) for value in (0.0, 0.05, 0.1)], 3)],
+    "overrides", [[], [("gbm_sigma", value) for value in (0.0, 0.05, 0.1)]],
     ids=["run", "gbm_sigma-sweep"],
 )
 def test_a_run_charges_the_switch_once_with_every_block(
-    monkeypatch, parent_blocks, shared, overrides, careers
+    tmp_path, monkeypatch, parent_blocks, shared, overrides
 ):
-    charged, switch = [], engine._special_functions
+    events, load, share = [], stochastic._load_special, _helper.share
+    loads = tmp_path / "loads"  # the pid of each process that loads, the helper's too
 
-    def spy(*calls):
-        charged.append(calls)
-        return switch(*calls)
+    def loading():
+        with open(loads, "a") as file:
+            file.write(f"{os.getpid()}\n")
+        events.append("load")
+        return load()
 
-    monkeypatch.setattr(engine, "_special_functions", spy)
+    def sharing(job, blocks, *args):
+        events.append(("share", blocks))
+        return share(job, blocks, *args)
+
+    monkeypatch.setattr(stochastic, "_ufuncs", None)
+    monkeypatch.setattr(stochastic, "_load_special", loading)
+    monkeypatch.setattr(_helper, "share", sharing)
     base = Scenario(num_paths=10_000)  # 25 blocks of 400 paths
     with contextlib.nullcontext() if shared else _serial():
-        sweep(base, overrides) if overrides else run_scenario(base)
-    counts = [400] * 25
-    # each block's normals, then the growth factors of each career it computes
-    assert charged == [tuple(count * size for count in counts for size in [79] + careers * [29])]
+        results = sweep(base, overrides) if overrides else [run_scenario(base)]
+    assert events == ["load", ("share", 25)]
+    assert loads.read_text() == f"{os.getpid()}\n"
     assert len(parent_blocks) < 25 if shared else len(parent_blocks) == 25
+    paths = range(0, base.num_paths, 97)
+    for result in results:
+        got = _bits(records(result.outcomes))
+        assert [got[i] for i in paths] == _bits(run_path(result.scenario, i) for i in paths)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "serial"])
@@ -225,7 +235,7 @@ def test_a_paths_bits_do_not_depend_on_its_block(monkeypatch, parent_blocks, sha
     assert [got[i] for i in indices] == _bits(run_path(scenario, i) for i in indices)
 
 
-@pytest.mark.parametrize("special", ["scipy", "port"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 def test_a_shared_run_keeps_the_golden_bytes(tmp_path, capsys, helper, special):
     with _small_blocks(Scenario(), 100):  # ten blocks of the 1000 paths
         for number, (config, digest) in enumerate(RUN_GOLDEN.items()):

@@ -3,13 +3,13 @@ from __future__ import annotations
 import ast
 import math
 import pathlib
-import pickle
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
-from scipy.special import inv_boxcox, ndtri
+from scipy.special import ndtri
 
 from pensionsim import stochastic
 from pensionsim.engine import Scenario
@@ -308,168 +308,23 @@ def test_bad_params_rejected():
         Scenario(inflation_mean_pct=float("inf"), inflation_sd_pct=1.0)
 
 
-# --- the numpy port of ndtri and the math.exp map, against scipy ------------
-
-
-def _same_bits(got, want) -> np.ndarray:
-    """Where `got` and `want` hold the same float64, NaN counting as equal to NaN."""
-    nan = np.isnan(got)
-    return (got.view(np.int64) == want.view(np.int64)) | (nan & np.isnan(want))
-
-
-@pytest.mark.parametrize("seed", [42, 2**64 - 1])
-def test_ndtri_port_equals_scipy_bitwise_on_philox_uniforms(seed):
-    # 1.2M uniforms a seed, clamped as every draw is; the tail past exp(-2)
-    # takes about 27% of them
-    u = np.maximum(philox_uniforms(seed, 5, 12_000, 100), 2.0**-53)
-    got = stochastic._ndtri_port(u)
-    same = _same_bits(got, ndtri(u))
-    assert same.all(), u[~same][:5]
-
-
-def _neighbours(x: float, k: int = 3) -> list[float]:
-    """x and the k floats on each side of it."""
-    below = above = x
-    out = [x]
-    for _ in range(k):
-        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-        out += [below, above]
-    return out
-
-
-EXP_M2 = 0.13533528323661269189  # Cephes' exp(-2), where the tail begins
-NDTRI_EDGES = [
-    2.0**-53, 1.0 - 2.0**-53, 0.5,
-    *_neighbours(EXP_M2), *_neighbours(math.exp(-2.0)),
-    *_neighbours(1.0 - EXP_M2), *_neighbours(1.0 - math.exp(-2.0)),
-    # below exp(-32), where the tail switches from P1/Q1 to P2/Q2: every
-    # uniform the generator can draw there (multiples of 2**-53), on both sides
-    *_neighbours(math.exp(-32.0)), *np.geomspace(5e-324, math.exp(-32.0), 40)[:-1],
-    *(k * 2.0**-53 for k in range(1, 116)), *(1.0 - k * 2.0**-53 for k in range(1, 116)),
-]
-
-
-def test_ndtri_port_equals_scipy_bitwise_at_the_branch_edges():
-    u = np.array(NDTRI_EDGES)
-    got = stochastic._ndtri_port(u)
-    same = _same_bits(got, ndtri(u))
-    assert same.all(), u[~same]
-    assert got[2] == 0.0 and not np.signbit(got[2])
-
-
-def test_ndtri_port_outside_the_open_interval_is_scipys():
-    u = np.array([0.0, 1.0, -0.0, -1e-300, 1.0 + 2.0**-52, -1.0, 2.0, np.inf, -np.inf, np.nan])
-    got = stochastic._ndtri_port(u)  # no RuntimeWarning: each branch sees its own values
-    assert _same_bits(got, ndtri(u)).all(), got
-    assert got[:2].tolist() == [-np.inf, np.inf] and np.isnan(got[3:]).all()
-
-
-@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (7, 5), (2, 3, 4)])
-def test_ndtri_port_writes_over_its_input_in_any_layout(shape):
-    u = np.random.default_rng(11).uniform(size=shape)
-    want = ndtri(u)
-    # u in C order, and as a transposed view, the layout stream_normals hands over
-    for y in (np.array(u), np.array(u.T).T):
-        got = stochastic._ndtri_port(y, out=y)
-        assert got is y
-        assert _same_bits(got, want).all()
-
-
-EXP_INPUTS = {
-    "log-returns": lambda rng: 0.0875 + 0.05 * stream_normals(7, 0, 20_000, 29),
-    "wide": lambda rng: rng.uniform(-745.2, 709.78, 400_000),
-    "special": lambda rng: np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 709.782712893384,
-                                     -745.1332191019411, -745.2]),
-}
-
-
-@pytest.mark.parametrize("family", list(EXP_INPUTS))
-def test_exp_port_equals_inv_boxcox_and_math_exp_bitwise(family):
-    r = EXP_INPUTS[family](np.random.default_rng(5))
-    got = stochastic._exp_port(r)
-    assert got.shape == r.shape
-    assert _same_bits(got, inv_boxcox(r, 0.0)).all()
-    expected = np.fromiter(map(math.exp, r.ravel().tolist()), float, r.size).reshape(r.shape)
-    assert _same_bits(got, expected).all()
-
-
-OVERFLOW = [709.7827128933841, 710.0, 1e308, np.finfo(float).max]
+EXP_MAX = 709.782712893384  # the largest float whose exp is finite
 
 
 def test_exp_max_is_the_largest_float_whose_exp_is_finite():
-    assert math.isfinite(math.exp(stochastic._EXP_MAX))
+    assert math.isfinite(math.exp(EXP_MAX))
     with pytest.raises(OverflowError):
-        math.exp(np.nextafter(stochastic._EXP_MAX, np.inf))
-    assert OVERFLOW[0] == np.nextafter(stochastic._EXP_MAX, np.inf)
+        math.exp(np.nextafter(EXP_MAX, np.inf))
 
 
-@pytest.mark.parametrize("family", list(EXP_INPUTS))
-def test_exp_port_gives_inf_past_overflow_as_inv_boxcox_does(family):
-    r = np.concatenate([EXP_INPUTS[family](np.random.default_rng(5)).ravel(), OVERFLOW])
-    want = inv_boxcox(r, 0.0)
-    assert np.isinf(want[-len(OVERFLOW):]).all()
-    assert _same_bits(stochastic._exp_port(r), want).all()
-    got = stochastic._exp_port(r, out=r)  # in place, as inv_boxcox may be called
-    assert got is r and _same_bits(r, want).all()
-
-
-@pytest.mark.parametrize("special", ["port", "scipy"], indirect=True)
+@pytest.mark.parametrize("special", ["scipy"], indirect=True)
 @pytest.mark.parametrize("value", [709.8, 1e308, np.finfo(float).max])
 def test_growth_factor_overflow_message_is_the_same_from_either(special, value):
-    if special == "port":  # inf, as from inv_boxcox: neither exp raises
-        got = stochastic._exp_port(np.array([value]))
-        assert got[0] == np.inf and _same_bits(got, inv_boxcox(np.array([value]), 0.0)).all()
     message = r"^market growth factor exp\(log_return\) overflows: gbm_mu or gbm_sigma is too large$"
     with pytest.raises(ValueError, match=message):
         growth_factors([0.0, np.nan, value, np.inf])
     got = growth_factors([np.inf, -np.inf, np.nan, 0.0])
     assert got[0] == np.inf and got[1] == 0.0 and np.isnan(got[2]) and got[3] == 1.0
-
-
-@pytest.mark.parametrize("special", [2048], indirect=True)
-def test_the_switch_charges_each_call_at_least_its_fixed_cost(special):
-    port = (stochastic._ndtri_port, stochastic._exp_port)
-    assert stochastic._special_functions(1) == port  # charged 2**9
-    assert stochastic._special_functions(1000) == port
-    assert stochastic._port_left == 2048 - 512 - 1000
-    scipy_functions = stochastic._special_functions(537)  # one value past the budget
-    assert scipy_functions == (stochastic._ndtri_scipy, stochastic._exp_scipy)
-    assert stochastic._port_left is None
-    assert stochastic._special_functions(1) == scipy_functions  # for good
-
-
-def test_either_pair_of_special_functions_pickles_by_reference(monkeypatch):
-    # a run hands its pair to the helper process in a pickled job
-    port = stochastic._special_functions(1)
-    assert port == (stochastic._ndtri_port, stochastic._exp_port)
-    monkeypatch.setattr(stochastic, "_port_left", None)
-    scipy_functions = stochastic._special_functions(1)
-    assert scipy_functions == (stochastic._ndtri_scipy, stochastic._exp_scipy)
-    for pair in (port, scipy_functions):
-        assert pickle.loads(pickle.dumps(pair)) == pair
-
-
-def _names(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            yield from node.names
-
-
-def test_only_the_stochastic_module_names_the_switch_state():
-    switch = {"_port_left", "_expect_calls"}
-    named = {
-        path.name: switch.intersection(_names(ast.parse(path.read_text())))
-        for path in pathlib.Path(stochastic.__file__).parent.glob("*.py")
-    }
-    assert named.pop("stochastic.py") == {"_port_left"}
-    assert {"engine.py", "_helper.py", "accumulation.py"} <= named.keys()
-    assert {name: found for name, found in named.items() if found} == {}
 
 
 def test_the_accumulation_module_imports_no_private_name():
@@ -480,9 +335,84 @@ def test_the_accumulation_module_imports_no_private_name():
     assert [name for name in imported if name.startswith("_")] == []
 
 
-@pytest.mark.parametrize("special", [2048], indirect=True)
-def test_the_switch_uses_scipy_once_it_is_loaded(special, monkeypatch):
-    assert stochastic._special_functions(1)[0] is stochastic._ndtri_port
-    monkeypatch.setitem(sys.modules, "scipy.special", sys.modules["scipy"].special)
-    assert stochastic._special_functions(1)[0] is stochastic._ndtri_scipy
-    assert stochastic._port_left is None
+# A fresh interpreter with warnings as errors: put src on sys.path, run the
+# test's code, and print what it found as a dict
+def _fresh(tmp_path, code: str) -> dict:
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = f"import sys; sys.path.insert(0, {str(src)!r})\n{code}\nprint(facts)"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+LOAD_IN_THREADS = """
+import contextlib, io, threading
+from pensionsim import cli_main, stochastic
+
+barrier, got = threading.Barrier(4), []
+
+def load():
+    barrier.wait(timeout=60)
+    got.append(stochastic._special())
+
+sys.setswitchinterval(1e-6)  # switch threads within the load, not once in 5 ms
+threads = [threading.Thread(target=load) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+facts = {"alive": any(thread.is_alive() for thread in threads),
+         "loaded": [module.__name__ for module in got],
+         "same": all(module is got[0] for module in got), "stub": "scipy.special" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli_main(["path", "--index", "0"]), cli_main(["run", "--out", "out"])]
+facts.update(codes=codes, imported="scipy.special" in sys.modules)
+import scipy.special
+facts["served"] = [scipy.special.ndtri is got[0].ndtri, scipy.special.inv_boxcox is got[0].inv_boxcox]
+"""
+
+
+def test_threads_loading_the_ufuncs_at_once_share_one_module_and_leave_no_stub(tmp_path):
+    assert _fresh(tmp_path, LOAD_IN_THREADS) == {
+        "alive": False,
+        "loaded": ["scipy.special._ufuncs"] * 4,
+        "same": True,
+        "stub": False,
+        "codes": [0, 0],
+        "imported": False,  # no command ran scipy.special's __init__
+        "served": [True, True],  # a later import of it serves the same ufuncs
+    }
+
+
+# the shortcut fails as on a scipy laid out otherwise: _ufuncs does not
+# import beneath the stub
+SHORTCUT_FAILS = """
+import importlib, os
+from pensionsim import stochastic
+
+import_module, stubbed = importlib.import_module, []
+
+def failing(name, *args):
+    if name == "scipy.special._ufuncs":
+        stubbed.append(getattr(sys.modules["scipy.special"], "__file__", None))
+        raise ImportError(name)
+    return import_module(name, *args)
+
+importlib.import_module = failing
+module = stochastic._special()
+facts = {"stubbed": stubbed, "module": module.__name__,
+         "public": module is sys.modules["scipy.special"],
+         "file": os.path.basename(module.__file__),
+         "normals": stochastic.stream_normals(42, 0, 3, 79).tobytes().hex()}
+"""
+
+
+def test_the_loader_falls_back_to_the_public_package_and_leaves_no_stub(tmp_path):
+    assert _fresh(tmp_path, SHORTCUT_FAILS) == {
+        "stubbed": [None],  # the shortcut ran, beneath a stub with no file
+        "module": "scipy.special",
+        "public": True,  # not the stub, which is gone
+        "file": "__init__.py",
+        "normals": stream_normals(42, 0, 3, 79).tobytes().hex(),
+    }
