@@ -194,7 +194,11 @@ def _coerce(field: Field, value) -> int | float:
         problem = f"must be <= {field.high}"
     else:
         return value
-    raise ConfigError(f"{key} {problem}, got {value}")
+    try:
+        got = f", got {value}"
+    except ValueError:  # an int of more digits than str() converts; the message leaves it out
+        got = ""
+    raise ConfigError(f"{key} {problem}{got}")
 
 
 def _check_keys(keys) -> None:
@@ -519,7 +523,7 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
         return _run(scenarios, "draws")
     results = []
     for scenario, outcome in zip(scenarios, outcomes):
-        check_outcome(outcome)  # it and summarize raise ValueError naming the metric
+        check_outcome(outcome)  # it and summarize raise ValueError naming the field
         summaries = {name: summarize(getattr(outcome, name), name) for name in METRICS}
         results.append(ScenarioResult(scenario=scenario, outcomes=outcome, **summaries))
     return results
@@ -647,23 +651,29 @@ class ScenarioResult:
         return getattr(self, name)
 
 
+# PathOutcome's fields after path_index, as an error names them; a pension is
+# named with what it is computed from, since the scenario has no pension key
+_CHECKED = {name: name for name in PathOutcome._fields[1:]}
+_CHECKED["pension"] = "pension (final_corpus * annuity_rate)"
+
+
 def check_outcome(outcome: PathOutcome) -> None:
-    """Raise ValueError naming the metric and the first path when a metric is not finite.
+    """Raise ValueError naming the field and the first path when a field is not finite.
 
     Each field holds one path's value, or a column over the paths `path_index` lists.
     """
     if not isinstance(outcome.path_index, np.ndarray):  # one path's numbers
-        for name in METRICS:
+        for name, label in _CHECKED.items():
             value = getattr(outcome, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} is not finite on path {outcome.path_index}: {value}")
+                raise ValueError(f"{label} is not finite on path {outcome.path_index}: {value}")
         return
-    for name in METRICS:
+    for name, label in _CHECKED.items():
         column = getattr(outcome, name)
         col = int(np.isfinite(column).argmin())  # the first that is not finite, or else 0
         if not math.isfinite(column[col]):
             path = outcome.path_index[col]
-            raise ValueError(f"{name} is not finite on path {path}: {column[col]}")
+            raise ValueError(f"{label} is not finite on path {path}: {column[col]}")
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -674,8 +684,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     `run_path`'s bit for bit. A run of at least _helper._HELPER_BLOCKS
     blocks is computed in this process and a helper process (see _helper),
     when the process may use two CPUs and runs no other thread.
-    Raises ValueError naming the metric when an outcome or a summary
-    statistic is not finite (a numeric blow-up of the scenario's
+    Raises ValueError naming the outcome field or metric when an outcome or
+    a summary statistic is not finite (a numeric blow-up of the scenario's
     parameters). It runs sweep's blocks with one scenario, from one plan
     of the run (see _run), each computed once in either process; every
     block that fails raises the same error, so the error raised is the one

@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -25,7 +24,6 @@ from .engine import (
     ConfigError,
     Scenario,
     ScenarioResult,
-    SummaryStats,
     check_field,
     check_outcome,
     run_path_detail,
@@ -135,55 +133,22 @@ def retirement_csv(table) -> str:
     return _csv(RetirementYear, table)
 
 
-# summary.json has the layout json.dumps(doc, indent=2, allow_nan=False)
-# gives its document, written here for its one schema in about half the
-# time of the pure-Python encoder that call runs. Numbers are
-# float.__repr__ and int.__repr__, as that encoder writes them; every key
-# is a plain identifier, which JSON quotes as it stands; CONVENTIONS is
-# rendered by json.dumps, once.
-_CONVENTIONS_JSON = json.dumps(CONVENTIONS, indent=2).replace("\n", "\n    ")
-
-
-def _json_object(items, indent: str) -> str:
-    """A JSON object of (key, value text) pairs, with its members at `indent` + 2 spaces."""
-    inner = ",\n" + indent + "  "
-    members = inner.join([f'"{key}": {text}' for key, text in items])
-    return "{" + inner[1:] + members + "\n" + indent + "}"
-
-
-def _json_list(texts: list[str], indent: str) -> str:
-    """A JSON list of value texts, with its items at `indent` + 2 spaces."""
-    if not texts:
-        return "[]"
-    inner = ",\n" + indent + "  "
-    return "[" + inner[1:] + inner.join(texts) + "\n" + indent + "]"
-
-
-def _floats(values) -> list[str]:
-    """Each value as the JSON encoder writes it; ValueError, as it raises, if one is not finite."""
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return list(map(float.__repr__, values))
-
-
-def _stats_json(stats: SummaryStats) -> str:
-    """One metric's block of summary.json, at the indent of a metric."""
-    moments = _floats((stats.mean, stats.sd, stats.min, stats.max))
-    quantiles = _floats([stats.quantiles[label] for label in QUANTILE_LABELS])
-    histogram = (
-        ("edges", _json_list(_floats(stats.bin_edges), " " * 8)),
-        ("counts", _json_list(list(map(int.__repr__, stats.bin_counts)), " " * 8)),
-    )
-    return _json_object(
-        (
-            ("count", int.__repr__(stats.count)),
-            *zip(("mean", "sd", "min", "max"), moments),
-            ("quantiles", _json_object(zip(QUANTILE_LABELS, quantiles), " " * 6)),
-            ("histogram", _json_object(histogram, " " * 6)),
-        ),
-        " " * 4,
-    )
+@functools.lru_cache(maxsize=4)  # a run's metrics share one histogram shape
+def _summary_layout(histograms: tuple[tuple[int, int], ...]) -> list[str]:
+    """The text of summary.json around its values, for metrics whose histograms
+    have these (edge count, bin count) shapes: json.dumps(indent=2) of the
+    document with None for every value, split at each null. No key and no
+    convention holds the text null."""
+    metric = dict.fromkeys(("count", "mean", "sd", "min", "max"))
+    metric["quantiles"] = dict.fromkeys(QUANTILE_LABELS)
+    doc = {
+        "scenario": {**dict.fromkeys(DEFAULTS), "conventions": CONVENTIONS},
+        "metrics": {
+            name: {**metric, "histogram": {"edges": [None] * edges, "counts": [None] * counts}}
+            for name, (edges, counts) in zip(METRICS, histograms)
+        },
+    }
+    return json.dumps(doc, indent=2).split("null")
 
 
 def emit_summary(result: ScenarioResult) -> str:
@@ -193,12 +158,23 @@ def emit_summary(result: ScenarioResult) -> str:
     with no NaN or Infinity, of the document {"scenario": {every scenario
     field, then "conventions": CONVENTIONS}, "metrics": {each metric's
     count, mean, sd, min, max, "quantiles" by label and "histogram" with
-    "edges" and "counts"}}.
+    "edges" and "counts"}}. One compact json.dumps writes the values, in
+    document order, into the layout cached for the histograms' shapes.
     """
-    fields = [(key, _fmt(getattr(result.scenario, key))) for key in DEFAULTS]
-    scenario = _json_object([*fields, ("conventions", _CONVENTIONS_JSON)], "  ")
-    metrics = _json_object([(name, _stats_json(result.metric(name))) for name in METRICS], "  ")
-    return _json_object((("scenario", scenario), ("metrics", metrics)), "") + "\n"
+    values = [getattr(result.scenario, key) for key in DEFAULTS]
+    shapes = []
+    for name in METRICS:
+        stats = result.metric(name)
+        values += (stats.count, stats.mean, stats.sd, stats.min, stats.max)
+        values += map(stats.quantiles.__getitem__, QUANTILE_LABELS)
+        values += (*stats.bin_edges, *stats.bin_counts)
+        shapes.append((len(stats.bin_edges), len(stats.bin_counts)))
+    layout = _summary_layout(tuple(shapes))
+    texts = json.dumps(values, allow_nan=False)[1:-1].split(", ")
+    pieces = layout + texts  # the layout's parts, with a value's text between each two
+    pieces[::2] = layout
+    pieces[1::2] = texts
+    return "".join(pieces) + "\n"
 
 
 def _write_files(out: Path, files: dict[str, str]) -> None:

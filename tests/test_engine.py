@@ -115,6 +115,14 @@ def test_scenario_rejects_what_scenario_from_values_rejects(values, key):
             build()
 
 
+_BUILDS = {
+    "Scenario": lambda key, value: Scenario(**{key: value}),
+    "check_field": lambda key, value: engine.check_field(key, value),
+    "with_field": lambda key, value: with_field(Scenario(), key, value),
+    "scenario_from_values": lambda key, value: scenario_from_values({key: value}),
+}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("basic_start", 10**400), ("gbm_mu", -(10**309)), ("annuity_rate", 10**5000)],
@@ -122,16 +130,27 @@ def test_scenario_rejects_what_scenario_from_values_rejects(values, key):
 )
 def test_an_int_past_float_range_is_a_config_error_naming_the_key(key, value):
     # the message leaves the value out: str() of an int over 4300 digits raises
-    builds = [
-        lambda: Scenario(**{key: value}),
-        lambda: engine.check_field(key, value),
-        lambda: with_field(Scenario(), key, value),
-        lambda: scenario_from_values({key: value}),
-    ]
-    for build in builds:
+    for build in _BUILDS.values():
         with pytest.raises(ConfigError) as info:
-            build()
+            build(key, value)
         assert str(info.value) == f"{key} is out of range for a float"
+
+
+@pytest.mark.parametrize("build", list(_BUILDS))
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("num_paths", 10**5000, "must be <= 18446744073709551616"),
+        ("seed", 10**5000, "must be <= 18446744073709551615"),
+        ("seed", -(10**5000), "must be >= 0"),
+    ],
+    ids=["num_paths", "seed", "-seed"],
+)
+def test_an_int_too_long_to_print_is_a_config_error_naming_the_key(build, key, value, problem):
+    # str() of an int over 4300 digits raises, so the message leaves the value out
+    with pytest.raises(ConfigError) as info:
+        _BUILDS[build](key, value)
+    assert str(info.value) == f"{key} {problem}"
 
 
 def test_scenario_stores_coerced_values():

@@ -253,7 +253,7 @@ def test_emit_summary_bytes_stable():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("where", ["mean", "quantile", "edge"])
+@pytest.mark.parametrize("where", ["mean", "sd", "min", "max", "quantile", "first-edge", "edge"])
 def test_emit_summary_rejects_a_statistic_that_is_not_finite(value, where):
     # strict JSON has no NaN or Infinity; summarize raises before it would
     # give one, so the statistics are set by hand
@@ -261,12 +261,38 @@ def test_emit_summary_rejects_a_statistic_that_is_not_finite(value, where):
     stats = result.pv_support
     changed = {
         "mean": {"mean": value},
+        "sd": {"sd": value},
+        "min": {"min": value},
+        "max": {"max": value},
         "quantile": {"quantiles": {**stats.quantiles, "p50": value}},
+        "first-edge": {"bin_edges": (value, *stats.bin_edges[1:])},
         "edge": {"bin_edges": (*stats.bin_edges[:-1], value)},
     }[where]
     bad = dataclasses.replace(result, pv_support=dataclasses.replace(stats, **changed))
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_summary(bad)
+
+
+def test_a_summary_of_a_known_histogram_shape_builds_no_new_layout(monkeypatch):
+    # the layout is json.dumps(indent=2), whose pure-Python encoder takes
+    # about twice emit_summary's time, so a summary of a shape already
+    # written must not run it again
+    emit_summary(run_scenario(Scenario(num_paths=10)))
+    layouts = mock.Mock(wraps=json.encoder._make_iterencode)  # the indenting encoder
+    monkeypatch.setattr(json.encoder, "_make_iterencode", layouts)
+    result = run_scenario(Scenario(num_paths=12, seed=3))
+    emit_summary(result)
+    emit_summary(result)
+    assert layouts.call_count == 0
+    stats = result.pv_support
+    shorter = dataclasses.replace(
+        stats, bin_edges=stats.bin_edges[:-1], bin_counts=stats.bin_counts[:-1]
+    )
+    text = emit_summary(dataclasses.replace(result, pv_support=shorter))
+    assert layouts.call_count == 1
+    assert json.loads(text)["metrics"]["pv_support"]["histogram"]["counts"] == list(
+        shorter.bin_counts
+    )
 
 
 def _summary_document(result):
@@ -753,6 +779,31 @@ def test_cli_non_finite_outcome_is_runtime_error(tmp_path, capsys, command):
     assert cli_main([command, "--config", str(config), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: pv_support is not finite on path 0: inf\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ("basic_start = 1e300\nannuity_rate = 1e10\n", ["run", "--detail", "0"]),
+        ("basic_start = 1e300\nannuity_rate = 1e10\n", ["path", "--index", "0"]),
+        ("", ["sweep", "--param", "annuity_rate", "--values", "1.7e+308"]),
+    ],
+    ids=["run", "path", "sweep"],
+)
+def test_cli_pension_overflow_is_runtime_error(tmp_path, capsys, config, argv):
+    # a finite corpus times a large annuity_rate overflows the pension alone:
+    # every top-up is then 0, so no metric shows it
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("num_paths = 1\n" + config)
+    out = tmp_path / "out"
+    if argv[0] != "path":
+        argv = [*argv, "--out", str(out)]
+    assert cli_main([*argv, "--config", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    message = "pension (final_corpus * annuity_rate) is not finite on path 0: inf"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
 
