@@ -261,6 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     path_cmd.add_argument("--config", type=Path, help="scenario file; defaults apply if omitted")
     path_cmd.add_argument("--index", type=int, required=True, help="path index to print")
     path_cmd.set_defaults(handler=_cmd_path)
+    parser.commands = commands.choices  # name -> subparser, for cli_main's direct route
     return parser
 
 
@@ -269,7 +270,8 @@ def _load_scenario(args) -> Scenario:
         text = ""
     else:
         try:
-            text = args.config.read_text(encoding="utf-8-sig")  # a BOM is skipped
+            # a BOM is skipped; parse_scenario's splitlines ends lines at \r\n and \r
+            text = args.config.read_bytes().decode("utf-8-sig")
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
         except (OSError, UnicodeDecodeError) as exc:
@@ -337,7 +339,10 @@ def cli_main(argv=None) -> int:
         if len(argv[i]) > 2 and "--values".startswith(argv[i]):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
-        args = _build_parser().parse_args(argv)
+        # a command's own parser takes its argv directly; any other argv goes to the top level
+        parser = _build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 0

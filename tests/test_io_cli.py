@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -557,15 +558,22 @@ def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
     [
         (lambda path: path.mkdir(), "Is a directory"),
         (lambda path: path.write_bytes(b"num_paths = 5 # \xff\n"), "can't decode byte 0xff"),
+        # past read_text's first 8 KiB chunk; a BOM is not counted in the position
+        (lambda path: path.write_bytes(b"# " + b"x" * 9000 + b"\nnum_paths = 5 # \xff\n"),
+         "byte 0xff in position 9019: invalid start byte"),
+        (lambda path: path.write_bytes(b"\xef\xbb\xbf# " + b"x" * 9000 + b"\nseed = 1 \xc3"),
+         "byte 0xc3 in position 9012: unexpected end of data"),
     ],
-    ids=["directory", "not-utf8"],
+    ids=["directory", "not-utf8", "not-utf8-past-8KiB", "bom-then-truncated-past-8KiB"],
 )
 def test_cli_unreadable_config_is_config_error_naming_the_file(tmp_path, capsys, make, reason):
     config = tmp_path / "scenario.cfg"
     make(config)
+    with pytest.raises((OSError, UnicodeDecodeError)) as read:  # the error read_text gives
+        config.read_text(encoding="utf-8-sig")
     assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read config file {config}: ") and reason in err
+    assert capsys.readouterr().err == f"error: cannot read config file {config}: {read.value}\n"
+    assert reason in str(read.value)
     assert not (tmp_path / "out").exists()
 
 
@@ -601,6 +609,133 @@ def test_cli_builds_its_parser_once(tmp_path, capsys):
     for _ in range(2):
         assert cli_main(["run", "--paths", "3", "--out", str(tmp_path)]) == 0
     assert io_cli._build_parser.cache_info().misses == 1
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """The namespaces the command handlers receive; the handlers only record them."""
+    received = []
+    for name in ("_cmd_run", "_cmd_sweep", "_cmd_path"):
+        monkeypatch.setattr(io_cli, name, lambda args: received.append(args) or 0)
+    io_cli._build_parser.cache_clear()  # a parser built with the recording handlers
+    yield received
+    io_cli._build_parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["run"], None),
+        (["run", "--config", "a.cfg", "--paths", "3", "--seed", "7", "--out", "o",
+          "--detail", "1", "2"], None),
+        (["run", "--detail", "1", "--detail", "2", "-3"], None),
+        (["run", "--paths=3", "--seed=-4", "--out=o", "--detail=5"], None),
+        (["sweep", "--param", "seed", "--values", "1,2"], None),
+        (["sweep", "--pa", "seed", "--val", "-10,4"],
+         ["sweep", "--pa", "seed", "--val=-10,4"]),
+        (["sweep", "--param=seed", "--values=3", "--config=a.cfg", "--out=o"], None),
+        (["path", "--index", "0"], None),
+        (["path", "--conf", "a.cfg", "--ind", "3"], None),
+        (["path", "--config=a.cfg", "--index=-1"], None),
+    ],
+)
+def test_cli_routes_a_command_as_argparse_parses_it(handled, argv, parsed):
+    # the namespace a command's own parser gives is the top-level parser's,
+    # but for `command`, which only the top level sets; `parsed` is argv after
+    # cli_main's --values rewrite
+    assert cli_main(argv) == 0
+    expected = vars(io_cli._build_parser().parse_args(parsed or argv))
+    assert expected.pop("command") == argv[0]
+    assert vars(handled.pop()) == expected and not handled
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "path"])
+def test_cli_command_help_is_the_top_level_parsers(capsys, command):
+    for flag in ("-h", "--help"):
+        assert cli_main([command, flag]) == 0
+        routed = capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            io_cli._build_parser().parse_args([command, flag])
+        assert done.value.code == 0
+        assert capsys.readouterr() == routed
+        assert routed.out.startswith(f"usage: pensionsim {command} [-h]") and routed.err == ""
+
+
+# exit code, stdout and stderr of each argv, as the top-level parser alone
+# gave them before a command's argv went straight to its own parser
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'run', 'sweep', 'path')"),
+        (["--index", "1", "path"],
+         "argument command: invalid choice: '1' (choose from 'run', 'sweep', 'path')"),
+        (["path"], "the following arguments are required: --index"),
+        (["path", "--index", "1", "extra"], "unrecognized arguments: extra"),
+        (["run", "--paths", "abc"], "argument --paths: invalid int value: 'abc'"),
+        (["path", "--paths", "3"], "the following arguments are required: --index"),
+    ],
+)
+def test_cli_usage_errors_are_unchanged(capsys, argv, err):
+    assert cli_main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_cli_parses_a_command_without_the_top_level_parser(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("top-level parse")
+
+    monkeypatch.setattr(io_cli._build_parser(), "parse_known_args", refuse)
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_paths = 3\n")
+    for argv in (
+        ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+        ["sweep", "--config", str(config), "--param", "seed", "--values", "1,2",
+         "--out", str(tmp_path / "sweep")],
+        ["path", "--config", str(config), "--index", "2"],
+    ):
+        assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    for argv in ([], ["--help"]):  # these still reach the top-level parser
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", "error: top-level parse\n")
+
+
+def _config_as_read_text(path: Path):
+    """What parse_scenario makes of read_text's text: a Scenario or an error message."""
+    try:
+        return parse_scenario(path.read_text(encoding="utf-8-sig"))
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\ufeffnum_paths = 5\nseed = 3\n",
+        "\ufeffnum_paths = 5\nseed = x\n",
+        "num_paths = 5\r\n\r\nseed = 3\r\n",
+        "num_paths = 5\r\n\r\nseed = x\r\n",
+        "num_paths = 5\r\rseed = 3\r",
+        "num_paths = 5\r\r\nseed = x",
+        "num_paths = 5\x0cseed = 3\n",
+        "num_paths = 5 # a\x0c\nseed = x\n",
+        "num_paths = 5\u2028seed = 3\u2029",
+        "num_paths = 5\u2028seed = x\n",
+    ],
+    ids=["bom", "bom-error", "crlf", "crlf-error", "cr", "cr-error",
+         "form-feed", "form-feed-error", "line-separator", "line-separator-error"],
+)
+def test_config_read_parses_as_read_text_would(tmp_path, text):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(text.encode("utf-8"))
+    expected = _config_as_read_text(config)
+    try:
+        loaded = io_cli._load_scenario(argparse.Namespace(config=config))
+    except ConfigError as exc:
+        loaded = str(exc)
+    assert loaded == expected
+    assert isinstance(expected, Scenario) == ("seed = 3" in text)
 
 
 def test_cli_run_after_a_detail_run_writes_no_detail(tmp_path, capsys):
