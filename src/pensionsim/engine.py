@@ -324,10 +324,11 @@ def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ..
     last, which holds fewer by less than the number of blocks unless
     _MIN_BLOCK_PATHS binds. A block's time grows with its paths, so two
     processes that share a run finish their last blocks at about the same
-    time. The arrays are (shape, dtype) by name, each year-major with a
-    column for each path the largest block of the career may hold, or for
-    each of the run's paths if fewer: the draws (see normals_layout), then
-    the arrays of _career and of _retirement.
+    time. The arrays are (shape, dtype) by name, each with room for as many
+    paths as the largest block of the career may hold, or for each of the
+    run's paths if fewer: the draws, path-major with a row a path (see
+    normals_layout), then the arrays of _career and of _retirement,
+    year-major with a column a path.
     """
     n, m = scenario.service_years, scenario.retirement_years
     size = 2 * n + m - 1
@@ -349,10 +350,11 @@ def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ..
 def _career(scenario: Scenario, z: np.ndarray, space: dict):
     """The career half of a block of paths, on year-major normals `z`.
 
-    Row t of `z` holds draw t of each path (see stream_normals), one column
-    a path. Computes in `space`'s career arrays, never in `z`, and returns
-    the final corpus, the final salary and the (n+m, paths) inflation
-    matrix, each as `run_path` computes them.
+    Row t of `z` holds draw t of each path, one column a path: the
+    transpose of stream_normals' block. Computes in `space`'s career
+    arrays, never in `z`, and returns the final corpus, the final salary
+    and the (n+m, paths) inflation matrix, each as `run_path` computes
+    them.
     """
     n, m = scenario.service_years, scenario.retirement_years
     # inflation_series and gbm_log_returns, column-wise
@@ -426,7 +428,7 @@ def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
     in PathOutcome's field order after path_index.
     """
     s = plan.scenarios[0]
-    z = stream_normals(s.seed, first, count, plan.size, block).T
+    z = stream_normals(s.seed, first, count, plan.size, block).T  # year-major, strided
     shared = _career(s, z, block) if plan.stage == "retirement" else None
     kinds = len(_OUTCOME_KINDS)
     for number, scenario in enumerate(plan.scenarios):
@@ -436,6 +438,14 @@ def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
 
 # this thread's block arrays of its last run, as `blocks`: (layout, arrays)
 _kept = threading.local()
+
+
+def _shaped(name: str, buffer: np.ndarray, shape: tuple[int, ...], count: int) -> np.ndarray:
+    """The leading values of `buffer` as layout array `name` of a block of `count` paths:
+    `shape` with `count` on its path axis, the first of the path-major draws
+    and the last of every other array."""
+    shape = (count, *shape[1:]) if name == "normals" else (*shape[:-1], count)
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _blocks(plan: _Plan, columns=None) -> tuple:
@@ -463,7 +473,7 @@ def _blocks(plan: _Plan, columns=None) -> tuple:
         _kept.blocks = plan.layout, space
     arrays = {  # by a block's paths: the first block's, and the last's
         count: {
-            name: space[name][: math.prod(shape[:-1]) * count].reshape(*shape[:-1], count)
+            name: _shaped(name, space[name], shape, count)
             for name, (shape, _) in plan.layout.items()
         }
         for count in {counts[0], counts[-1]}

@@ -281,7 +281,7 @@ def test_a_run_peaks_at_its_outcome_columns_plus_one_block(run):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the columns take 40 B a path and one block's arrays under 2 MB; block
+    # the columns take 40 B a path and one block's arrays 0.9 MB; block
     # results held until a concatenation at the end took some 90 B a path
     assert peak <= 64 * scenario.num_paths, peak / scenario.num_paths
 

@@ -86,7 +86,21 @@ def test_stream_block_rows_are_the_streams(seed, size):
         assert block.shape == (5, size)
         for row, stream_id in zip(block, range(first, first + 5)):
             assert np.array_equal(row, RandomStream(seed, stream_id).standard_normal(size))
-    for count, draws in ((0, size), (5, 0), (0, 0)):  # an empty counter grid
+    # a block of a 10,000-path run of the default scenario, 400 paths of
+    # (at most) its 79 draws, drawn into the leading rows and columns of a
+    # layout with room for more, against numpy's own jump
+    layout = stochastic.normals_layout(414, 79)
+    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+    for first in (2**40 - 2, 2**64 - 400):
+        uniforms = philox_uniforms(seed, first, 400, size, space).copy()
+        block = stream_normals(seed, first, 400, size, space)
+        assert uniforms.shape == block.shape == (400, size)
+        for u, z, stream_id in zip(uniforms, block, range(first, first + 400)):
+            reference = np.random.Generator(np.random.Philox(key=seed).jumped(stream_id))
+            expected = reference.random(size)
+            assert np.array_equal(u, expected), stream_id
+            assert np.array_equal(z, ndtri(np.maximum(expected, 2.0**-53))), stream_id
+    for count, draws in ((0, size), (5, 0), (0, 0)):  # no streams, or no draws
         assert philox_uniforms(seed, 2**64 - 5, count, draws).shape == (count, draws)
 
 
@@ -161,6 +175,31 @@ def test_streams_drawn_in_two_threads_at_once_equal_serial_draws():
     for t in range(2):
         assert len(shared[t]) == 200
         assert all(map(np.array_equal, shared[t], serial[t]))
+
+
+def _in_a_new_thread(draw):
+    done = []
+    thread = threading.Thread(target=lambda: done.append(draw()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return done[0]
+
+
+def test_a_stream_and_a_block_drawn_in_turn_on_one_thread_each_draw_as_alone():
+    # both stream APIs point the thread's one generator at their counter
+    alone = _in_a_new_thread(lambda: stream_normals(9, 0, 8, 13))
+
+    def in_turn():
+        stream = RandomStream(9, 3)
+        first = stream.standard_normal(3)  # leaves one word of a Philox block in the buffer
+        block = stream_normals(9, 0, 8, 13)
+        return first, block, stream.standard_normal(10)
+
+    first, block, rest = _in_a_new_thread(in_turn)
+    assert np.array_equal(block, alone)
+    assert np.array_equal(np.concatenate([first, rest]), RandomStream(9, 3).standard_normal(13))
+    assert np.array_equal(block[3], RandomStream(9, 3).standard_normal(13))
 
 
 def test_a_stream_builds_no_philox_once_its_thread_has_a_generator(monkeypatch):
