@@ -284,3 +284,4 @@ def _serve(commands: int, claims: int, rows: int) -> None:
                 compute(index)
                 _write(rows, _int_bytes(index) + b"".join(block_rows(index)))
         _write(rows, _int_bytes(_END))
+        del compute, block_rows  # and what they hold, freed before the next job() allocates

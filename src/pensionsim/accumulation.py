@@ -17,7 +17,6 @@ __all__ = [
     "CareerYear",
     "accumulate_corpus",
     "dearness_allowance",
-    "growth_factors",
     "project_basic",
 ]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import threading
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
@@ -51,7 +51,6 @@ from .stochastic import (
     gbm_log_returns,
     growth_factors,
     inflation_series,
-    normals_layout,
     stream_normals,
 )
 
@@ -268,6 +267,9 @@ def run_path(scenario: Scenario, path_index: int) -> PathOutcome:
 
 def run_path_detail(scenario: Scenario, path_index: int) -> PathDetail:
     """One path through the scalar layer functions, on Python floats, with its tables."""
+    if isinstance(path_index, bool) or not hasattr(path_index, "__index__"):
+        raise ConfigError(f"path_index must be an integer, got {path_index!r}")
+    path_index = operator.index(path_index)  # a Python int, reported in the outcome
     if not 0 <= path_index < scenario.num_paths:
         raise ConfigError(
             f"path_index must be in [0, {scenario.num_paths - 1}], got {path_index}"
@@ -324,10 +326,9 @@ def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ..
     last, which holds fewer by less than the number of blocks unless
     _MIN_BLOCK_PATHS binds. A block's time grows with its paths, so two
     processes that share a run finish their last blocks at about the same
-    time. The arrays are (shape, dtype) by name, each with room for as many
-    paths as the largest block of the career may hold, or for each of the
-    run's paths if fewer: the draws, path-major with a row a path (see
-    normals_layout), then the arrays of _career and of _retirement,
+    time. The arrays are (shape, dtype) by name, each with a place for each
+    path of the first block: the draws, path-major with a row a path (see
+    stream_normals), then the arrays of _career and of _retirement,
     year-major with a column a path.
     """
     n, m = scenario.service_years, scenario.retirement_years
@@ -336,14 +337,14 @@ def _layout(scenario: Scenario) -> tuple[int, int, dict[str, tuple[tuple[int, ..
     blocks = -(-scenario.num_paths // cap)
     paths = min(cap, max(_MIN_BLOCK_PATHS, -(-scenario.num_paths // blocks)))
     return size, paths, {
-        **normals_layout(cap, size),
-        "infl": ((n + m, cap), np.float64),
-        "rets": ((n - 1, cap), np.float64),
-        "growth": ((n - 1, cap), np.float64),
-        "salary": ((n, cap), np.float64),
-        "corpus": ((n, cap), np.float64),
-        "req": ((m, cap), np.float64),
-        "sufficient": ((m, cap), np.bool_),
+        "normals": ((paths, size), np.float64),
+        "infl": ((n + m, paths), np.float64),
+        "rets": ((n - 1, paths), np.float64),
+        "growth": ((n - 1, paths), np.float64),
+        "salary": ((n, paths), np.float64),
+        "corpus": ((n, paths), np.float64),
+        "req": ((m, paths), np.float64),
+        "sufficient": ((m, paths), np.bool_),
     }
 
 
@@ -428,16 +429,12 @@ def _block(plan: _Plan, first: int, count: int, block: dict, out) -> None:
     in PathOutcome's field order after path_index.
     """
     s = plan.scenarios[0]
-    z = stream_normals(s.seed, first, count, plan.size, block).T  # year-major, strided
+    z = stream_normals(s.seed, first, count, plan.size, block["normals"]).T  # year-major, strided
     shared = _career(s, z, block) if plan.stage == "retirement" else None
     kinds = len(_OUTCOME_KINDS)
     for number, scenario in enumerate(plan.scenarios):
         career = _career(scenario, z, block) if shared is None else shared
         _retirement(scenario, *career, block, out[number * kinds : (number + 1) * kinds])
-
-
-# this thread's block arrays of its last run, as `blocks`: (layout, arrays)
-_kept = threading.local()
 
 
 def _shaped(name: str, buffer: np.ndarray, shape: tuple[int, ...], count: int) -> np.ndarray:
@@ -449,31 +446,23 @@ def _shaped(name: str, buffer: np.ndarray, shape: tuple[int, ...], count: int) -
 
 
 def _blocks(plan: _Plan, columns=None) -> tuple:
-    """`(compute, rows)` of a run in this thread: `compute(index)` computes
-    block `index` into the arrays `rows(index)`.
+    """`(compute, rows)` of a run: `compute(index)` computes block `index`
+    into the arrays `rows(index)`.
 
     Bound to `plan`, this is the job a run gives the helper process (see
     _helper.share); the plan pickles. A block's rows are its entries of
     `columns`, each scenario's outcome columns after path_index, or else of
     one block's columns, allocated here. The block arrays are one flat
-    buffer for each array of the plan's layout: those this thread kept from
-    its last run if it had the same layout, or else new ones, kept at once
-    for its next run. Two runs at once are in two threads, so they never
-    share them; a thread's are freed when it ends, and a forked helper
-    starts with those of the thread that forked it. A block writes each
-    array before it reads it, so what a failed run left there is never
-    read. Each block computes in the leading values of each buffer, shaped
-    for its paths, so its arrays are contiguous whatever its paths.
+    buffer for each array of the plan's layout, allocated here too and
+    freed with `compute`. A block writes each array before it reads it,
+    and computes in the leading values of each buffer, shaped for its
+    paths, so its arrays are contiguous whatever its paths.
     """
     counts = plan.counts
-    layout, space = getattr(_kept, "blocks", (None, None))
-    if layout != plan.layout:
-        space, _kept.blocks = None, (None, None)  # freed before the new are allocated
-        space = {name: np.empty(math.prod(shape), k) for name, (shape, k) in plan.layout.items()}
-        _kept.blocks = plan.layout, space
+    buffers = {name: np.empty(math.prod(shape), k) for name, (shape, k) in plan.layout.items()}
     arrays = {  # by a block's paths: the first block's, and the last's
         count: {
-            name: _shaped(name, space[name], shape, count)
+            name: _shaped(name, buffers[name], shape, count)
             for name, (shape, _) in plan.layout.items()
         }
         for count in {counts[0], counts[-1]}
@@ -497,11 +486,11 @@ def _run(scenarios: list[Scenario], stage: str = "retirement") -> list[ScenarioR
 
     The scenarios must agree on every field of the stages before `stage`,
     and each block computes those stages once for all of them, in one set
-    of arrays, kept for the thread's next run (see _blocks). _helper.share
-    computes each block once, here or in the helper; a block that fails in
-    the helper fails again here. The error a block raises depends only on
-    the scenarios (their fields, or the growth overflow's fixed message),
-    never on the block, so it is a serial run's.
+    of arrays (see _blocks). _helper.share computes each block once, here
+    or in the helper; a block that fails in the helper fails again here.
+    The error a block raises depends only on the scenarios (their fields,
+    or the growth overflow's fixed message), never on the block, so it is
+    a serial run's.
     When a block of several scenarios fails, each is rerun alone, in order,
     so the error raised is that of the first failing scenario, as if each
     ran alone.

@@ -45,7 +45,6 @@ __all__ = [
     "gbm_log_returns",
     "growth_factors",
     "inflation_series",
-    "normals_layout",
     "philox_uniforms",
     "stream_normals",
 ]
@@ -192,39 +191,32 @@ def _load_special():
     return scipy.special
 
 
-def normals_layout(paths: int, size: int) -> dict[str, tuple[tuple[int, ...], type]]:
-    """The array stream_normals draws `size` normals of up to `paths` streams in.
-
-    Name to (shape, dtype): "normals" is path-major, one row a stream, so
-    each stream's draws are one contiguous row.
-    """
-    return {"normals": ((paths, size), np.float64)}
-
-
-def philox_uniforms(master_seed: int, first: int, count: int, size: int, space=None) -> np.ndarray:
+def philox_uniforms(master_seed: int, first: int, count: int, size: int, out=None) -> np.ndarray:
     """The first `size` uniforms of streams first..first+count-1, one row each.
 
     Row i equals `size` draws of `RandomStream(master_seed, first + i)`, in
     any split: each row is drawn by the thread's generator, pointed at the
     start of its stream as RandomStream points it. The result is a
-    (count, size) array, drawn into the leading rows and columns of
-    `space["normals"]`, laid out as normals_layout gives for at least
-    `count` streams and `size` draws, or into a new one.
+    (count, size) float64 array, path-major so that each stream's draws are
+    one contiguous row: `out`, which must be such an array, or a new one.
     """
     master_seed, first, count = _check_streams(master_seed, first, count)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    uniforms = np.empty((count, size)) if space is None else space["normals"][:count, :size]
-    for row, gen in zip(uniforms, _positioned(master_seed, range(first, first + count))):
+    if out is None:
+        out = np.empty((count, size))
+    elif not isinstance(out, np.ndarray) or (out.dtype, out.shape) != (np.float64, (count, size)):
+        raise ValueError(f"out must be a float64 array of shape {(count, size)}")
+    for row, gen in zip(out, _positioned(master_seed, range(first, first + count))):
         gen.random(out=row)
-    return uniforms
+    return out
 
 
-def stream_normals(master_seed: int, first: int, count: int, size: int, space=None) -> np.ndarray:
+def stream_normals(master_seed: int, first: int, count: int, size: int, out=None) -> np.ndarray:
     """`RandomStream(master_seed, k).standard_normal(size)` for each stream k in
-    first..first+count-1, as one (count, size) array, computed in `space`
-    as philox_uniforms draws its uniforms."""
-    u = philox_uniforms(master_seed, first, count, size, space)
+    first..first+count-1, as one (count, size) array, computed in `out` as
+    philox_uniforms draws its uniforms."""
+    u = philox_uniforms(master_seed, first, count, size, out)
     return _normals(u, out=u)
 
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pensionsim import stochastic
+import pensionsim
+from pensionsim import accumulation, stochastic
 from pensionsim.accumulation import (
     accumulate_corpus,
     dearness_allowance,
@@ -15,6 +16,14 @@ from pensionsim.accumulation import (
 )
 from pensionsim.engine import Scenario
 from pensionsim.stochastic import gbm_drift, stream_normals
+
+
+def test_the_package_lists_each_public_name_once():
+    # growth_factors is stochastic's, imported by accumulation, which lists it no more
+    assert len(set(pensionsim.__all__)) == len(pensionsim.__all__)
+    assert all(hasattr(pensionsim, name) for name in pensionsim.__all__)
+    assert pensionsim.growth_factors is accumulation.growth_factors is stochastic.growth_factors
+
 
 BASE = Scenario(
     service_years=30,

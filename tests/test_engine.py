@@ -10,7 +10,6 @@ import sys
 import threading
 import tracemalloc
 import types
-import weakref
 from collections import Counter
 from unittest import mock
 
@@ -182,6 +181,19 @@ def test_run_path_rejects_out_of_range_index():
         run_path(scenario, 8)
     with pytest.raises(ConfigError):
         run_path(scenario, -1)
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1"], ids=repr)
+def test_a_path_index_that_is_no_integer_is_a_config_error(index):
+    for run in (run_path, run_path_detail):
+        with pytest.raises(ConfigError, match=f"^path_index must be an integer, got {index!r}$"):
+            run(Scenario(num_paths=8), index)
+
+
+def test_a_numpy_path_index_is_reported_as_a_python_int():
+    scenario = Scenario(num_paths=8)
+    for outcome in run_path(scenario, np.int64(1)), run_path_detail(scenario, np.int64(1)).outcome:
+        assert type(outcome.path_index) is int and outcome == run_path(scenario, 1)
 
 
 def test_run_path_replays_the_published_draw_order():
@@ -356,9 +368,7 @@ def test_a_run_faults_its_block_arrays_in_once():
 
 @pytest.fixture
 def allocated(monkeypatch):
-    """The (size, dtype) of each np.empty call while the test runs, which
-    starts with no block arrays kept from an earlier run."""
-    monkeypatch.setattr(engine, "_kept", threading.local())
+    """The (size, dtype) of each np.empty call while the test runs."""
     calls, empty = [], np.empty
 
     def spy(shape, dtype=float, *args, **kwargs):
@@ -379,47 +389,16 @@ def _serial():
     return mock.patch.object(_helper, "_helper_usable", lambda: False)
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "serial"])
-def test_a_second_run_of_a_layout_allocates_no_block_arrays(allocated, shared):
-    scenario = Scenario(num_paths=3000)  # 8 blocks: shared with the helper on two CPUs
-    with contextlib.nullcontext() if shared else _serial():
-        run_scenario(scenario)
-        assert _buffers(scenario) <= set(allocated)
-        allocated.clear()
-        result = run_scenario(with_field(scenario, "seed", 7))
-    assert _buffers(scenario).isdisjoint(allocated)
-    layout, _ = engine._kept.blocks
-    assert layout == engine._layout(scenario)[2]
-    indices = range(0, scenario.num_paths, 271)
-    got = _bits(records(result.outcomes))
-    assert [got[i] for i in indices] == _bits(run_path(result.scenario, i) for i in indices)
-
-
-def test_a_run_of_another_layout_replaces_the_kept_arrays(allocated):
-    first, other = Scenario(num_paths=500), Scenario(num_paths=500, service_years=20)
-    assert _buffers(first) != _buffers(other)
-    with _serial():
-        run_scenario(first)
-        result = run_scenario(other)
-        assert _buffers(other) <= set(allocated)
-        layout, _ = engine._kept.blocks  # only the last run's arrays
-        assert layout == engine._layout(other)[2]
-        allocated.clear()
-        run_scenario(first)
-    assert _buffers(first) <= set(allocated)
-    assert _bits(records(result.outcomes)) == _bits(run_path(other, i) for i in range(500))
-
-
 def test_runs_in_threads_at_once_each_compute_in_their_own_arrays(monkeypatch):
     # more threads than CPUs, each held at its first block until all are in a run
     threads, block, arrays = 3, engine._block, {}
     started = threading.Barrier(threads, timeout=30)
 
-    def spy(plan, first, count, space, out):
+    def spy(plan, first, count, arrays_of_block, out):
         if threading.get_ident() not in arrays:
-            arrays[threading.get_ident()] = space["normals"]
+            arrays[threading.get_ident()] = arrays_of_block["normals"]
             started.wait()
-        return block(plan, first, count, space, out)
+        return block(plan, first, count, arrays_of_block, out)
 
     scenarios = [Scenario(num_paths=300, seed=seed) for seed in range(threads)]
     results = [None] * threads
@@ -431,7 +410,7 @@ def test_runs_in_threads_at_once_each_compute_in_their_own_arrays(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         with _small_blocks(scenarios[0], 100):  # three blocks a run
-            run_scenario(scenarios[0])  # keeps arrays of the layout, which one thread takes
+            run_scenario(scenarios[0])  # warm-up: imports and scipy's ufuncs
             monkeypatch.setattr(engine, "_block", spy)
             workers = [threading.Thread(target=run, args=(n,)) for n in range(threads)]
             for worker in workers:
@@ -448,45 +427,7 @@ def test_runs_in_threads_at_once_each_compute_in_their_own_arrays(monkeypatch):
         assert _bits(records(result.outcomes)) == expected
 
 
-def _run_in_a_thread(scenario):
-    # the result of a run in a new thread, and the block arrays that thread kept
-    done = []
-
-    def run():
-        done.append((run_scenario(scenario), engine._kept.blocks))
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    [(result, kept)] = done
-    return result, kept
-
-
-def test_a_run_in_a_new_thread_keeps_its_own_arrays(allocated):
-    scenario = Scenario(num_paths=500)
-    run_scenario(scenario)
-    layout, space = engine._kept.blocks
-    arrays = list(space.values())
-    allocated.clear()
-    result, (their_layout, theirs) = _run_in_a_thread(scenario)
-    assert their_layout == layout and _buffers(scenario) <= set(allocated)
-    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, theirs.values()))
-    # this thread's arrays stay kept, the very same ones
-    assert all(a is b for a, b in zip(engine._kept.blocks[1].values(), arrays, strict=True))
-    assert _bits(records(result.outcomes)) == _bits(run_path(scenario, i) for i in range(500))
-
-
-def test_a_threads_kept_arrays_are_freed_when_it_ends():
-    _, (_, space) = _run_in_a_thread(Scenario(num_paths=500))
-    refs = [weakref.ref(array) for array in space.values()]
-    del space  # the last reference here: the ended thread holds none
-    assert refs and all(ref() is None for ref in refs)
-
-
 def test_a_run_after_a_failing_block_equals_run_path():
-    # the failing run leaves its block arrays part written, and the next run of
-    # the layout computes in them
     scenario = Scenario(num_paths=500)
     with _serial():
         with pytest.raises(ValueError, match="growth factor"):
@@ -496,27 +437,25 @@ def test_a_run_after_a_failing_block_equals_run_path():
 
 
 def test_a_run_after_its_block_arrays_failed_to_allocate_equals_run_path(allocated, monkeypatch):
-    # the failed allocation has dropped the kept arrays of another layout, and
-    # the next run in this thread allocates afresh
-    first, other = Scenario(num_paths=500), Scenario(num_paths=500, service_years=20)
+    # the failed run holds nothing after it, and the next allocates every array afresh
+    scenario = Scenario(num_paths=500)
     spy, failed = np.empty, []
 
     def fail_once(shape, *args, **kwargs):
-        if not failed and (shape, np.dtype(args[0] if args else float)) in _buffers(other):
+        if not failed and (shape, np.dtype(args[0] if args else float)) in _buffers(scenario):
             failed.append(shape)
             raise MemoryError
         return spy(shape, *args, **kwargs)
 
     with _serial():
-        run_scenario(first)
         monkeypatch.setattr(np, "empty", fail_once)
         with pytest.raises(MemoryError):
-            run_scenario(other)
+            run_scenario(scenario)
         assert failed
         allocated.clear()
-        result = run_scenario(other)
-    assert _buffers(other) <= set(allocated)
-    assert _bits(records(result.outcomes)) == _bits(run_path(other, i) for i in range(500))
+        result = run_scenario(scenario)
+    assert _buffers(scenario) <= set(allocated)
+    assert _bits(records(result.outcomes)) == _bits(run_path(scenario, i) for i in range(500))
 
 
 def test_growth_stage_makes_no_python_exp_call(monkeypatch):
@@ -673,11 +612,11 @@ def test_batch_engine_keeps_the_scalar_nan_conventions():
     scenario = Scenario(num_paths=64, inflation_sd_pct=1e306, guarantee_fraction=0.0)
     size, paths, layout = engine._layout(scenario)
     assert paths == scenario.num_paths  # one block
-    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+    block = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
     columns = [np.empty(paths), np.empty(paths), np.empty(paths, int), np.empty(paths)]
     with np.errstate(all="ignore"):
-        z = stream_normals(scenario.seed, 0, paths, size, space).T
-        engine._retirement(scenario, *engine._career(scenario, z, space), space, columns)
+        z = stream_normals(scenario.seed, 0, paths, size, block["normals"]).T
+        engine._retirement(scenario, *engine._career(scenario, z, block), block, columns)
         expected = [run_path(scenario, i) for i in range(scenario.num_paths)]
     outcomes = records(engine.PathOutcome(np.arange(scenario.num_paths), *columns))
     assert _bits(outcomes) == _bits(expected)
@@ -757,8 +696,9 @@ def test_a_run_spreads_its_paths_evenly_over_as_many_blocks_as_it_needs(
     assert counts[:-1] == [counts[0]] * (len(counts) - 1)
     if counts[0] > engine._MIN_BLOCK_PATHS:
         assert counts[0] - counts[-1] < len(counts)
-    _, _, layout = engine._layout(scenario)
-    assert layout["salary"][0] == (service_years, min(most, num_paths))  # room for any block
+    _, _, layout = engine._layout(scenario)  # a place for each path of the first block
+    assert layout["normals"][0] == (counts[0], draws)
+    assert layout["salary"][0] == (service_years, counts[0])
 
 
 _RANGES = {
@@ -1087,9 +1027,9 @@ def test_failing_scenario_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size, space):
+    def spy(seed, first, count, size, out):
         drawn.append(first)
-        return normals(seed, first, count, size, space)
+        return normals(seed, first, count, size, out)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     with pytest.raises(ValueError, match="growth factor"):
@@ -1101,9 +1041,9 @@ def test_sweep_whose_first_variant_fails_draws_no_further_blocks(monkeypatch):
     drawn = []
     normals = engine.stream_normals
 
-    def spy(seed, first, count, size, space):
+    def spy(seed, first, count, size, out):
         drawn.append(first)
-        return normals(seed, first, count, size, space)
+        return normals(seed, first, count, size, out)
 
     monkeypatch.setattr(engine, "stream_normals", spy)
     overrides = [("gbm_mu", value) for value in (800.0, 0.09, 0.1)]

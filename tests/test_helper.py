@@ -27,7 +27,7 @@ from unittest import mock
 import pytest
 
 from pensionsim import _helper, engine, stochastic
-from pensionsim.engine import Scenario, run_path, run_scenario, sweep
+from pensionsim.engine import Scenario, run_path, run_scenario, sweep, with_field
 from pensionsim.io_cli import cli_main
 from records import records
 from test_engine import _bits, _serial, _small_blocks
@@ -214,9 +214,8 @@ def test_a_paths_bits_do_not_depend_on_its_block(monkeypatch, parent_blocks, sha
     scenario = Scenario(num_paths=1000)
     layout = engine._layout
 
-    def capped(scenario):  # blocks of 414 paths, the most that fit: 414, 414 and 172
-        size, _, arrays = layout(scenario)
-        return size, 414, arrays
+    def capped(scenario):  # the layout of 828 paths, blocks of 414: here 414, 414 and 172
+        return layout(with_field(scenario, "num_paths", 828))
 
     columns, firsts = [], []
     for split in (layout, capped):

@@ -87,14 +87,12 @@ def test_stream_block_rows_are_the_streams(seed, size):
         for row, stream_id in zip(block, range(first, first + 5)):
             assert np.array_equal(row, RandomStream(seed, stream_id).standard_normal(size))
     # a block of a 10,000-path run of the default scenario, 400 paths of
-    # (at most) its 79 draws, drawn into the leading rows and columns of a
-    # layout with room for more, against numpy's own jump
-    layout = stochastic.normals_layout(414, 79)
-    space = {name: np.empty(*shape_kind) for name, shape_kind in layout.items()}
+    # (at most) its 79 draws, drawn into a given array, against numpy's own jump
+    out = np.empty((400, size))
     for first in (2**40 - 2, 2**64 - 400):
-        uniforms = philox_uniforms(seed, first, 400, size, space).copy()
-        block = stream_normals(seed, first, 400, size, space)
-        assert uniforms.shape == block.shape == (400, size)
+        uniforms = philox_uniforms(seed, first, 400, size, out).copy()
+        block = stream_normals(seed, first, 400, size, out)
+        assert block is out and uniforms.shape == (400, size)
         for u, z, stream_id in zip(uniforms, block, range(first, first + 400)):
             reference = np.random.Generator(np.random.Philox(key=seed).jumped(stream_id))
             expected = reference.random(size)
@@ -102,6 +100,16 @@ def test_stream_block_rows_are_the_streams(seed, size):
             assert np.array_equal(z, ndtri(np.maximum(expected, 2.0**-53))), stream_id
     for count, draws in ((0, size), (5, 0), (0, 0)):  # no streams, or no draws
         assert philox_uniforms(seed, 2**64 - 5, count, draws).shape == (count, draws)
+
+
+@pytest.mark.parametrize("draw", [philox_uniforms, stream_normals])
+@pytest.mark.parametrize("out", [
+    np.full((4, 7), np.nan), np.full((5, 6), np.nan), np.full((5, 7), np.nan, np.float32),
+], ids=["too-few-rows", "too-few-columns", "float32"])
+def test_a_block_is_drawn_only_into_a_float64_array_of_its_shape(draw, out):
+    with pytest.raises(ValueError, match=r"^out must be a float64 array of shape \(5, 7\)$"):
+        draw(0, 0, 5, 7, out)
+    assert np.isnan(out).all()  # refused before any stream drew
 
 
 def test_one_draw_advances_the_stream_by_one():
