@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import ast
+import ctypes
 import math
+import os
 import pathlib
+import pickle
+import re
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -195,19 +200,135 @@ def _in_a_new_thread(draw):
 
 
 def test_a_stream_and_a_block_drawn_in_turn_on_one_thread_each_draw_as_alone():
-    # both stream APIs point the thread's one generator at their counter
-    alone = _in_a_new_thread(lambda: stream_normals(9, 0, 8, 13))
+    # both stream APIs write their key and counter into the thread's one
+    # Philox, so a draw that missed a write would draw the last one's stream;
+    # each of the three draws has a seed of its own
+    alone = [_in_a_new_thread(lambda: stream_normals(9, 0, 8, 13)),
+             _in_a_new_thread(lambda: RandomStream(10, 3).standard_normal(13)),
+             _in_a_new_thread(lambda: stream_normals(11, 0, 8, 13))]
 
     def in_turn():
-        stream = RandomStream(9, 3)
+        first_block = stream_normals(9, 0, 8, 13)
+        stream = RandomStream(10, 3)
         first = stream.standard_normal(3)  # leaves one word of a Philox block in the buffer
-        block = stream_normals(9, 0, 8, 13)
-        return first, block, stream.standard_normal(10)
+        second_block = stream_normals(11, 0, 8, 13)
+        return first_block, np.concatenate([first, stream.standard_normal(10)]), second_block
 
-    first, block, rest = _in_a_new_thread(in_turn)
-    assert np.array_equal(block, alone)
-    assert np.array_equal(np.concatenate([first, rest]), RandomStream(9, 3).standard_normal(13))
-    assert np.array_equal(block[3], RandomStream(9, 3).standard_normal(13))
+    drawn = _in_a_new_thread(in_turn)
+    for got, expected in zip(drawn, alone):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(alone[1], _jumped_normals(10, 3, 13))  # and numpy's own jump
+    assert not np.array_equal(drawn[0][3], drawn[1])  # seeds 9 and 10 differ in stream 3
+    assert not np.array_equal(drawn[0], drawn[2])
+
+
+def _public(bit_generator):
+    """A Philox's counter, key and buffer position, as its public `state` reads them."""
+    state = bit_generator.state
+    return state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"]
+
+
+def test_a_threads_philox_views_and_its_public_state_read_each_others_writes():
+    def write_both_ways():
+        gen, counter, key, buffer_pos = stochastic._thread_generator()
+        bit_generator = gen.bit_generator
+        start, end = id(bit_generator), id(bit_generator) + type(bit_generator).__basicsize__
+        inside = [start <= ctypes.addressof(view) and ctypes.addressof(view) + ctypes.sizeof(view) <= end
+                  for view in (counter, key, buffer_pos)]
+        counter[:], key[:], buffer_pos.value = (2**64 - 1, 3, 2**63, 5), (2**64 - 2, 7), 3
+        through_views = _public(bit_generator)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [11, 2**64 - 3, 13, 2**62], "key": [17, 2**64 - 5]},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 1, "has_uint32": 0, "uinteger": 0,
+        }
+        return inside, through_views, (list(counter), list(key), buffer_pos.value)
+
+    assert _in_a_new_thread(write_both_ways) == (
+        [True, True, True],
+        ([2**64 - 1, 3, 2**63, 5], [2**64 - 2, 7], 3),
+        ([11, 2**64 - 3, 13, 2**62], [17, 2**64 - 5], 1),
+    )
+
+
+def _counter_word_inside(bit_generator):
+    # the object ends after the counter's first word: its pointer is at offset 0
+    counter_at = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return counter_at - id(bit_generator) + 8
+
+
+@pytest.mark.parametrize("layout, message", [
+    ("counter-outside", r"a field at \+\d+ bytes lies outside its \d+-byte bit generator object"),
+    ("buffer-pos-misplaced", r"a write and a read through the public state disagree"),
+])
+def test_a_thread_whose_philox_layout_check_fails_raises_before_any_draw(monkeypatch, layout, message):
+    checked, views = [], stochastic._philox_views
+
+    def check(bit_generator, size):
+        checked.append((bit_generator, _public(bit_generator)))
+        if layout == "counter-outside":
+            size = _counter_word_inside(bit_generator)
+        return views(bit_generator, size)
+
+    monkeypatch.setattr(stochastic, "_philox_views", check)
+    if layout == "buffer-pos-misplaced":
+        # 4 bytes past buffer_pos, the padding before the buffer: inside the
+        # object, but not the field the public state reads
+        monkeypatch.setattr(stochastic, "_BUFFER_POS_AT", stochastic._BUFFER_POS_AT + 4)
+    out = np.full((3, 5), np.nan)
+
+    def draw_both_ways():
+        errors = []
+        for draw in (lambda: stream_normals(1, 0, 3, 5, out),
+                     lambda: RandomStream(1, 0).standard_normal(5)):
+            try:
+                draw()
+            except RuntimeError as error:
+                errors.append(str(error))
+        return errors
+
+    errors = _in_a_new_thread(draw_both_ways)
+    prefix = rf"^numpy {re.escape(np.__version__)}'s Philox state is not laid out as pensionsim reads it: "
+    assert len(errors) == 2 and all(re.match(prefix + message, error) for error in errors), errors
+    assert np.isnan(out).all()  # nothing drawn
+    assert len(checked) == 2  # each call checked again: no generator was kept
+    if layout == "counter-outside":  # refused before any write, the public state's too
+        for bit_generator, before in checked:
+            assert _public(bit_generator) == before
+
+
+def test_a_child_forked_from_a_thread_with_a_generator_draws_as_its_parent():
+    # the child inherits its thread's generator and the views' plain addresses
+    def draws():
+        stream = RandomStream(5, 12)
+        first = stream.standard_normal(3)
+        return [stream_normals(5, 10, 4, 13), np.concatenate([first, stream.standard_normal(10)]),
+                stream_normals(6, 2**64 - 4, 4, 7)]
+
+    expected = draws()  # this thread has a generator, pointed at another stream
+    before = stochastic._thread_generator()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of a fork while numpy's BLAS pool has threads
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump((stochastic._thread_generator() is before, draws()), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        sent = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    kept, got = pickle.loads(sent)
+    assert kept
+    assert len(got) == len(expected) and all(map(np.array_equal, got, expected))
 
 
 def test_a_stream_builds_no_philox_once_its_thread_has_a_generator(monkeypatch):
